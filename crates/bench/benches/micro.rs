@@ -6,7 +6,7 @@ use rand_chacha::ChaCha8Rng;
 use std::time::Duration;
 use stratmr_lp::{solve_ip, solve_lp, Problem, Relation};
 use stratmr_population::dblp::{DblpConfig, DblpGenerator};
-use stratmr_query::{Formula, SsdQuery, StratumConstraint};
+use stratmr_query::{Formula, SsdQuery, StratumConstraint, StratumMatcher};
 use stratmr_sampling::reservoir::{Reservoir, SkipReservoir, ZReservoir};
 use stratmr_sampling::sst::{Sst, StratumSelection};
 use stratmr_sampling::unified::{unified_sampler, IntermediateSample};
@@ -89,6 +89,18 @@ fn bench_formula_eval(c: &mut Criterion) {
             black_box(hits)
         })
     });
+    let matcher = StratumMatcher::new(&query);
+    group.bench_function("compiled_matcher_64_strata", |b| {
+        b.iter(|| {
+            let mut hits = 0usize;
+            for t in data.tuples() {
+                if matcher.matching_stratum(black_box(t)).is_some() {
+                    hits += 1;
+                }
+            }
+            black_box(hits)
+        })
+    });
     group.finish();
 }
 
@@ -107,11 +119,12 @@ fn bench_sst(c: &mut Criterion) {
         .collect();
     let mut group = c.benchmark_group("sst");
     group.throughput(Throughput::Elements(data.len() as u64));
+    let matchers = StratumMatcher::all(&queries);
     group.bench_function("build_6_queries", |b| {
-        b.iter(|| black_box(Sst::from_tuples(data.tuples().iter(), &queries)))
+        b.iter(|| black_box(Sst::from_tuples(data.tuples().iter(), &matchers)))
     });
-    let sst = Sst::from_tuples(data.tuples().iter(), &queries);
-    let probe = StratumSelection::of(&data.tuples()[0], &queries);
+    let sst = Sst::from_tuples(data.tuples().iter(), &matchers);
+    let probe = StratumSelection::of(&data.tuples()[0], &matchers);
     group.bench_function("lookup", |b| b.iter(|| black_box(sst.count(&probe))));
     group.finish();
 }

@@ -29,7 +29,7 @@
 
 use crate::chaos::FaultPlan;
 use crate::cost::{CostConfig, SimTime};
-use crate::job::{mix_seed, CombineJob, Emitter, Job, NoCombiner, TaskCtx};
+use crate::job::{mix_seed, CombineJob, Emitter, FxBuild, Job, NoCombiner, TaskCtx};
 use crate::sched;
 use crate::split::InputSplit;
 use rayon::prelude::*;
@@ -477,44 +477,44 @@ impl Cluster {
                     machine: split.home_machine,
                     seed: task_seed,
                 };
+                // the combiner folds each record's pairs as they are
+                // emitted; per-key state is kept in first-emit order, so
+                // group seeds (and thus whole runs) are deterministic
                 let mut emitter = Emitter::new();
+                let mut index: HashMap<J::Key, usize, FxBuild> = HashMap::default();
+                let mut groups: Vec<(J::Key, J::Acc)> = Vec::new();
                 let mut scan_bytes = 0u64;
+                let mut out_records = 0u64;
                 let map_clock = Instant::now();
                 for record in &split.records {
                     scan_bytes += job.input_bytes(record);
                     job.map(&ctx, record, &mut emitter);
+                    for (k, v) in emitter.drain() {
+                        out_records += 1;
+                        let g = match index.get(&k) {
+                            Some(&g) => g,
+                            None => {
+                                let g = groups.len();
+                                let cctx = TaskCtx {
+                                    seed: mix_seed(task_seed, g as u64 + 1),
+                                    ..ctx
+                                };
+                                let acc = job.start(&cctx, &k);
+                                index.insert(k.clone(), g);
+                                groups.push((k, acc));
+                                g
+                            }
+                        };
+                        job.observe(&mut groups[g].1, v);
+                    }
                 }
                 let map_real_us = map_clock.elapsed().as_secs_f64() * 1e6;
                 let in_records = split.records.len() as u64;
-                let pairs = emitter.into_pairs();
-                let out_records = pairs.len() as u64;
 
-                // group by key, preserving first-emit order so combiner
-                // seeds (and thus whole runs) are deterministic
                 let combine_clock = Instant::now();
-                let mut index: HashMap<J::Key, usize> = HashMap::new();
-                let mut groups: Vec<(J::Key, Vec<J::MapOut>)> = Vec::new();
-                for (k, v) in pairs {
-                    match index.get(&k) {
-                        Some(&g) => groups[g].1.push(v),
-                        None => {
-                            index.insert(k.clone(), groups.len());
-                            groups.push((k, vec![v]));
-                        }
-                    }
-                }
-
                 let combined: Vec<(J::Key, J::CombOut)> = groups
                     .into_iter()
-                    .enumerate()
-                    .map(|(gi, (k, vs))| {
-                        let cctx = TaskCtx {
-                            seed: mix_seed(task_seed, gi as u64 + 1),
-                            ..ctx
-                        };
-                        let c = job.combine(&cctx, &k, &mut vs.into_iter());
-                        (k, c)
-                    })
+                    .map(|(k, acc)| (k, job.finish(acc)))
                     .collect();
                 let combine_real_us = combine_clock.elapsed().as_secs_f64() * 1e6;
 
@@ -565,8 +565,9 @@ impl Cluster {
             stats.combine_output_pairs += t.combined.len() as u64;
             combine_wall_us += t.combine_wall_us;
         }
-        // per-task combine work ran inside the map tasks; report its
-        // aggregated wall time as a sibling phase of the driver's map span
+        // the combiner's fold runs inside the map loop and is timed with
+        // the map; its per-task `finish` calls are reported, aggregated,
+        // as a sibling phase of the job's map span
         if let (Some(t), Some(path)) = (tel, &job_path) {
             if job.has_combiner() {
                 t.observe_span(&format!("{path}/combine"), combine_wall_us * 1e-6);
@@ -769,7 +770,7 @@ impl Cluster {
                 let machine = p % self.machines;
                 let reduce_clock = Instant::now();
                 // group by key, preserving arrival order
-                let mut index: HashMap<J::Key, usize> = HashMap::new();
+                let mut index: HashMap<J::Key, usize, FxBuild> = HashMap::default();
                 let mut groups: Vec<(J::Key, Vec<J::CombOut>)> = Vec::new();
                 let mut n_values = 0u64;
                 for (k, c) in pairs {
@@ -983,6 +984,7 @@ mod tests {
         type Input = String;
         type Key = String;
         type MapOut = u64;
+        type Acc = u64;
         type CombOut = u64;
         type ReduceOut = u64;
 
@@ -992,13 +994,16 @@ mod tests {
             }
         }
 
-        fn combine(
-            &self,
-            _ctx: &TaskCtx,
-            _key: &String,
-            values: &mut dyn Iterator<Item = u64>,
-        ) -> u64 {
-            values.sum()
+        fn start(&self, _ctx: &TaskCtx, _key: &String) -> u64 {
+            0
+        }
+
+        fn observe(&self, acc: &mut u64, value: u64) {
+            *acc += value;
+        }
+
+        fn finish(&self, acc: u64) -> u64 {
+            acc
         }
 
         fn reduce(&self, _ctx: &TaskCtx, _key: &String, values: Vec<u64>) -> u64 {
@@ -1424,5 +1429,77 @@ mod tests {
         seeds.sort_unstable();
         seeds.dedup();
         assert_eq!(seeds.len(), n, "reduce seeds must be unique per key");
+    }
+
+    /// Combiner whose state records its `(task, seed)` and every value in
+    /// arrival order, so the fold's seeds and value order are visible.
+    struct SeedSpy;
+
+    /// `(task id, group seed, values in arrival order)`.
+    type Spied = (usize, u64, Vec<u64>);
+
+    impl CombineJob for SeedSpy {
+        type Input = Vec<(u8, u64)>;
+        type Key = u8;
+        type MapOut = u64;
+        type Acc = Spied;
+        type CombOut = Spied;
+        type ReduceOut = Vec<Spied>;
+        fn map(&self, _c: &TaskCtx, r: &Vec<(u8, u64)>, out: &mut Emitter<u8, u64>) {
+            for &(k, v) in r {
+                out.emit(k, v);
+            }
+        }
+        fn start(&self, c: &TaskCtx, _k: &u8) -> Spied {
+            (c.task_id, c.seed, Vec::new())
+        }
+        fn observe(&self, acc: &mut Spied, v: u64) {
+            acc.2.push(v);
+        }
+        fn finish(&self, acc: Spied) -> Spied {
+            acc
+        }
+        fn reduce(&self, _c: &TaskCtx, _k: &u8, v: Vec<Spied>) -> Vec<Spied> {
+            v
+        }
+    }
+
+    /// Group seeds follow first-emit order within each map task
+    /// (`mix_seed(task_seed, g + 1)` for the task's `g`-th new key, also
+    /// when one record emits several keys), and each key's values reach
+    /// the fold in emit order.
+    #[test]
+    fn fold_seeds_follow_first_emit_order_and_values_emit_order() {
+        let records: Vec<Vec<(u8, u64)>> = (0..40u64)
+            .map(|i| {
+                let k = (i * 7 % 5) as u8;
+                vec![(k, i), ((k + 3) % 5, 100 + i), (k, 200 + i)]
+            })
+            .collect();
+        let splits = make_splits(records, 4, 2);
+        let seed = 77;
+        let out = Cluster::new(2).run_with_combiner(&SeedSpy, &splits, seed);
+
+        let mut want: HashMap<(usize, u8), (u64, Vec<u64>)> = HashMap::new();
+        for split in &splits {
+            let task_seed = mix_seed(seed, split.id as u64);
+            let mut first_seen: Vec<u8> = Vec::new();
+            for &(k, v) in split.records.iter().flatten() {
+                if !first_seen.contains(&k) {
+                    first_seen.push(k);
+                    let g = first_seen.len() as u64;
+                    want.insert((split.id, k), (mix_seed(task_seed, g), Vec::new()));
+                }
+                want.get_mut(&(split.id, k)).expect("started").1.push(v);
+            }
+        }
+        let mut got: HashMap<(usize, u8), (u64, Vec<u64>)> = HashMap::new();
+        for (k, spied) in out.results {
+            for (task, group_seed, values) in spied {
+                assert!(got.insert((task, k), (group_seed, values)).is_none());
+            }
+        }
+        assert_eq!(got, want);
+        assert_eq!(out.stats.combine_output_pairs, want.len() as u64);
     }
 }

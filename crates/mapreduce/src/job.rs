@@ -11,8 +11,14 @@
 //! (`MapOut → CombOut`), because the paper's combiner output
 //! `(S̄, N̄)` — an intermediate sample annotated with the size of the set
 //! it was drawn from — is structurally different from a single tuple.
+//!
+//! The combiner is a *fold*: the engine starts one accumulator per
+//! `(map task, key)` when the key is first emitted, feeds it each value
+//! as the map function emits it, and finishes it once the task's input
+//! is exhausted. Map-side state is therefore one accumulator per key
+//! (O(keys × sample size) for a reservoir) instead of every emitted pair.
 
-use std::hash::Hash;
+use std::hash::{BuildHasherDefault, Hash, Hasher};
 
 /// Deterministic per-task context handed to every user function.
 ///
@@ -31,7 +37,7 @@ pub struct TaskCtx {
     pub seed: u64,
 }
 
-/// Collects the key-value pairs emitted by one map task.
+/// Collects the key-value pairs emitted by one `map` call.
 #[derive(Debug)]
 pub struct Emitter<K, V> {
     pairs: Vec<(K, V)>,
@@ -48,26 +54,30 @@ impl<K, V> Emitter<K, V> {
         self.pairs.push((key, value));
     }
 
-    /// Number of pairs emitted so far.
+    /// Number of pairs emitted for the current record (the engine hands
+    /// each record's pairs to the combiner before the next `map` call).
     pub fn len(&self) -> usize {
         self.pairs.len()
     }
 
-    /// True when nothing was emitted.
+    /// True when nothing was emitted for the current record.
     pub fn is_empty(&self) -> bool {
         self.pairs.is_empty()
     }
 
-    pub(crate) fn into_pairs(self) -> Vec<(K, V)> {
-        self.pairs
+    /// Take the pairs emitted so far, in emit order.
+    pub(crate) fn drain(&mut self) -> std::vec::Drain<'_, (K, V)> {
+        self.pairs.drain(..)
     }
 }
 
 /// A MapReduce job with a combiner.
 ///
-/// `map` is invoked once per input record; `combine` once per
-/// `(map task, key)` with all values that task emitted for the key;
-/// `reduce` once per key with the combined values from every map task.
+/// `map` is invoked once per input record. The combiner is a fold per
+/// `(map task, key)`: `start` when the task first emits the key,
+/// `observe` for each value the task emits for it, in emit order, and
+/// `finish` once the task's input is exhausted. `reduce` is invoked once
+/// per key with the finished values from every map task.
 pub trait CombineJob: Send + Sync {
     /// Input record type.
     type Input: Send + Sync;
@@ -75,6 +85,8 @@ pub trait CombineJob: Send + Sync {
     type Key: Clone + Eq + Hash + Send + Sync;
     /// Map output value.
     type MapOut: Send;
+    /// Combiner state of one `(map task, key)`.
+    type Acc: Send;
     /// Combiner output value (what actually crosses the network).
     type CombOut: Send;
     /// Final per-key result.
@@ -83,16 +95,15 @@ pub trait CombineJob: Send + Sync {
     /// Process one input record, emitting intermediate pairs.
     fn map(&self, ctx: &TaskCtx, record: &Self::Input, out: &mut Emitter<Self::Key, Self::MapOut>);
 
-    /// Map-side partial aggregation of one key's values within one task.
-    ///
-    /// Values arrive as a streaming iterator: a faithful combiner (e.g. a
-    /// reservoir) keeps only O(sample) state regardless of input size.
-    fn combine(
-        &self,
-        ctx: &TaskCtx,
-        key: &Self::Key,
-        values: &mut dyn Iterator<Item = Self::MapOut>,
-    ) -> Self::CombOut;
+    /// Fresh combiner state for a key the task has just emitted for the
+    /// first time; `ctx.seed` is unique to the `(task, key)` pair.
+    fn start(&self, ctx: &TaskCtx, key: &Self::Key) -> Self::Acc;
+
+    /// Fold one emitted value into the key's state.
+    fn observe(&self, acc: &mut Self::Acc, value: Self::MapOut);
+
+    /// The combined value of a key once the task's input is exhausted.
+    fn finish(&self, acc: Self::Acc) -> Self::CombOut;
 
     /// Merge one key's combined values from all map tasks.
     fn reduce(&self, ctx: &TaskCtx, key: &Self::Key, values: Vec<Self::CombOut>)
@@ -154,6 +165,7 @@ impl<J: Job> CombineJob for NoCombiner<'_, J> {
     type Input = J::Input;
     type Key = J::Key;
     type MapOut = J::MapOut;
+    type Acc = Vec<J::MapOut>;
     type CombOut = Vec<J::MapOut>;
     type ReduceOut = J::ReduceOut;
 
@@ -161,13 +173,16 @@ impl<J: Job> CombineJob for NoCombiner<'_, J> {
         self.0.map(ctx, record, out);
     }
 
-    fn combine(
-        &self,
-        _ctx: &TaskCtx,
-        _key: &Self::Key,
-        values: &mut dyn Iterator<Item = Self::MapOut>,
-    ) -> Self::CombOut {
-        values.collect()
+    fn start(&self, _ctx: &TaskCtx, _key: &Self::Key) -> Self::Acc {
+        Vec::new()
+    }
+
+    fn observe(&self, acc: &mut Self::Acc, value: Self::MapOut) {
+        acc.push(value);
+    }
+
+    fn finish(&self, acc: Self::Acc) -> Self::CombOut {
+        acc
     }
 
     fn reduce(
@@ -193,6 +208,56 @@ impl<J: Job> CombineJob for NoCombiner<'_, J> {
     }
 }
 
+/// Fx-style multiplicative hasher for the engine's key-grouping indexes
+/// (map-side accumulators, reduce-side groups).
+///
+/// Fixed-keyed and cheap on small integer keys; the hash only locates a
+/// key's group and never reaches a result (reduce partitions are chosen
+/// by `partition_of`'s SipHash).
+#[derive(Default, Clone, Copy)]
+pub(crate) struct FxHasher(u64);
+
+/// `BuildHasher` of [`FxHasher`].
+pub(crate) type FxBuild = BuildHasherDefault<FxHasher>;
+
+impl FxHasher {
+    #[inline]
+    fn add(&mut self, word: u64) {
+        self.0 = (self.0.rotate_left(5) ^ word).wrapping_mul(0x51_7c_c1_b7_27_22_0a_95);
+    }
+}
+
+impl Hasher for FxHasher {
+    #[inline]
+    fn write(&mut self, bytes: &[u8]) {
+        let mut chunks = bytes.chunks_exact(8);
+        for c in &mut chunks {
+            self.add(u64::from_le_bytes(c.try_into().expect("8-byte chunk")));
+        }
+        let rest = chunks.remainder();
+        if !rest.is_empty() {
+            let mut buf = [0u8; 8];
+            buf[..rest.len()].copy_from_slice(rest);
+            self.add(u64::from_le_bytes(buf));
+        }
+    }
+
+    #[inline]
+    fn write_u64(&mut self, i: u64) {
+        self.add(i);
+    }
+
+    #[inline]
+    fn write_usize(&mut self, i: usize) {
+        self.add(i as u64);
+    }
+
+    #[inline]
+    fn finish(&self) -> u64 {
+        self.0
+    }
+}
+
 /// Deterministic 64-bit mixer (splitmix64 finalizer) used to derive
 /// per-task and per-group seeds from the job seed.
 #[inline]
@@ -215,7 +280,11 @@ mod tests {
         e.emit(2, "b");
         e.emit(1, "c");
         assert_eq!(e.len(), 3);
-        assert_eq!(e.into_pairs(), vec![(1, "a"), (2, "b"), (1, "c")]);
+        assert_eq!(
+            e.drain().collect::<Vec<_>>(),
+            vec![(1, "a"), (2, "b"), (1, "c")]
+        );
+        assert!(e.is_empty());
     }
 
     #[test]

@@ -18,13 +18,15 @@
 //!     type Input = i64;
 //!     type Key = bool;        // is the number even?
 //!     type MapOut = u64;
+//!     type Acc = u64;
 //!     type CombOut = u64;
 //!     type ReduceOut = u64;
 //!     fn map(&self, _c: &TaskCtx, r: &i64, out: &mut Emitter<bool, u64>) {
 //!         out.emit(r % 2 == 0, 1);
 //!     }
-//!     fn combine(&self, _c: &TaskCtx, _k: &bool,
-//!                vs: &mut dyn Iterator<Item = u64>) -> u64 { vs.sum() }
+//!     fn start(&self, _c: &TaskCtx, _k: &bool) -> u64 { 0 }
+//!     fn observe(&self, acc: &mut u64, v: u64) { *acc += v; }
+//!     fn finish(&self, acc: u64) -> u64 { acc }
 //!     fn reduce(&self, _c: &TaskCtx, _k: &bool, vs: Vec<u64>) -> u64 {
 //!         vs.into_iter().sum()
 //!     }

@@ -21,13 +21,20 @@ impl CombineJob for WordLen {
     type Input = String;
     type Key = usize;
     type MapOut = u64;
+    type Acc = u64;
     type CombOut = u64;
     type ReduceOut = u64;
     fn map(&self, _c: &TaskCtx, r: &String, out: &mut Emitter<usize, u64>) {
         out.emit(r.len(), 1);
     }
-    fn combine(&self, _c: &TaskCtx, _k: &usize, v: &mut dyn Iterator<Item = u64>) -> u64 {
-        v.sum()
+    fn start(&self, _c: &TaskCtx, _k: &usize) -> u64 {
+        0
+    }
+    fn observe(&self, acc: &mut u64, v: u64) {
+        *acc += v;
+    }
+    fn finish(&self, acc: u64) -> u64 {
+        acc
     }
     fn reduce(&self, _c: &TaskCtx, _k: &usize, v: Vec<u64>) -> u64 {
         v.into_iter().sum()

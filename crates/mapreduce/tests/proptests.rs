@@ -36,13 +36,20 @@ impl CombineJob for SumJobCombined {
     type Input = (u8, i64);
     type Key = u8;
     type MapOut = i64;
+    type Acc = i64;
     type CombOut = i64;
     type ReduceOut = i64;
     fn map(&self, _c: &TaskCtx, r: &(u8, i64), out: &mut Emitter<u8, i64>) {
         out.emit(r.0, r.1);
     }
-    fn combine(&self, _c: &TaskCtx, _k: &u8, v: &mut dyn Iterator<Item = i64>) -> i64 {
-        v.sum()
+    fn start(&self, _c: &TaskCtx, _k: &u8) -> i64 {
+        0
+    }
+    fn observe(&self, acc: &mut i64, v: i64) {
+        *acc += v;
+    }
+    fn finish(&self, acc: i64) -> i64 {
+        acc
     }
     fn reduce(&self, _c: &TaskCtx, _k: &u8, v: Vec<i64>) -> i64 {
         v.into_iter().sum()

@@ -8,8 +8,8 @@ use stratmr_mapreduce::{
     make_splits, Cluster, CombineJob, CostConfig, Emitter, InputSplit, JobStats, TaskCtx,
 };
 
-/// A job that records how often its combiner runs and verifies the
-/// combiner sees all values of one key from one task at once.
+/// A job that records how often its combiner finishes and verifies the
+/// combiner folds all values of one key from one task into one output.
 struct CombinerContract {
     combine_calls: AtomicU64,
 }
@@ -18,6 +18,7 @@ impl CombineJob for &CombinerContract {
     type Input = (u8, u64);
     type Key = u8;
     type MapOut = u64;
+    type Acc = (u64, u64);
     type CombOut = (u64, u64); // (sum, count)
     type ReduceOut = (u64, u64);
 
@@ -25,15 +26,18 @@ impl CombineJob for &CombinerContract {
         out.emit(r.0, r.1);
     }
 
-    fn combine(&self, _c: &TaskCtx, _k: &u8, values: &mut dyn Iterator<Item = u64>) -> (u64, u64) {
+    fn start(&self, _c: &TaskCtx, _k: &u8) -> (u64, u64) {
+        (0, 0)
+    }
+
+    fn observe(&self, acc: &mut (u64, u64), value: u64) {
+        acc.0 += value;
+        acc.1 += 1;
+    }
+
+    fn finish(&self, acc: (u64, u64)) -> (u64, u64) {
         self.combine_calls.fetch_add(1, Ordering::Relaxed);
-        let mut sum = 0;
-        let mut count = 0;
-        for v in values {
-            sum += v;
-            count += 1;
-        }
-        (sum, count)
+        acc
     }
 
     fn reduce(&self, _c: &TaskCtx, _k: &u8, values: Vec<(u64, u64)>) -> (u64, u64) {

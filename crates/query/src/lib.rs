@@ -26,7 +26,7 @@ pub mod allocation;
 pub mod costs;
 pub mod formula;
 pub mod generator;
-pub mod index;
+pub mod matcher;
 pub mod mssd;
 pub mod parser;
 pub mod ssd;
@@ -37,7 +37,7 @@ pub use allocation::{allocate, design_ssd, srs_sample_size, Allocation};
 pub use costs::{CostModel, SharingBase};
 pub use formula::{CmpOp, Formula};
 pub use generator::{GroupSpec, QueryGenerator};
-pub use index::StratumIndex;
+pub use matcher::StratumMatcher;
 pub use mssd::{MssdAnswer, MssdQuery};
 pub use parser::{parse_formula, ParseError};
 pub use ssd::{SsdAnswer, SsdError, SsdQuery, StratumConstraint, StratumId};

@@ -25,7 +25,7 @@ use crate::audit::{escape_json, write_json_f64};
 use crate::limits::try_stratum_selection_limits;
 use crate::mqe::try_mr_mqe_on_splits;
 use crate::obs::StratumCounters;
-use crate::reservoir::Reservoir;
+use crate::reservoir::SeededReservoir;
 use crate::sst::{Sst, StratumSelection};
 use crate::unified::{unified_sampler, IntermediateSample};
 use rand::SeedableRng;
@@ -39,7 +39,7 @@ use stratmr_lp::{
 };
 use stratmr_mapreduce::{Cluster, CombineJob, Emitter, InputSplit, JobError, JobStats, TaskCtx};
 use stratmr_population::{DistributedDataset, Individual};
-use stratmr_query::{MssdAnswer, MssdQuery, SsdAnswer, SsdQuery, SurveySet};
+use stratmr_query::{MssdAnswer, MssdQuery, SsdAnswer, StratumMatcher, SurveySet};
 use stratmr_telemetry::Registry;
 
 /// Why a CPS run failed: the constraint program was unsolvable, or one
@@ -662,9 +662,10 @@ fn mr_cps_inner(
     phase_stats.push(("initial MR-MQE".to_string(), initial.stats.clone()));
 
     // F(A_i, σ) via one SST per answer (§5.2.5.1)
+    let matchers = StratumMatcher::all(queries);
     let freq: Vec<HashMap<StratumSelection, u64>> = (0..n)
         .map(|i| {
-            Sst::from_tuples(initial.answer.answer(i).iter(), queries)
+            Sst::from_tuples(initial.answer.answer(i).iter(), &matchers)
                 .iter()
                 .collect()
         })
@@ -780,7 +781,7 @@ fn mr_cps_inner(
         }
     }
     let combined_job = CombinedSqeJob {
-        queries,
+        matchers: &matchers,
         index: &sigma_index,
         freqs: &combined_freqs,
         counters: combined_counters,
@@ -848,7 +849,7 @@ fn mr_cps_inner(
             c.request(0, deficit);
         }
         let residual_job = ResidualMqeJob {
-            queries,
+            matchers: &matchers,
             needed: &needed,
             exclusions: &exclusions,
             counters: residual_counters,
@@ -977,7 +978,7 @@ fn mr_cps_inner(
 /// computing `σ(t)` and indexing into the relevant selections (each Q′
 /// stratum's condition `ϕ(σ)` holds exactly on tuples with `σ(t) = σ`).
 struct CombinedSqeJob<'a> {
-    queries: &'a [SsdQuery],
+    matchers: &'a [StratumMatcher<'a>],
     index: &'a HashMap<StratumSelection, usize>,
     freqs: &'a [usize],
     counters: Option<StratumCounters>,
@@ -987,11 +988,12 @@ impl CombineJob for CombinedSqeJob<'_> {
     type Input = Individual;
     type Key = usize;
     type MapOut = Individual;
+    type Acc = SeededReservoir<Individual>;
     type CombOut = IntermediateSample<Individual>;
     type ReduceOut = Vec<Individual>;
 
     fn map(&self, _ctx: &TaskCtx, t: &Individual, out: &mut Emitter<usize, Individual>) {
-        let sel = StratumSelection::of(t, self.queries);
+        let sel = StratumSelection::of(t, self.matchers);
         if let Some(&k) = self.index.get(&sel) {
             if let Some(c) = &self.counters {
                 c.candidate(k);
@@ -1000,19 +1002,16 @@ impl CombineJob for CombinedSqeJob<'_> {
         }
     }
 
-    fn combine(
-        &self,
-        ctx: &TaskCtx,
-        key: &usize,
-        values: &mut dyn Iterator<Item = Individual>,
-    ) -> IntermediateSample<Individual> {
-        let mut rng = ChaCha8Rng::seed_from_u64(ctx.seed);
-        let mut reservoir = Reservoir::new(self.freqs[*key]);
-        for t in values {
-            reservoir.observe(t, &mut rng);
-        }
-        let (sample, seen) = reservoir.into_parts();
-        IntermediateSample::new(sample, seen)
+    fn start(&self, ctx: &TaskCtx, key: &usize) -> Self::Acc {
+        SeededReservoir::new(self.freqs[*key], ctx.seed)
+    }
+
+    fn observe(&self, acc: &mut Self::Acc, t: Individual) {
+        acc.observe(t);
+    }
+
+    fn finish(&self, acc: Self::Acc) -> IntermediateSample<Individual> {
+        acc.finish()
     }
 
     fn reduce(
@@ -1042,7 +1041,7 @@ impl CombineJob for CombinedSqeJob<'_> {
 /// The residual MR-MQE phase, keyed by `(query, σ)` with per-query
 /// exclusion of already-selected individuals.
 struct ResidualMqeJob<'a> {
-    queries: &'a [SsdQuery],
+    matchers: &'a [StratumMatcher<'a>],
     needed: &'a HashMap<(usize, StratumSelection), usize>,
     exclusions: &'a [HashSet<u64>],
     /// Aggregate `cps.residual.*` counters — the key space is the
@@ -1054,6 +1053,7 @@ impl CombineJob for ResidualMqeJob<'_> {
     type Input = Individual;
     type Key = (usize, StratumSelection);
     type MapOut = Individual;
+    type Acc = SeededReservoir<Individual>;
     type CombOut = IntermediateSample<Individual>;
     type ReduceOut = Vec<Individual>;
 
@@ -1063,7 +1063,7 @@ impl CombineJob for ResidualMqeJob<'_> {
         t: &Individual,
         out: &mut Emitter<(usize, StratumSelection), Individual>,
     ) {
-        let sel = StratumSelection::of(t, self.queries);
+        let sel = StratumSelection::of(t, self.matchers);
         for i in sel.survey_indexes().iter() {
             if self.exclusions[i].contains(&t.id) {
                 continue;
@@ -1078,19 +1078,16 @@ impl CombineJob for ResidualMqeJob<'_> {
         }
     }
 
-    fn combine(
-        &self,
-        ctx: &TaskCtx,
-        key: &(usize, StratumSelection),
-        values: &mut dyn Iterator<Item = Individual>,
-    ) -> IntermediateSample<Individual> {
-        let mut rng = ChaCha8Rng::seed_from_u64(ctx.seed);
-        let mut reservoir = Reservoir::new(self.needed[key]);
-        for t in values {
-            reservoir.observe(t, &mut rng);
-        }
-        let (sample, seen) = reservoir.into_parts();
-        IntermediateSample::new(sample, seen)
+    fn start(&self, ctx: &TaskCtx, key: &(usize, StratumSelection)) -> Self::Acc {
+        SeededReservoir::new(self.needed[key], ctx.seed)
+    }
+
+    fn observe(&self, acc: &mut Self::Acc, t: Individual) {
+        acc.observe(t);
+    }
+
+    fn finish(&self, acc: Self::Acc) -> IntermediateSample<Individual> {
+        acc.finish()
     }
 
     fn reduce(
@@ -1416,7 +1413,7 @@ mod tests {
     use super::*;
     use crate::mqe::mr_mqe;
     use stratmr_population::{AttrDef, AttrId, Dataset, Placement, Schema};
-    use stratmr_query::{CostModel, Formula, StratumConstraint};
+    use stratmr_query::{CostModel, Formula, SsdQuery, StratumConstraint};
 
     fn x() -> AttrId {
         AttrId(0)

@@ -73,7 +73,7 @@ pub use percent::{
 pub use predicate::{predicate_sample, PredicateSample};
 pub use reservoir::{reservoir_sample, Reservoir, SkipReservoir, ZReservoir};
 pub use sequential::sequential_ssd;
-pub use sqe::{mr_sqe, mr_sqe_indexed_on_splits, mr_sqe_on_splits, try_mr_sqe_on_splits, SqeJob};
+pub use sqe::{mr_sqe, mr_sqe_on_splits, try_mr_sqe_on_splits, SqeJob};
 pub use srs::{mr_srs, mr_srs_on_splits};
 pub use sst::{Sst, StratumSelection};
 pub use stream::{merge_streams, StreamingSampler};

@@ -10,13 +10,13 @@
 use std::collections::{HashMap, HashSet};
 use stratmr_mapreduce::{Cluster, CombineJob, Emitter, InputSplit, JobError, JobStats, TaskCtx};
 use stratmr_population::Individual;
-use stratmr_query::SsdQuery;
+use stratmr_query::{SsdQuery, StratumMatcher};
 
 use crate::sst::StratumSelection;
 
 /// The Figure 4 counting job.
 pub struct LimitsJob<'a> {
-    queries: &'a [SsdQuery],
+    matchers: Vec<StratumMatcher<'a>>,
     filter: Option<&'a HashSet<StratumSelection>>,
 }
 
@@ -24,7 +24,7 @@ impl<'a> LimitsJob<'a> {
     /// Count every selection occurring in the data.
     pub fn new(queries: &'a [SsdQuery]) -> Self {
         Self {
-            queries,
+            matchers: StratumMatcher::all(queries),
             filter: None,
         }
     }
@@ -40,11 +40,12 @@ impl CombineJob for LimitsJob<'_> {
     type Input = Individual;
     type Key = StratumSelection;
     type MapOut = u64;
+    type Acc = u64;
     type CombOut = u64;
     type ReduceOut = u64;
 
     fn map(&self, _ctx: &TaskCtx, t: &Individual, out: &mut Emitter<StratumSelection, u64>) {
-        let sel = StratumSelection::of(t, self.queries);
+        let sel = StratumSelection::of(t, &self.matchers);
         if let Some(filter) = self.filter {
             if !filter.contains(&sel) {
                 return;
@@ -53,13 +54,16 @@ impl CombineJob for LimitsJob<'_> {
         out.emit(sel, 1);
     }
 
-    fn combine(
-        &self,
-        _ctx: &TaskCtx,
-        _key: &StratumSelection,
-        values: &mut dyn Iterator<Item = u64>,
-    ) -> u64 {
-        values.sum()
+    fn start(&self, _ctx: &TaskCtx, _key: &StratumSelection) -> u64 {
+        0
+    }
+
+    fn observe(&self, acc: &mut u64, value: u64) {
+        *acc += value;
+    }
+
+    fn finish(&self, acc: u64) -> u64 {
+        acc
     }
 
     fn reduce(&self, _ctx: &TaskCtx, _key: &StratumSelection, values: Vec<u64>) -> u64 {

@@ -10,14 +10,14 @@
 //! as CPS's representative first phase.
 
 use crate::obs::StratumCounters;
-use crate::reservoir::Reservoir;
+use crate::reservoir::SeededReservoir;
 use crate::unified::{unified_sampler, IntermediateSample};
 use rand::SeedableRng;
 use rand_chacha::ChaCha8Rng;
 use std::collections::HashSet;
 use stratmr_mapreduce::{Cluster, CombineJob, Emitter, InputSplit, JobError, JobStats, TaskCtx};
 use stratmr_population::{DistributedDataset, Individual};
-use stratmr_query::{MssdAnswer, SsdAnswer, SsdQuery, StratumId};
+use stratmr_query::{MssdAnswer, SsdAnswer, SsdQuery, StratumId, StratumMatcher};
 use stratmr_telemetry::Registry;
 
 /// Intermediate key: `(query index, stratum index)`.
@@ -30,15 +30,18 @@ pub type QueryStratum = (usize, StratumId);
 /// answers without duplicating already-selected individuals.
 pub struct MqeJob<'a> {
     queries: &'a [SsdQuery],
+    matchers: Vec<StratumMatcher<'a>>,
     exclusions: Option<&'a [HashSet<u64>]>,
     counters: Option<Vec<StratumCounters>>,
 }
 
 impl<'a> MqeJob<'a> {
-    /// Build the job for a set of SSD queries.
+    /// Build the job for a set of SSD queries, compiling their stratum
+    /// matchers.
     pub fn new(queries: &'a [SsdQuery]) -> Self {
         Self {
             queries,
+            matchers: StratumMatcher::all(queries),
             exclusions: None,
             counters: None,
         }
@@ -80,17 +83,18 @@ impl CombineJob for MqeJob<'_> {
     type Input = Individual;
     type Key = QueryStratum;
     type MapOut = Individual;
+    type Acc = SeededReservoir<Individual>;
     type CombOut = IntermediateSample<Individual>;
     type ReduceOut = Vec<Individual>;
 
     fn map(&self, _ctx: &TaskCtx, t: &Individual, out: &mut Emitter<QueryStratum, Individual>) {
-        for (i, q) in self.queries.iter().enumerate() {
+        for (i, m) in self.matchers.iter().enumerate() {
             if let Some(ex) = self.exclusions {
                 if ex[i].contains(&t.id) {
                     continue;
                 }
             }
-            if let Some(k) = q.matching_stratum(t) {
+            if let Some(k) = m.matching_stratum(t) {
                 if let Some(c) = &self.counters {
                     c[i].candidate(k);
                 }
@@ -99,20 +103,16 @@ impl CombineJob for MqeJob<'_> {
         }
     }
 
-    fn combine(
-        &self,
-        ctx: &TaskCtx,
-        key: &QueryStratum,
-        values: &mut dyn Iterator<Item = Individual>,
-    ) -> IntermediateSample<Individual> {
-        let f = self.queries[key.0].stratum(key.1).frequency;
-        let mut rng = ChaCha8Rng::seed_from_u64(ctx.seed);
-        let mut reservoir = Reservoir::new(f);
-        for t in values {
-            reservoir.observe(t, &mut rng);
-        }
-        let (sample, seen) = reservoir.into_parts();
-        IntermediateSample::new(sample, seen)
+    fn start(&self, ctx: &TaskCtx, key: &QueryStratum) -> Self::Acc {
+        SeededReservoir::new(self.queries[key.0].stratum(key.1).frequency, ctx.seed)
+    }
+
+    fn observe(&self, acc: &mut Self::Acc, t: Individual) {
+        acc.observe(t);
+    }
+
+    fn finish(&self, acc: Self::Acc) -> IntermediateSample<Individual> {
+        acc.finish()
     }
 
     fn reduce(

@@ -60,6 +60,7 @@ impl CombineJob for CountJob<'_> {
     type Input = Individual;
     type Key = StratumId;
     type MapOut = u64;
+    type Acc = u64;
     type CombOut = u64;
     type ReduceOut = u64;
 
@@ -69,13 +70,16 @@ impl CombineJob for CountJob<'_> {
         }
     }
 
-    fn combine(
-        &self,
-        _ctx: &TaskCtx,
-        _key: &StratumId,
-        values: &mut dyn Iterator<Item = u64>,
-    ) -> u64 {
-        values.sum()
+    fn start(&self, _ctx: &TaskCtx, _key: &StratumId) -> u64 {
+        0
+    }
+
+    fn observe(&self, acc: &mut u64, value: u64) {
+        *acc += value;
+    }
+
+    fn finish(&self, acc: u64) -> u64 {
+        acc
     }
 
     fn reduce(&self, _ctx: &TaskCtx, _key: &StratumId, values: Vec<u64>) -> u64 {

@@ -11,9 +11,28 @@
 //! CDF, Z by O(1)-expected rejection sampling — touching the RNG
 //! O(k log(N/k)) times instead of O(N).
 
-use rand::Rng;
+use crate::unified::IntermediateSample;
+use rand::{Rng, SeedableRng};
+use rand_chacha::ChaCha8Rng;
+
+/// Push onto a reservoir that holds fewer than `capacity` items, growing
+/// storage geometrically but never past `capacity`: a full reservoir
+/// uses exactly `capacity` slots, and a huge capacity costs nothing
+/// until that many items arrive.
+#[inline]
+fn push_bounded<T>(items: &mut Vec<T>, capacity: usize, item: T) {
+    if items.len() == items.capacity() {
+        let grown = (2 * items.len()).max(4).min(capacity);
+        items.reserve_exact(grown - items.len());
+    }
+    items.push(item);
+}
 
 /// Algorithm R: a fixed-capacity uniform reservoir.
+///
+/// Storage grows with the stream (see [`push_bounded`]), so a reservoir
+/// holds `min(capacity, seen)` items; the same holds for the skip
+/// reservoirs.
 #[derive(Debug, Clone)]
 pub struct Reservoir<T> {
     capacity: usize,
@@ -26,7 +45,7 @@ impl<T> Reservoir<T> {
     pub fn new(capacity: usize) -> Self {
         Self {
             capacity,
-            items: Vec::with_capacity(capacity),
+            items: Vec::new(),
             seen: 0,
         }
     }
@@ -40,7 +59,7 @@ impl<T> Reservoir<T> {
     pub fn observe<R: Rng + ?Sized>(&mut self, item: T, rng: &mut R) {
         self.seen += 1;
         if self.items.len() < self.capacity {
-            self.items.push(item);
+            push_bounded(&mut self.items, self.capacity, item);
         } else if self.capacity > 0 {
             // j uniform over [0, seen): replace iff j lands in the reservoir
             let j = rng.gen_range(0..self.seen);
@@ -73,6 +92,36 @@ impl<T> Reservoir<T> {
     /// Finish: the sample and the number of items it was drawn from.
     pub fn into_parts(self) -> (Vec<T>, usize) {
         (self.items, self.seen)
+    }
+}
+
+/// The sampling jobs' combiner state: Algorithm R over one
+/// `(map task, key)` stream, driven by an RNG seeded for that pair.
+#[derive(Debug, Clone)]
+pub struct SeededReservoir<T> {
+    rng: ChaCha8Rng,
+    reservoir: Reservoir<T>,
+}
+
+impl<T> SeededReservoir<T> {
+    /// An empty reservoir of `capacity` items drawing from `seed`.
+    pub fn new(capacity: usize, seed: u64) -> Self {
+        Self {
+            rng: ChaCha8Rng::seed_from_u64(seed),
+            reservoir: Reservoir::new(capacity),
+        }
+    }
+
+    /// Observe the next item of the stream.
+    #[inline]
+    pub fn observe(&mut self, item: T) {
+        self.reservoir.observe(item, &mut self.rng);
+    }
+
+    /// The intermediate sample `(S̄, N̄)` of everything observed.
+    pub fn finish(self) -> IntermediateSample<T> {
+        let (sample, seen) = self.reservoir.into_parts();
+        IntermediateSample::new(sample, seen)
     }
 }
 
@@ -110,7 +159,7 @@ impl<T> SkipReservoir<T> {
     pub fn new(capacity: usize) -> Self {
         Self {
             capacity,
-            items: Vec::with_capacity(capacity),
+            items: Vec::new(),
             seen: 0,
             skip: 0,
             skip_armed: false,
@@ -121,7 +170,7 @@ impl<T> SkipReservoir<T> {
     pub fn observe<R: Rng + ?Sized>(&mut self, item: T, rng: &mut R) {
         self.seen += 1;
         if self.items.len() < self.capacity {
-            self.items.push(item);
+            push_bounded(&mut self.items, self.capacity, item);
             return;
         }
         if self.capacity == 0 {
@@ -208,7 +257,7 @@ impl<T> ZReservoir<T> {
     pub fn new(capacity: usize) -> Self {
         Self {
             capacity,
-            items: Vec::with_capacity(capacity),
+            items: Vec::new(),
             seen: 0,
             skip: 0,
             skip_armed: false,
@@ -221,7 +270,7 @@ impl<T> ZReservoir<T> {
     pub fn observe<R: Rng + ?Sized>(&mut self, item: T, rng: &mut R) {
         self.seen += 1;
         if self.items.len() < self.capacity {
-            self.items.push(item);
+            push_bounded(&mut self.items, self.capacity, item);
             if self.items.len() == self.capacity {
                 self.w = init_w(self.capacity, rng);
             }
@@ -367,6 +416,25 @@ mod tests {
     }
 
     #[test]
+    fn huge_capacity_allocates_only_what_arrives() {
+        let mut r = rng(13);
+        for capacity in [100_000_000_000usize, usize::MAX] {
+            let (sample, seen) = reservoir_sample(0..50u32, capacity, &mut r);
+            assert_eq!(sample, (0..50).collect::<Vec<_>>());
+            assert!(sample.capacity() < 100);
+            assert_eq!(seen, 50);
+            let mut x = SkipReservoir::new(capacity);
+            let mut z = ZReservoir::new(capacity);
+            for i in 0..50u32 {
+                x.observe(i, &mut r);
+                z.observe(i, &mut r);
+            }
+            assert_eq!(x.items().len(), 50);
+            assert_eq!(z.items().len(), 50);
+        }
+    }
+
+    #[test]
     fn zero_capacity_keeps_nothing() {
         let mut r = rng(3);
         let (sample, seen) = reservoir_sample(0..50u32, 0, &mut r);
@@ -396,6 +464,16 @@ mod tests {
             .sum();
         let crit = chi2_critical_999(n - 1);
         assert!(chi2 < crit, "chi2 {chi2} >= critical {crit}");
+    }
+
+    /// A full reservoir holds exactly `capacity` slots.
+    #[test]
+    fn full_reservoir_is_exactly_sized() {
+        let mut r = rng(14);
+        for capacity in [1usize, 3, 5, 37, 300] {
+            let (sample, _) = reservoir_sample(0..1000u32, capacity, &mut r);
+            assert_eq!((sample.len(), sample.capacity()), (capacity, capacity));
+        }
     }
 
     /// The reservoir is a valid sample at *every* prefix of the stream,

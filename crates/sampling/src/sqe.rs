@@ -12,13 +12,13 @@
 //! sampler (Algorithm 1).
 
 use crate::obs::StratumCounters;
-use crate::reservoir::Reservoir;
+use crate::reservoir::SeededReservoir;
 use crate::unified::{unified_sampler, IntermediateSample};
 use rand::SeedableRng;
 use rand_chacha::ChaCha8Rng;
 use stratmr_mapreduce::{Cluster, CombineJob, Emitter, InputSplit, JobError, TaskCtx};
 use stratmr_population::{DistributedDataset, Individual};
-use stratmr_query::{SsdAnswer, SsdQuery, StratumId, StratumIndex};
+use stratmr_query::{SsdAnswer, SsdQuery, StratumId, StratumMatcher};
 use stratmr_telemetry::Registry;
 
 pub use crate::naive::SqeRun;
@@ -26,26 +26,18 @@ pub use crate::naive::SqeRun;
 /// The Figure 2 job.
 pub struct SqeJob<'a> {
     query: &'a SsdQuery,
-    index: Option<StratumIndex>,
+    matcher: StratumMatcher<'a>,
     counters: Option<StratumCounters>,
 }
 
 impl<'a> SqeJob<'a> {
-    /// Build the job for one SSD query.
+    /// Build the job for one SSD query, compiling its stratum matcher.
     pub fn new(query: &'a SsdQuery) -> Self {
         Self {
             query,
-            index: None,
+            matcher: StratumMatcher::new(query),
             counters: None,
         }
-    }
-
-    /// Match tuples through a [`StratumIndex`] instead of a linear scan —
-    /// identical results, faster maps on queries with many rectangular
-    /// strata (the Large group's 256 per SSD).
-    pub fn with_index(mut self) -> Self {
-        self.index = Some(StratumIndex::build(self.query));
-        self
     }
 
     /// Emit per-stratum `sqe.s<k>.{requested,candidates,sampled,rejected}`
@@ -64,15 +56,12 @@ impl CombineJob for SqeJob<'_> {
     type Input = Individual;
     type Key = StratumId;
     type MapOut = Individual;
+    type Acc = SeededReservoir<Individual>;
     type CombOut = IntermediateSample<Individual>;
     type ReduceOut = Vec<Individual>;
 
     fn map(&self, _ctx: &TaskCtx, t: &Individual, out: &mut Emitter<StratumId, Individual>) {
-        let stratum = match &self.index {
-            Some(index) => index.matching_stratum(self.query, t),
-            None => self.query.matching_stratum(t),
-        };
-        if let Some(k) = stratum {
+        if let Some(k) = self.matcher.matching_stratum(t) {
             if let Some(c) = &self.counters {
                 c.candidate(k);
             }
@@ -80,20 +69,16 @@ impl CombineJob for SqeJob<'_> {
         }
     }
 
-    fn combine(
-        &self,
-        ctx: &TaskCtx,
-        key: &StratumId,
-        values: &mut dyn Iterator<Item = Individual>,
-    ) -> IntermediateSample<Individual> {
-        let f = self.query.stratum(*key).frequency;
-        let mut rng = ChaCha8Rng::seed_from_u64(ctx.seed);
-        let mut reservoir = Reservoir::new(f);
-        for t in values {
-            reservoir.observe(t, &mut rng);
-        }
-        let (sample, seen) = reservoir.into_parts();
-        IntermediateSample::new(sample, seen)
+    fn start(&self, ctx: &TaskCtx, key: &StratumId) -> Self::Acc {
+        SeededReservoir::new(self.query.stratum(*key).frequency, ctx.seed)
+    }
+
+    fn observe(&self, acc: &mut Self::Acc, t: Individual) {
+        acc.observe(t);
+    }
+
+    fn finish(&self, acc: Self::Acc) -> IntermediateSample<Individual> {
+        acc.finish()
     }
 
     fn reduce(
@@ -129,24 +114,10 @@ pub fn mr_sqe_on_splits(
     query: &SsdQuery,
     seed: u64,
 ) -> SqeRun {
-    mr_sqe_with_job(cluster, splits, query, SqeJob::new(query), seed)
-}
-
-/// Run MR-SQE with the indexed matcher (identical answers, faster maps
-/// on many-strata rectangular queries).
-pub fn mr_sqe_indexed_on_splits(
-    cluster: &Cluster,
-    splits: &[InputSplit<Individual>],
-    query: &SsdQuery,
-    seed: u64,
-) -> SqeRun {
-    mr_sqe_with_job(
-        cluster,
-        splits,
-        query,
-        SqeJob::new(query).with_index(),
-        seed,
-    )
+    match try_mr_sqe_on_splits(cluster, splits, query, seed) {
+        Ok(run) => run,
+        Err(e) => panic!("mapreduce job failed: {e}"),
+    }
 }
 
 /// Fault-aware [`mr_sqe_on_splits`]: surfaces scheduling failures (retry
@@ -158,31 +129,9 @@ pub fn try_mr_sqe_on_splits(
     query: &SsdQuery,
     seed: u64,
 ) -> Result<SqeRun, JobError> {
-    try_mr_sqe_with_job(cluster, splits, query, SqeJob::new(query), seed)
-}
-
-fn mr_sqe_with_job(
-    cluster: &Cluster,
-    splits: &[InputSplit<Individual>],
-    query: &SsdQuery,
-    job: SqeJob<'_>,
-    seed: u64,
-) -> SqeRun {
-    match try_mr_sqe_with_job(cluster, splits, query, job, seed) {
-        Ok(run) => run,
-        Err(e) => panic!("mapreduce job failed: {e}"),
-    }
-}
-
-fn try_mr_sqe_with_job(
-    cluster: &Cluster,
-    splits: &[InputSplit<Individual>],
-    query: &SsdQuery,
-    mut job: SqeJob<'_>,
-    seed: u64,
-) -> Result<SqeRun, JobError> {
     let cluster = cluster.named_or("sqe");
     let _span = cluster.telemetry().map(|t| t.span("sqe.run"));
+    let mut job = SqeJob::new(query);
     if let Some(registry) = cluster.telemetry() {
         job = job.with_telemetry(registry);
     }
@@ -263,6 +212,19 @@ mod tests {
         assert_eq!(run.answer.stratum(0).len(), 4);
     }
 
+    /// A frequency far beyond the population must not pre-allocate: the
+    /// combiner's reservoir grows with the matches it sees.
+    #[test]
+    fn huge_frequency_returns_every_match() {
+        let data = dataset(100).distribute(3, 6, Placement::RoundRobin);
+        let cluster = Cluster::new(3);
+        let q = two_strata_query(100_000_000_000, usize::MAX);
+        let run = mr_sqe(&cluster, &data, &q, 5);
+        assert_eq!(run.answer.stratum(0).len(), 50);
+        assert_eq!(run.answer.stratum(1).len(), 50);
+        assert!(run.answer.stratum(0).iter().all(|t| t.get(AttrId(0)) < 50));
+    }
+
     #[test]
     fn deterministic_given_seed() {
         let data = dataset(500).distribute(2, 4, Placement::RoundRobin);
@@ -271,27 +233,6 @@ mod tests {
         assert_eq!(
             mr_sqe(&cluster, &data, &q, 7).answer,
             mr_sqe(&cluster, &data, &q, 7).answer
-        );
-    }
-
-    #[test]
-    fn indexed_and_linear_matching_agree_exactly() {
-        let data = dataset(3000).distribute(4, 8, Placement::RoundRobin);
-        let splits = crate::input::to_input_splits(&data);
-        let cluster = Cluster::new(4);
-        // many banded strata, as in the paper's Large group
-        let x = AttrId(0);
-        let q = SsdQuery::new(
-            (0..20)
-                .map(|k| StratumConstraint::new(Formula::between(x, k * 5, k * 5 + 4), 2))
-                .collect(),
-        );
-        let plain = mr_sqe_on_splits(&cluster, &splits, &q, 31);
-        let indexed = super::mr_sqe_indexed_on_splits(&cluster, &splits, &q, 31);
-        assert_eq!(plain.answer, indexed.answer, "index changed the sample");
-        assert_eq!(
-            plain.stats.map_output_records,
-            indexed.stats.map_output_records
         );
     }
 

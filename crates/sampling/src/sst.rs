@@ -11,7 +11,7 @@
 use std::collections::HashMap;
 use std::sync::Arc;
 use stratmr_population::Individual;
-use stratmr_query::{Formula, SsdQuery, StratumId, SurveySet};
+use stratmr_query::{Formula, SsdQuery, StratumId, StratumMatcher, SurveySet};
 
 /// Sentinel for "no stratum of this query" in the packed representation.
 const NONE: i32 = -1;
@@ -35,13 +35,13 @@ impl StratumSelection {
         )
     }
 
-    /// The selection of tuple `t`: for each query, the (unique) stratum
-    /// constraint `t` satisfies.
-    pub fn of(t: &Individual, queries: &[SsdQuery]) -> Self {
+    /// The selection of tuple `t`: for each query (one matcher each),
+    /// the (unique) stratum constraint `t` satisfies.
+    pub fn of(t: &Individual, matchers: &[StratumMatcher<'_>]) -> Self {
         Self(
-            queries
+            matchers
                 .iter()
-                .map(|q| q.matching_stratum(t).map_or(NONE, |k| k as i32))
+                .map(|m| m.matching_stratum(t).map_or(NONE, |k| k as i32))
                 .collect(),
         )
     }
@@ -93,8 +93,8 @@ impl StratumSelection {
     }
 
     /// Does tuple `t` satisfy the selection — i.e. is `σ(t) = σ`?
-    pub fn matches(&self, t: &Individual, queries: &[SsdQuery]) -> bool {
-        self == &Self::of(t, queries)
+    pub fn matches(&self, t: &Individual, matchers: &[StratumMatcher<'_>]) -> bool {
+        self == &Self::of(t, matchers)
     }
 }
 
@@ -146,11 +146,11 @@ impl Sst {
     /// Build the trie of `σ(t)` for every tuple.
     pub fn from_tuples<'a>(
         tuples: impl IntoIterator<Item = &'a Individual>,
-        queries: &[SsdQuery],
+        matchers: &[StratumMatcher<'_>],
     ) -> Self {
-        let mut sst = Self::new(queries.len());
+        let mut sst = Self::new(matchers.len());
         for t in tuples {
-            sst.insert(&StratumSelection::of(t, queries));
+            sst.insert(&StratumSelection::of(t, matchers));
         }
         sst
     }
@@ -282,12 +282,13 @@ mod tests {
     #[test]
     fn selection_of_tuple() {
         let qs = queries();
-        let sel = StratumSelection::of(&ind(0, 10), &qs);
+        let ms = StratumMatcher::all(&qs);
+        let sel = StratumSelection::of(&ind(0, 10), &ms);
         assert_eq!(sel.stratum_of(0), Some(0));
         assert_eq!(sel.stratum_of(1), Some(0));
         assert_eq!(sel.survey_indexes().iter().collect::<Vec<_>>(), vec![0, 1]);
         // x = 90: stratum 1 of Q1, no stratum of Q2
-        let sel2 = StratumSelection::of(&ind(1, 90), &qs);
+        let sel2 = StratumSelection::of(&ind(1, 90), &ms);
         assert_eq!(sel2.stratum_of(0), Some(1));
         assert_eq!(sel2.stratum_of(1), None);
         assert_eq!(sel2.survey_indexes().len(), 1);
@@ -297,18 +298,19 @@ mod tests {
     #[test]
     fn projection_and_formula_semantics() {
         let qs = queries();
+        let ms = StratumMatcher::all(&qs);
         let t = ind(0, 60); // Q1: stratum 1, Q2: stratum 1 (20..=79)
-        let sel = StratumSelection::of(&t, &qs);
+        let sel = StratumSelection::of(&t, &ms);
         // the tuple satisfies its own selection formula
         assert!(sel.formula(&qs).eval(&t));
-        assert!(sel.matches(&t, &qs));
+        assert!(sel.matches(&t, &ms));
         // a tuple with a different selection fails the formula
         let other = ind(1, 90);
         assert!(!sel.formula(&qs).eval(&other));
-        assert!(!sel.matches(&other, &qs));
+        assert!(!sel.matches(&other, &ms));
         // negated projection: selection with no Q2 stratum rejects tuples
         // inside Q2's strata
-        let sel90 = StratumSelection::of(&other, &qs);
+        let sel90 = StratumSelection::of(&other, &ms);
         assert!(sel90.formula(&qs).eval(&other));
         assert!(!sel90.formula(&qs).eval(&ind(2, 55)));
     }
@@ -317,10 +319,11 @@ mod tests {
     fn selections_partition_the_population() {
         // every tuple satisfies exactly one selection formula
         let qs = queries();
+        let ms = StratumMatcher::all(&qs);
         let _ = schema();
         for v in 0..100 {
             let t = ind(v as u64, v);
-            let own = StratumSelection::of(&t, &qs);
+            let own = StratumSelection::of(&t, &ms);
             assert!(own.formula(&qs).eval(&t), "x={v} fails own σ");
         }
     }
@@ -328,13 +331,14 @@ mod tests {
     #[test]
     fn trie_counts_instances() {
         let qs = queries();
+        let ms = StratumMatcher::all(&qs);
         let tuples: Vec<Individual> = vec![ind(0, 10), ind(1, 10), ind(2, 60), ind(3, 90)];
-        let sst = Sst::from_tuples(tuples.iter(), &qs);
+        let sst = Sst::from_tuples(tuples.iter(), &ms);
         assert_eq!(sst.total(), 4);
         assert_eq!(sst.len(), 3);
-        let sel_10 = StratumSelection::of(&ind(9, 10), &qs);
+        let sel_10 = StratumSelection::of(&ind(9, 10), &ms);
         assert_eq!(sst.count(&sel_10), 2);
-        let sel_60 = StratumSelection::of(&ind(9, 60), &qs);
+        let sel_60 = StratumSelection::of(&ind(9, 60), &ms);
         assert_eq!(sst.count(&sel_60), 1);
         let absent = StratumSelection::from_choices(&[None, None]);
         assert_eq!(sst.count(&absent), 0);

@@ -56,17 +56,18 @@ pub fn unified_sampler<T, R: Rng + ?Sized>(
 
     // Line 3-4: N = Σ N_i; I = n uniform indexes from [0, N).
     let total: usize = samples.iter().map(|s| s.drawn_from).sum();
-    let indexes = sample_distinct_indexes(n, total, rng);
+    let mut indexes: Vec<usize> = sample_distinct_indexes(n, total, rng).into_iter().collect();
+    indexes.sort_unstable();
 
-    // Lines 5-14: take |I ∩ [L, U)| tuples from each S̄_i.
+    // Lines 5-14: take |I ∩ [L, U)| tuples from each S̄_i; the ranges are
+    // consecutive, so one pass over the sorted indexes counts them all.
     let mut result = Vec::with_capacity(n);
     let mut lower = 0usize;
+    let mut counted = 0usize;
     for mut s in samples {
         let upper = lower + s.drawn_from;
-        let c = indexes
-            .iter()
-            .filter(|&&ix| ix >= lower && ix < upper)
-            .count();
+        let c = indexes[counted..].partition_point(|&ix| ix < upper);
+        counted += c;
         debug_assert!(
             c <= s.sample.len(),
             "contract violation: need {c} tuples from a sample of {}",
@@ -264,6 +265,60 @@ mod tests {
             .collect();
         let out = unified_sampler(samples, 3, &mut r);
         assert_eq!(out.len(), 3);
+    }
+
+    /// The pre-sorting Algorithm 1, which counted each range by a full
+    /// pass over the index set.
+    fn unified_sampler_by_scans<T, R: Rng + ?Sized>(
+        samples: Vec<IntermediateSample<T>>,
+        n: usize,
+        rng: &mut R,
+    ) -> Vec<T> {
+        let available: usize = samples.iter().map(|s| s.sample.len()).sum();
+        if available < n || n == 0 {
+            return samples.into_iter().flat_map(|s| s.sample).collect();
+        }
+        let total: usize = samples.iter().map(|s| s.drawn_from).sum();
+        let indexes = sample_distinct_indexes(n, total, rng);
+        let mut result = Vec::with_capacity(n);
+        let mut lower = 0usize;
+        for mut s in samples {
+            let upper = lower + s.drawn_from;
+            let c = indexes
+                .iter()
+                .filter(|&&ix| ix >= lower && ix < upper)
+                .count();
+            partial_shuffle(&mut s.sample, c, rng);
+            result.extend(s.sample.into_iter().take(c));
+            lower = upper;
+        }
+        result
+    }
+
+    /// Counting per range over the sorted indexes draws and returns
+    /// exactly what the per-range scans did, including empty sources and
+    /// the union fallback.
+    #[test]
+    fn sorted_counting_is_byte_identical_to_range_scans() {
+        use rand::Rng;
+        let mut shapes = rng(9);
+        for case in 0..400u64 {
+            let blocks = shapes.gen_range(1..12usize);
+            let n = shapes.gen_range(0..30usize);
+            let mut next_id = 0u32;
+            let samples: Vec<IntermediateSample<u32>> = (0..blocks)
+                .map(|_| {
+                    let drawn_from = shapes.gen_range(0..60usize);
+                    let size = drawn_from.min(n);
+                    let sample = (next_id..next_id + size as u32).collect();
+                    next_id += drawn_from as u32;
+                    IntermediateSample::new(sample, drawn_from)
+                })
+                .collect();
+            let new = unified_sampler(samples.clone(), n, &mut rng(case));
+            let old = unified_sampler_by_scans(samples, n, &mut rng(case));
+            assert_eq!(new, old, "case {case}");
+        }
     }
 
     #[test]
