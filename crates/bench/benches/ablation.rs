@@ -17,10 +17,10 @@ use stratmr_mapreduce::Cluster;
 use stratmr_population::dblp::{DblpConfig, DblpGenerator};
 use stratmr_population::Placement;
 use stratmr_query::{GroupSpec, QueryGenerator};
-use stratmr_sampling::cps::{mr_cps_on_splits, CpsConfig};
+use stratmr_sampling::cps::{try_mr_cps_on_splits, CpsConfig};
 use stratmr_sampling::naive::naive_sqe_on_splits;
 use stratmr_sampling::reservoir::{Reservoir, SkipReservoir};
-use stratmr_sampling::sqe::mr_sqe_on_splits;
+use stratmr_sampling::sqe::try_mr_sqe_on_splits;
 use stratmr_sampling::to_input_splits;
 
 fn bench_combiner_vs_naive(c: &mut Criterion) {
@@ -38,14 +38,14 @@ fn bench_combiner_vs_naive(c: &mut Criterion) {
         let mut seed = 0u64;
         b.iter(|| {
             seed += 1;
-            black_box(naive_sqe_on_splits(&cluster, &splits, &query, seed))
+            black_box(naive_sqe_on_splits(&cluster, &splits, &query, seed).unwrap())
         })
     });
     group.bench_function("mr_sqe_figure2", |b| {
         let mut seed = 0u64;
         b.iter(|| {
             seed += 1;
-            black_box(mr_sqe_on_splits(&cluster, &splits, &query, seed))
+            black_box(try_mr_sqe_on_splits(&cluster, &splits, &query, seed).unwrap())
         })
     });
     group.finish();
@@ -70,7 +70,7 @@ fn bench_lp_decomposition(c: &mut Criterion) {
             let mut seed = 0u64;
             b.iter(|| {
                 seed += 1;
-                black_box(mr_cps_on_splits(&cluster, &splits, &mssd, config, seed).unwrap())
+                black_box(try_mr_cps_on_splits(&cluster, &splits, &mssd, config, seed).unwrap())
             })
         });
     }

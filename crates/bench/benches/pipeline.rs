@@ -8,9 +8,9 @@ use stratmr_mapreduce::Cluster;
 use stratmr_population::dblp::{DblpConfig, DblpGenerator};
 use stratmr_population::{Individual, Placement};
 use stratmr_query::{GroupSpec, QueryGenerator};
-use stratmr_sampling::cps::{mr_cps_on_splits, CpsConfig};
-use stratmr_sampling::mqe::mr_mqe_on_splits;
-use stratmr_sampling::sqe::mr_sqe_on_splits;
+use stratmr_sampling::cps::{try_mr_cps_on_splits, CpsConfig};
+use stratmr_sampling::mqe::try_mr_mqe_on_splits;
+use stratmr_sampling::sqe::try_mr_sqe_on_splits;
 use stratmr_sampling::to_input_splits;
 
 struct Env {
@@ -41,7 +41,7 @@ fn bench_sqe(c: &mut Criterion) {
         let mut seed = 0u64;
         b.iter(|| {
             seed += 1;
-            black_box(mr_sqe_on_splits(&e.cluster, &e.splits, &query, seed))
+            black_box(try_mr_sqe_on_splits(&e.cluster, &e.splits, &query, seed).unwrap())
         })
     });
     group.finish();
@@ -57,13 +57,9 @@ fn bench_mqe_and_cps(c: &mut Criterion) {
         let mut seed = 0u64;
         b.iter(|| {
             seed += 1;
-            black_box(mr_mqe_on_splits(
-                &e.cluster,
-                &e.splits,
-                mssd.queries(),
-                None,
-                seed,
-            ))
+            black_box(
+                try_mr_mqe_on_splits(&e.cluster, &e.splits, mssd.queries(), None, seed).unwrap(),
+            )
         })
     });
     group.bench_function("mr_cps_small_20k", |b| {
@@ -71,7 +67,8 @@ fn bench_mqe_and_cps(c: &mut Criterion) {
         b.iter(|| {
             seed += 1;
             black_box(
-                mr_cps_on_splits(&e.cluster, &e.splits, &mssd, CpsConfig::mr_cps(), seed).unwrap(),
+                try_mr_cps_on_splits(&e.cluster, &e.splits, &mssd, CpsConfig::mr_cps(), seed)
+                    .unwrap(),
             )
         })
     });

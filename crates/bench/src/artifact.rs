@@ -28,7 +28,7 @@ use std::collections::BTreeMap;
 use std::fmt::Write as _;
 use std::path::{Path, PathBuf};
 use stratmr_mapreduce::analysis;
-use stratmr_telemetry::{JobTrace, Snapshot};
+use stratmr_telemetry::{escape_json, write_json_f64, JobTrace, Snapshot};
 
 /// A named sample set with its unit.
 #[derive(Clone, Debug, PartialEq)]
@@ -252,9 +252,10 @@ impl BenchArtifact {
                 first = false;
                 let _ = write!(
                     out,
-                    "    {name:?}: {{\"unit\": {:?}, \"mean\": {:.6}, \"p50\": {:.6}, \
+                    "    \"{}\": {{\"unit\": \"{}\", \"mean\": {:.6}, \"p50\": {:.6}, \
                      \"p95\": {:.6}, \"min\": {:.6}, \"max\": {:.6}, \"samples\": [",
-                    series.unit,
+                    escape_json(name),
+                    escape_json(&series.unit),
                     series.mean(),
                     series.quantile(0.50),
                     series.quantile(0.95),
@@ -275,10 +276,8 @@ impl BenchArtifact {
             q.max_abs_bias_z
         );
         match q.optimality_gap {
-            Some(g) if g.is_finite() => {
-                let _ = write!(out, "{g:.6}");
-            }
-            _ => out.push_str("null"),
+            Some(g) => write_json_f64(&mut out, g),
+            None => out.push_str("null"),
         }
         let _ = write!(
             out,
@@ -289,9 +288,13 @@ impl BenchArtifact {
             out.push_str(if i == 0 { "\n" } else { ",\n" });
             let _ = write!(
                 out,
-                "      {{\"bias_z\": {:.6}, \"candidates\": {}, \"key\": {:?}, \
+                "      {{\"bias_z\": {:.6}, \"candidates\": {}, \"key\": \"{}\", \
                  \"requested\": {}, \"sampled\": {}}}",
-                s.bias_z, s.candidates, s.key, s.requested, s.sampled
+                s.bias_z,
+                s.candidates,
+                escape_json(&s.key),
+                s.requested,
+                s.sampled
             );
         }
         if !q.strata.is_empty() {

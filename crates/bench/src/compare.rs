@@ -24,7 +24,7 @@
 //!   bound against the baseline rate.
 //!
 //! Schema v2 artifacts additionally carry a `quality` block, gated in
-//! [`quality_alerts`]: every current stratum's realized sampling
+//! `quality_alerts`: every current stratum's realized sampling
 //! fraction must stay within the binomial acceptance bound of its
 //! requested `f` (an absolute check — a biased sampler is broken no
 //! matter what the baseline did), the optimality gap can never be

@@ -12,8 +12,8 @@ use serde::Serialize;
 use std::collections::BTreeMap;
 use std::fmt::Write as _;
 use stratmr_query::GroupSpec;
-use stratmr_sampling::cps::{mr_cps_on_splits, CpsConfig};
-use stratmr_sampling::mqe::mr_mqe_on_splits;
+use stratmr_sampling::cps::{try_mr_cps_on_splits, CpsConfig};
+use stratmr_sampling::mqe::try_mr_mqe_on_splits;
 
 #[derive(Serialize)]
 struct Record {
@@ -53,7 +53,7 @@ pub fn run(env: &BenchEnv, obs: &Obs) -> ExpOutput {
         for run in 0..runs {
             let mssd = env.group(spec, sample_size, 2000 + run as u64);
             let seed = 7000 + run as u64;
-            let cps = mr_cps_on_splits(&cluster, &env.splits, &mssd, CpsConfig::mr_cps(), seed)
+            let cps = try_mr_cps_on_splits(&cluster, &env.splits, &mssd, CpsConfig::mr_cps(), seed)
                 .expect("solvable");
             let hist = cps.answer.sharing_histogram(spec.n_ssds);
             let mut run_degree = 0usize;
@@ -65,7 +65,8 @@ pub fn run(env: &BenchEnv, obs: &Obs) -> ExpOutput {
             }
             unique_sum += run_unique;
             degree_samples.push(run_degree as f64 / run_unique.max(1) as f64);
-            let mqe = mr_mqe_on_splits(&cluster, &env.splits, mssd.queries(), None, seed);
+            let mqe = try_mr_mqe_on_splits(&cluster, &env.splits, mssd.queries(), None, seed)
+                .expect("a healthy cluster completes every job");
             let mh = mqe.answer.sharing_histogram(spec.n_ssds);
             let run_shared = mh.iter().skip(1).sum::<usize>();
             let run_mqe_unique = mh.iter().sum::<usize>();

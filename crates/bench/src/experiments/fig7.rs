@@ -19,8 +19,8 @@ use serde::Serialize;
 use std::collections::BTreeMap;
 use std::fmt::Write as _;
 use stratmr_query::GroupSpec;
-use stratmr_sampling::cps::{mr_cps_on_splits, CpsConfig};
-use stratmr_sampling::mqe::mr_mqe_on_splits;
+use stratmr_sampling::cps::{try_mr_cps_on_splits, CpsConfig};
+use stratmr_sampling::mqe::try_mr_mqe_on_splits;
 
 #[derive(Serialize)]
 struct Record {
@@ -58,10 +58,12 @@ pub fn run(env: &BenchEnv, obs: &Obs) -> ExpOutput {
             let mut cells = vec![format!("{}~{}", spec.name, scale)];
             for &slaves in &slaves_configs {
                 let cluster = obs.cluster(env.cluster(slaves));
-                let mqe = mr_mqe_on_splits(&cluster, &env.splits, mssd.queries(), None, 42);
+                let mqe = try_mr_mqe_on_splits(&cluster, &env.splits, mssd.queries(), None, 42)
+                    .expect("a healthy cluster completes every job");
                 let mqe_min = mqe.stats.sim.makespan_us / 60e6;
-                let cps = mr_cps_on_splits(&cluster, &env.splits, &mssd, CpsConfig::mr_cps(), 42)
-                    .expect("solvable");
+                let cps =
+                    try_mr_cps_on_splits(&cluster, &env.splits, &mssd, CpsConfig::mr_cps(), 42)
+                        .expect("solvable");
                 let cps_us: f64 = cps.phase_stats.iter().map(|(_, s)| s.sim.makespan_us).sum();
                 let cps_min = cps_us / 60e6;
                 let cps_wall: f64 = cps.phase_stats.iter().map(|(_, s)| s.wall_secs).sum();

@@ -246,7 +246,9 @@ mod tests {
                 v.into_iter().sum()
             }
         }
-        cluster.run(&Count, &make_splits((0..10).collect(), 2, 2), 1);
+        cluster
+            .try_run(&Count, &make_splits((0..10).collect(), 2, 2), 1)
+            .unwrap();
         assert_eq!(obs.trace.as_ref().unwrap().len(), 1);
         assert!(obs.registry.as_ref().unwrap().snapshot().counter("mr.jobs") > 0);
     }

@@ -12,8 +12,8 @@ use serde::Serialize;
 use std::collections::BTreeMap;
 use std::fmt::Write as _;
 use stratmr_query::GroupSpec;
-use stratmr_sampling::cps::{mr_cps_on_splits, CpsConfig};
-use stratmr_sampling::mqe::mr_mqe_on_splits;
+use stratmr_sampling::cps::{try_mr_cps_on_splits, CpsConfig};
+use stratmr_sampling::mqe::try_mr_mqe_on_splits;
 
 #[derive(Serialize)]
 struct Record {
@@ -59,9 +59,10 @@ pub fn run(env: &BenchEnv, obs: &Obs) -> ExpOutput {
             // a fresh query group per run, as in the paper's averaging
             let mssd = env.group(spec, sample_size, 1000 + run as u64);
             let seed = 5000 + run as u64;
-            let mqe = mr_mqe_on_splits(&cluster, &env.splits, mssd.queries(), None, seed);
+            let mqe = try_mr_mqe_on_splits(&cluster, &env.splits, mssd.queries(), None, seed)
+                .expect("a healthy cluster completes every job");
             let mqe_cost = mqe.answer.cost(mssd.costs());
-            let cps = mr_cps_on_splits(&cluster, &env.splits, &mssd, CpsConfig::mr_cps(), seed)
+            let cps = try_mr_cps_on_splits(&cluster, &env.splits, &mssd, CpsConfig::mr_cps(), seed)
                 .expect("CPS program must be solvable");
             mqe_costs.push(mqe_cost);
             cps_costs.push(cps.cost);

@@ -11,6 +11,7 @@
 
 use crate::env::BenchConfig;
 use std::fmt::Write as _;
+use stratmr_telemetry::escape_json;
 
 /// Version of the benchmark artifact schema. Bump on any change to the
 /// key layout of `BENCH_*.json` (see DESIGN.md, "Schema versioning");
@@ -110,16 +111,16 @@ impl ArtifactMeta {
         let mut out = String::new();
         let _ = write!(
             out,
-            "{{\"schema_version\": {}, \"experiment\": {:?}, \"seed\": {}, \
-             \"crate_version\": {:?}, \"git_sha\": {:?}, \
+            "{{\"schema_version\": {}, \"experiment\": \"{}\", \"seed\": {}, \
+             \"crate_version\": \"{}\", \"git_sha\": \"{}\", \
              \"config\": {{\"fault_seed\": {}, \"machines\": {}, \"population\": {}, \
              \"runs\": {}, \"scales\": [{}], \"splits\": {}, \"uniform\": {}}}, \
-             \"host\": {{\"cargo_profile\": {:?}, \"os\": {:?}}}}}",
+             \"host\": {{\"cargo_profile\": \"{}\", \"os\": \"{}\"}}}}",
             self.schema_version,
-            self.experiment,
+            escape_json(&self.experiment),
             self.seed,
-            self.crate_version,
-            self.git_sha,
+            escape_json(&self.crate_version),
+            escape_json(&self.git_sha),
             c.fault_seed
                 .map_or_else(|| "null".to_string(), |s| s.to_string()),
             c.machines,
@@ -128,8 +129,8 @@ impl ArtifactMeta {
             scales,
             c.splits,
             c.uniform,
-            self.host.cargo_profile,
-            self.host.os,
+            escape_json(&self.host.cargo_profile),
+            escape_json(&self.host.os),
         );
         out
     }

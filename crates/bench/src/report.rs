@@ -150,8 +150,8 @@ mod tests {
         let sink = TraceSink::new();
         let cluster = Cluster::new(2).with_trace(sink.clone());
         let splits = make_splits((0..100).collect(), 4, 2);
-        cluster.named("a").run(&Count, &splits, 1);
-        cluster.named("b").run(&Count, &splits, 2);
+        cluster.named("a").try_run(&Count, &splits, 1).unwrap();
+        cluster.named("b").try_run(&Count, &splits, 2).unwrap();
         let text = render_trace_summary(&sink.jobs());
         assert!(text.contains("a#0:"), "{text}");
         assert!(text.contains("b#1:"), "{text}");

@@ -6,7 +6,7 @@
 //! experiments are reproducible on any host (see DESIGN.md,
 //! substitution 1).
 //!
-//! Scheduling model (see [`crate::sched`] internals and DESIGN.md,
+//! Scheduling model (see the `sched` module internals and DESIGN.md,
 //! "Fault model & recovery"):
 //! * one map task per input split, preferring the split's home machine
 //!   (data locality); tasks fall back to the earliest-available healthy
@@ -93,9 +93,8 @@ pub struct JobOutput<K, O> {
     pub stats: JobStats,
 }
 
-/// Why a job could not complete. Surfaced by [`Cluster::try_run`] and
-/// [`Cluster::try_run_with_combiner`]; the panicking [`Cluster::run`]
-/// variants turn it into a panic message.
+/// Why a job could not complete. Returned by [`Cluster::try_run`] and
+/// [`Cluster::try_run_with_combiner`].
 #[derive(Debug, Clone, PartialEq, Eq)]
 pub enum JobError {
     /// A task failed more attempts than the retry budget allows
@@ -360,51 +359,8 @@ impl Cluster {
         &self.costs
     }
 
-    /// Run a combiner-less job.
-    ///
-    /// # Panics
-    /// Panics if the job cannot complete under the configured fault
-    /// model — use [`Cluster::try_run`] to handle [`JobError`].
-    pub fn run<J: Job>(
-        &self,
-        job: &J,
-        splits: &[InputSplit<J::Input>],
-        seed: u64,
-    ) -> JobOutput<J::Key, J::ReduceOut>
-    where
-        J::MapOut: Send + Sync,
-        J::ReduceOut: Send,
-    {
-        match self.try_run(job, splits, seed) {
-            Ok(out) => out,
-            Err(e) => panic!("mapreduce job failed: {e}"),
-        }
-    }
-
-    /// Run a job with a combiner.
-    ///
-    /// # Panics
-    /// Panics if the job cannot complete under the configured fault
-    /// model — use [`Cluster::try_run_with_combiner`] to handle
-    /// [`JobError`].
-    pub fn run_with_combiner<J: CombineJob>(
-        &self,
-        job: &J,
-        splits: &[InputSplit<J::Input>],
-        seed: u64,
-    ) -> JobOutput<J::Key, J::ReduceOut>
-    where
-        J::CombOut: Send + Sync,
-        J::ReduceOut: Send,
-    {
-        match self.try_run_with_combiner(job, splits, seed) {
-            Ok(out) => out,
-            Err(e) => panic!("mapreduce job failed: {e}"),
-        }
-    }
-
-    /// Run a combiner-less job, surfacing scheduling failures as
-    /// [`JobError`] instead of panicking.
+    /// Run a combiner-less job. A job that cannot complete under the
+    /// configured fault model returns its [`JobError`].
     pub fn try_run<J: Job>(
         &self,
         job: &J,
@@ -418,8 +374,8 @@ impl Cluster {
         self.try_run_with_combiner(&NoCombiner(job), splits, seed)
     }
 
-    /// Run a job with a combiner, surfacing scheduling failures as
-    /// [`JobError`] instead of panicking.
+    /// Run a job with a combiner. A job that cannot complete under the
+    /// configured fault model returns its [`JobError`].
     pub fn try_run_with_combiner<J: CombineJob>(
         &self,
         job: &J,
@@ -1032,7 +988,7 @@ mod tests {
     fn word_count_without_combiner() {
         let cluster = Cluster::new(3).with_costs(CostConfig::zero_overhead());
         let splits = make_splits(corpus(), 4, 3);
-        let out = cluster.run(&WordCount, &splits, 1);
+        let out = cluster.try_run(&WordCount, &splits, 1).unwrap();
         let counts = counts_of(&out.results);
         assert_eq!(counts["a"], 3);
         assert_eq!(counts["b"], 2);
@@ -1048,8 +1004,10 @@ mod tests {
         let costs = CostConfig::zero_overhead();
         let cluster = Cluster::new(2).with_costs(costs);
         let splits = make_splits(corpus(), 2, 2);
-        let plain = cluster.run(&WordCount, &splits, 7);
-        let combined = cluster.run_with_combiner(&WordCountCombined, &splits, 7);
+        let plain = cluster.try_run(&WordCount, &splits, 7).unwrap();
+        let combined = cluster
+            .try_run_with_combiner(&WordCountCombined, &splits, 7)
+            .unwrap();
         assert_eq!(counts_of(&plain.results), counts_of(&combined.results));
         assert!(
             combined.stats.shuffle_bytes < plain.stats.shuffle_bytes,
@@ -1068,8 +1026,8 @@ mod tests {
     fn results_are_deterministic_given_seed() {
         let cluster = Cluster::new(4);
         let splits = make_splits(corpus(), 3, 4);
-        let a = cluster.run(&WordCount, &splits, 99);
-        let b = cluster.run(&WordCount, &splits, 99);
+        let a = cluster.try_run(&WordCount, &splits, 99).unwrap();
+        let b = cluster.try_run(&WordCount, &splits, 99).unwrap();
         assert_eq!(a.results, b.results);
     }
 
@@ -1100,7 +1058,7 @@ mod tests {
         for machines in [1usize, 5, 10] {
             let cluster = Cluster::new(machines);
             let splits = make_splits(records.clone(), 64, machines);
-            let out = cluster.run(&Scan, &splits, 0);
+            let out = cluster.try_run(&Scan, &splits, 0).unwrap();
             let mk = out.stats.sim.makespan_us;
             assert!(
                 mk < prev,
@@ -1139,7 +1097,12 @@ mod tests {
         let run = |machines: usize| {
             let cluster = Cluster::new(machines).with_costs(zero);
             let splits = make_splits(records.clone(), machines * 4, machines);
-            cluster.run(&Scan, &splits, 0).stats.sim.makespan_us
+            cluster
+                .try_run(&Scan, &splits, 0)
+                .unwrap()
+                .stats
+                .sim
+                .makespan_us
         };
         let m1 = run(1);
         let m10 = run(10);
@@ -1157,8 +1120,8 @@ mod tests {
         // with identical config must agree bit-for-bit.
         let cluster = Cluster::new(2).with_reduce_tasks(5);
         let splits = make_splits(corpus(), 2, 2);
-        let a = cluster.run(&WordCount, &splits, 3);
-        let b = cluster.run(&WordCount, &splits, 3);
+        let a = cluster.try_run(&WordCount, &splits, 3).unwrap();
+        let b = cluster.try_run(&WordCount, &splits, 3).unwrap();
         assert_eq!(a.results, b.results);
         assert_eq!(a.stats.shuffle_bytes, b.stats.shuffle_bytes);
     }
@@ -1185,10 +1148,16 @@ mod tests {
     fn straggler_dominates_makespan() {
         let records: Vec<u64> = (0..400).collect();
         let splits = make_splits(records, 8, 4);
-        let uniform = Cluster::new(4).run(&Scan, &splits, 0).stats.sim.makespan_us;
+        let uniform = Cluster::new(4)
+            .try_run(&Scan, &splits, 0)
+            .unwrap()
+            .stats
+            .sim
+            .makespan_us;
         let straggling = Cluster::new(4)
             .with_machine_slowness(vec![1.0, 1.0, 1.0, 3.0])
-            .run(&Scan, &splits, 0)
+            .try_run(&Scan, &splits, 0)
+            .unwrap()
             .stats
             .sim
             .makespan_us;
@@ -1206,8 +1175,8 @@ mod tests {
         let clean = Cluster::new(2);
         // high failure rate so retries certainly occur
         let flaky = Cluster::new(2).with_failures(0.4);
-        let a = clean.run(&WordCount, &splits, 11);
-        let b = flaky.run(&WordCount, &splits, 11);
+        let a = clean.try_run(&WordCount, &splits, 11).unwrap();
+        let b = flaky.try_run(&WordCount, &splits, 11).unwrap();
         assert_eq!(
             counts_of(&a.results),
             counts_of(&b.results),
@@ -1228,8 +1197,8 @@ mod tests {
     fn failure_injection_is_deterministic() {
         let splits = make_splits(corpus(), 3, 2);
         let flaky = Cluster::new(2).with_failures(0.3);
-        let a = flaky.run(&WordCount, &splits, 5);
-        let b = flaky.run(&WordCount, &splits, 5);
+        let a = flaky.try_run(&WordCount, &splits, 5).unwrap();
+        let b = flaky.try_run(&WordCount, &splits, 5).unwrap();
         assert_eq!(a.stats.map_task_retries, b.stats.map_task_retries);
         assert_eq!(
             a.stats.map_task_retries + a.stats.reduce_task_retries,
@@ -1277,16 +1246,6 @@ mod tests {
     }
 
     #[test]
-    #[should_panic(expected = "mapreduce job failed")]
-    fn run_panics_on_job_error() {
-        let splits = make_splits(corpus(), 2, 2);
-        let _ = Cluster::new(2)
-            .with_failures(1.0)
-            .with_retry_budget(2)
-            .run(&WordCount, &splits, 1);
-    }
-
-    #[test]
     #[should_panic(expected = "prob must be in [0, 1]")]
     fn failure_prob_validated() {
         let _ = Cluster::new(1).with_failures(1.5);
@@ -1302,11 +1261,14 @@ mod tests {
     fn crash_loses_map_outputs_and_reexecutes() {
         let records: Vec<u64> = (0..400).collect();
         let splits = make_splits(records, 8, 4);
-        let healthy = Cluster::new(4).run(&Scan, &splits, 3);
+        let healthy = Cluster::new(4).try_run(&Scan, &splits, 3).unwrap();
         // crash machine 0 shortly after the job starts: its finished map
         // outputs are lost and re-executed on the survivors
         let plan = FaultPlan::new().crash(0, 7_000_000.0);
-        let crashed = Cluster::new(4).with_fault_plan(plan).run(&Scan, &splits, 3);
+        let crashed = Cluster::new(4)
+            .with_fault_plan(plan)
+            .try_run(&Scan, &splits, 3)
+            .unwrap();
         assert_eq!(
             counts_of_u8(&healthy.results),
             counts_of_u8(&crashed.results),
@@ -1347,11 +1309,13 @@ mod tests {
         let plan = FaultPlan::new().slow(3, 8.0);
         let slow = Cluster::new(4)
             .with_fault_plan(plan.clone())
-            .run(&Scan, &splits, 0);
+            .try_run(&Scan, &splits, 0)
+            .unwrap();
         let speculating = Cluster::new(4)
             .with_fault_plan(plan)
             .with_speculation(2.0)
-            .run(&Scan, &splits, 0);
+            .try_run(&Scan, &splits, 0)
+            .unwrap();
         assert_eq!(
             counts_of_u8(&slow.results),
             counts_of_u8(&speculating.results)
@@ -1373,8 +1337,9 @@ mod tests {
         let out = Cluster::new(2)
             .with_fault_plan(plan)
             .with_blacklist_after(3)
-            .run(&WordCount, &splits, 11);
-        let clean = Cluster::new(2).run(&WordCount, &splits, 11);
+            .try_run(&WordCount, &splits, 11)
+            .unwrap();
+        let clean = Cluster::new(2).try_run(&WordCount, &splits, 11).unwrap();
         assert_eq!(counts_of(&clean.results), counts_of(&out.results));
         assert_eq!(out.stats.nodes_blacklisted, 1);
     }
@@ -1386,8 +1351,8 @@ mod tests {
         let backed = Cluster::new(2)
             .with_failures(0.4)
             .with_retry_backoff(500_000.0);
-        let a = base.run(&WordCount, &splits, 11);
-        let b = backed.run(&WordCount, &splits, 11);
+        let a = base.try_run(&WordCount, &splits, 11).unwrap();
+        let b = backed.try_run(&WordCount, &splits, 11).unwrap();
         assert!(a.stats.map_task_retries + a.stats.reduce_task_retries > 0);
         assert_eq!(a.stats.map_task_retries, b.stats.map_task_retries);
         assert_eq!(a.stats.reduce_task_retries, b.stats.reduce_task_retries);
@@ -1398,7 +1363,7 @@ mod tests {
     fn empty_input_produces_empty_output() {
         let cluster = Cluster::new(2);
         let splits: Vec<InputSplit<String>> = make_splits(vec![], 2, 2);
-        let out = cluster.run(&WordCount, &splits, 0);
+        let out = cluster.try_run(&WordCount, &splits, 0).unwrap();
         assert!(out.results.is_empty());
         assert_eq!(out.stats.map_input_records, 0);
         assert_eq!(out.stats.distinct_keys, 0);
@@ -1423,7 +1388,7 @@ mod tests {
         let spy = SeedSpy(Mutex::new(Vec::new()));
         let cluster = Cluster::new(1);
         let splits = make_splits((0..20).collect(), 2, 1);
-        cluster.run(&&spy, &splits, 5);
+        cluster.try_run(&&spy, &splits, 5).unwrap();
         let mut seeds = spy.0.into_inner().unwrap();
         let n = seeds.len();
         seeds.sort_unstable();
@@ -1478,7 +1443,9 @@ mod tests {
             .collect();
         let splits = make_splits(records, 4, 2);
         let seed = 77;
-        let out = Cluster::new(2).run_with_combiner(&SeedSpy, &splits, seed);
+        let out = Cluster::new(2)
+            .try_run_with_combiner(&SeedSpy, &splits, seed)
+            .unwrap();
 
         let mut want: HashMap<(usize, u8), (u64, Vec<u64>)> = HashMap::new();
         for split in &splits {

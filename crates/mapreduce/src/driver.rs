@@ -139,7 +139,7 @@ mod tests {
             .iter()
             .enumerate()
         {
-            let out = cluster.run(&Count, &splits, i as u64);
+            let out = cluster.try_run(&Count, &splits, i as u64).unwrap();
             log.record(*label, out.stats);
         }
         assert_eq!(log.len(), 3);
@@ -166,7 +166,10 @@ mod tests {
         let splits = make_splits((0..300).collect(), 4, 2);
         let mut log = JobLog::new();
         for i in 0..2 {
-            log.record(format!("pass {i}"), cluster.run(&Count, &splits, i).stats);
+            log.record(
+                format!("pass {i}"),
+                cluster.try_run(&Count, &splits, i).unwrap().stats,
+            );
         }
         let sum: f64 = log.phases().iter().map(|(_, s)| s.wasted_us).sum();
         assert!(sum > 0.0, "an always-flaky node must waste work");
@@ -178,7 +181,7 @@ mod tests {
         let cluster = Cluster::new(1);
         let splits = make_splits((0..30).collect(), 2, 1);
         let mut log = JobLog::new();
-        log.record("only", cluster.run(&Count, &splits, 1).stats);
+        log.record("only", cluster.try_run(&Count, &splits, 1).unwrap().stats);
         let text = log.summary();
         assert!(text.contains("only"));
         assert!(text.contains("total"));
@@ -190,7 +193,7 @@ mod tests {
         let cluster = Cluster::new(1);
         let splits = make_splits((0..10).collect(), 1, 1);
         let mut log = JobLog::new();
-        log.record("p", cluster.run(&Count, &splits, 0).stats);
+        log.record("p", cluster.try_run(&Count, &splits, 0).unwrap().stats);
         let json = serde_json::to_string(&log).unwrap();
         let back: JobLog = serde_json::from_str(&json).unwrap();
         assert_eq!(back.len(), 1);

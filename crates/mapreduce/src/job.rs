@@ -27,7 +27,7 @@ use std::hash::{BuildHasherDefault, Hash, Hasher};
 /// pure function of `(input, job seed)`.
 #[derive(Debug, Clone, Copy)]
 pub struct TaskCtx {
-    /// The seed passed to [`Cluster::run`](crate::Cluster::run).
+    /// The seed passed to [`Cluster::try_run`](crate::Cluster::try_run).
     pub job_seed: u64,
     /// Input split id (map side) or reduce partition id (reduce side).
     pub task_id: usize,

@@ -34,7 +34,7 @@
 //!
 //! let cluster = Cluster::new(4);
 //! let splits = make_splits((0..100).collect(), 8, 4);
-//! let out = cluster.run_with_combiner(&CountEven, &splits, 42);
+//! let out = cluster.try_run_with_combiner(&CountEven, &splits, 42).unwrap();
 //! let evens = out.results.iter().find(|(k, _)| *k).unwrap().1;
 //! assert_eq!(evens, 50);
 //! ```

@@ -60,7 +60,7 @@ fn critical_path_sums_to_makespan_with_slowness_and_failures() {
         .with_reduce_tasks(7)
         .with_trace(sink.clone());
     let splits = make_splits(records(500), 11, 4);
-    let out = cluster.run(&KeyedSum, &splits, 42);
+    let out = cluster.try_run(&KeyedSum, &splits, 42).unwrap();
     assert!(
         out.stats.map_task_retries + out.stats.reduce_task_retries > 0,
         "test must exercise retries"
@@ -94,7 +94,7 @@ fn straggler_machine_is_detected_and_attributed() {
     // 8 equal splits → 2 per machine, so machine 3's 3× slowness is a
     // pure straggler signal
     let splits = make_splits(records(400), 8, 4);
-    let out = cluster.run(&KeyedSum, &splits, 0);
+    let out = cluster.try_run(&KeyedSum, &splits, 0).unwrap();
     let job = &sink.jobs()[0];
 
     let slow = stragglers(job, 1.5);
@@ -124,7 +124,7 @@ fn skew_report_matches_shuffle_accounting() {
         .with_reduce_tasks(5)
         .with_trace(sink.clone());
     let splits = make_splits(records(300), 6, 3);
-    let out = cluster.run(&KeyedSum, &splits, 1);
+    let out = cluster.try_run(&KeyedSum, &splits, 1).unwrap();
     let job = &sink.jobs()[0];
     let skew = shuffle_skew(job);
     assert_eq!(skew.partitions, 5);
@@ -146,7 +146,7 @@ fn gantt_and_summary_render_the_schedule() {
         .with_trace(sink.clone())
         .with_job_name("demo");
     let splits = make_splits(records(300), 6, 3);
-    cluster.run(&KeyedSum, &splits, 2);
+    cluster.try_run(&KeyedSum, &splits, 2).unwrap();
     let job = &sink.jobs()[0];
 
     let gantt = render_gantt(job, 60);
@@ -180,7 +180,7 @@ fn zero_work_job_yields_zero_fractions_and_overhead_only_makespan() {
     let sink = TraceSink::new();
     let cluster = Cluster::new(2).with_costs(costs).with_trace(sink.clone());
     let splits = make_splits(Vec::<(u8, i64)>::new(), 2, 2);
-    let out = cluster.run(&KeyedSum, &splits, 0);
+    let out = cluster.try_run(&KeyedSum, &splits, 0).unwrap();
     assert_eq!(out.stats.sim.phase_fractions(), (0.0, 0.0, 0.0));
     assert_eq!(out.stats.sim.total_work_us(), 0.0);
     assert_eq!(out.stats.sim.makespan_us, 0.0);
@@ -193,7 +193,10 @@ fn zero_work_job_yields_zero_fractions_and_overhead_only_makespan() {
         cpu_slowdown: 0.0,
         ..CostConfig::default()
     };
-    let out = Cluster::new(2).with_costs(costs).run(&KeyedSum, &splits, 0);
+    let out = Cluster::new(2)
+        .with_costs(costs)
+        .try_run(&KeyedSum, &splits, 0)
+        .unwrap();
     let expect = costs.job_overhead_us + costs.task_overhead_us + costs.task_overhead_us;
     assert!(
         rel_err(out.stats.sim.makespan_us, expect) < 1e-12,
@@ -255,7 +258,7 @@ proptest! {
             cluster = cluster.with_failures(failure_prob);
         }
         let splits = make_splits(records(n_records), n_splits, machines);
-        let out = cluster.run(&KeyedSum, &splits, seed);
+        let out = cluster.try_run(&KeyedSum, &splits, seed).unwrap();
 
         let jobs = sink.jobs();
         prop_assert_eq!(jobs.len(), 1);
@@ -283,7 +286,7 @@ proptest! {
         };
         let cluster = Cluster::new(machines).with_costs(costs);
         let splits = make_splits(records(n_records), n_splits, machines);
-        let sim: SimTime = cluster.run(&KeyedSum, &splits, seed).stats.sim;
+        let sim: SimTime = cluster.try_run(&KeyedSum, &splits, seed).unwrap().stats.sim;
         let upper = costs.job_overhead_us + sim.total_work_us();
         let lower = costs.job_overhead_us
             + (sim.map_us + sim.combine_us) / machines as f64;
@@ -310,8 +313,14 @@ fn job_series_offsets_accumulate() {
     let sink = TraceSink::new();
     let cluster = Cluster::new(2).with_trace(sink.clone());
     let splits = make_splits(records(100), 4, 2);
-    cluster.named("first").run(&KeyedSum, &splits, 1);
-    cluster.named("second").run(&KeyedSum, &splits, 2);
+    cluster
+        .named("first")
+        .try_run(&KeyedSum, &splits, 1)
+        .unwrap();
+    cluster
+        .named("second")
+        .try_run(&KeyedSum, &splits, 2)
+        .unwrap();
     let jobs: Vec<JobTrace> = sink.jobs();
     assert_eq!(jobs.len(), 2);
     assert_eq!(jobs[0].start_us, 0.0);

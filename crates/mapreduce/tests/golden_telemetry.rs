@@ -63,7 +63,9 @@ fn telemetry_json_export_is_byte_stable() {
         .map(|i| "x".repeat((i % 7 + 1) as usize))
         .collect();
     let splits = make_splits(words, 5, 3);
-    cluster.run_with_combiner(&WordLen, &splits, 0xDEAD_BEEF);
+    cluster
+        .try_run_with_combiner(&WordLen, &splits, 0xDEAD_BEEF)
+        .unwrap();
 
     let json = registry.snapshot().without_host().to_json();
     let path = golden_path();

@@ -81,8 +81,10 @@ fn instrumented_snapshot(
     if failure_prob > 0.0 {
         cluster = cluster.with_failures(failure_prob);
     }
-    cluster.run(&SumJob, &splits, seed);
-    cluster.run_with_combiner(&SumJobCombined, &splits, seed ^ 0x5A5A);
+    cluster.try_run(&SumJob, &splits, seed).unwrap();
+    cluster
+        .try_run_with_combiner(&SumJobCombined, &splits, seed ^ 0x5A5A)
+        .unwrap();
     registry.snapshot().without_host()
 }
 
@@ -107,8 +109,8 @@ proptest! {
     ) {
         let cluster = Cluster::new(machines).with_reduce_tasks(reduce_tasks);
         let split_vec = make_splits(records.clone(), splits, machines);
-        let plain = cluster.run(&SumJob, &split_vec, seed);
-        let combined = cluster.run_with_combiner(&SumJobCombined, &split_vec, seed);
+        let plain = cluster.try_run(&SumJob, &split_vec, seed).unwrap();
+        let combined = cluster.try_run_with_combiner(&SumJobCombined, &split_vec, seed).unwrap();
         let want = reference(&records);
         let got_plain: HashMap<u8, i64> = plain.results.into_iter().collect();
         let got_combined: HashMap<u8, i64> = combined.results.into_iter().collect();
@@ -133,11 +135,12 @@ proptest! {
             cpu_slowdown: 0.0,
             ..CostConfig::default()
         };
-        let clean = Cluster::new(2).with_costs(costs).run(&SumJob, &splits, seed);
+        let clean = Cluster::new(2).with_costs(costs).try_run(&SumJob, &splits, seed).unwrap();
         let flaky = Cluster::new(2)
             .with_costs(costs)
             .with_failures(prob)
-            .run(&SumJob, &splits, seed);
+            .try_run(&SumJob, &splits, seed)
+            .unwrap();
         let a: HashMap<u8, i64> = clean.results.into_iter().collect();
         let b: HashMap<u8, i64> = flaky.results.into_iter().collect();
         prop_assert_eq!(a, b);
@@ -227,7 +230,7 @@ proptest! {
             }
             plan = plan.slow(m, f.slowdown).flaky(m, f.flaky_prob);
         }
-        let clean = Cluster::new(machines).run(&SumJob, &split_vec, seed);
+        let clean = Cluster::new(machines).try_run(&SumJob, &split_vec, seed).unwrap();
         let chaotic = Cluster::new(machines)
             .with_fault_plan(plan)
             .with_speculation(1.5)
@@ -263,11 +266,15 @@ proptest! {
         let plan = FaultPlan::seeded(fault_seed, machines, &mix);
         let costs = CostConfig { cpu_slowdown: 0.0, ..CostConfig::default() };
         let splits = make_splits(records, 4, machines);
-        let clean = Cluster::new(machines).with_costs(costs).run(&SumJob, &splits, seed);
+        let clean = Cluster::new(machines)
+            .with_costs(costs)
+            .try_run(&SumJob, &splits, seed)
+            .unwrap();
         let faulty = Cluster::new(machines)
             .with_costs(costs)
             .with_fault_plan(plan)
-            .run(&SumJob, &splits, seed);
+            .try_run(&SumJob, &splits, seed)
+            .unwrap();
         prop_assert!(
             faulty.stats.sim.makespan_us >= clean.stats.sim.makespan_us - 1e-6,
             "faults shortened the job: {} < {}",
@@ -300,7 +307,8 @@ proptest! {
             .with_fault_plan(plan)
             .with_speculation(1.5)
             .with_retry_backoff(125_000.0)
-            .run_with_combiner(&SumJobCombined, &splits, seed);
+            .try_run_with_combiner(&SumJobCombined, &splits, seed)
+            .unwrap();
         let jobs = sink.jobs();
         let cp = analysis::critical_path(&jobs[0]);
         let makespan = out.stats.sim.makespan_us;
@@ -325,8 +333,8 @@ proptest! {
             ..CostConfig::default()
         });
         let costly = Cluster::new(3).with_costs(CostConfig::default());
-        let a = cheap.run(&SumJob, &splits, seed);
-        let b = costly.run(&SumJob, &splits, seed);
+        let a = cheap.try_run(&SumJob, &splits, seed).unwrap();
+        let b = costly.try_run(&SumJob, &splits, seed).unwrap();
         prop_assert!(b.stats.sim.makespan_us > a.stats.sim.makespan_us);
     }
 }

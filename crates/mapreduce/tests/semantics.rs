@@ -55,7 +55,9 @@ fn combiner_runs_once_per_task_key_pair() {
     let job = CombinerContract {
         combine_calls: AtomicU64::new(0),
     };
-    let out = Cluster::new(2).run_with_combiner(&&job, &splits, 5);
+    let out = Cluster::new(2)
+        .try_run_with_combiner(&&job, &splits, 5)
+        .unwrap();
     assert_eq!(job.combine_calls.load(Ordering::Relaxed), 6);
     let results: HashMap<u8, (u64, u64)> = out.results.into_iter().collect();
     // counts add up to the full input per key
@@ -74,7 +76,8 @@ fn more_reduce_tasks_than_machines_is_fine() {
     };
     let out = Cluster::new(2)
         .with_reduce_tasks(7)
-        .run_with_combiner(&&job, &splits, 1);
+        .try_run_with_combiner(&&job, &splits, 1)
+        .unwrap();
     let results: HashMap<u8, (u64, u64)> = out.results.into_iter().collect();
     assert_eq!(results.len(), 10);
     assert!(results
@@ -89,7 +92,9 @@ fn stats_serialize_to_json() {
     let job = CombinerContract {
         combine_calls: AtomicU64::new(0),
     };
-    let out = Cluster::new(2).run_with_combiner(&&job, &splits, 1);
+    let out = Cluster::new(2)
+        .try_run_with_combiner(&&job, &splits, 1)
+        .unwrap();
     let json = serde_json::to_string(&out.stats).unwrap();
     let back: JobStats = serde_json::from_str(&json).unwrap();
     assert_eq!(back.map_input_records, out.stats.map_input_records);
@@ -109,7 +114,8 @@ fn empty_splits_are_charged_only_overhead() {
     };
     let out = Cluster::new(3)
         .with_costs(costs)
-        .run_with_combiner(&&job, &splits, 1);
+        .try_run_with_combiner(&&job, &splits, 1)
+        .unwrap();
     assert_eq!(job.combine_calls.load(Ordering::Relaxed), 0);
     assert!(out.results.is_empty());
     // map tasks pay startup even when empty, as on Hadoop

@@ -123,11 +123,13 @@ fn counters_agree_with_job_stats_on_every_job() {
     for (machines, splits_n, seed) in [(1usize, 1usize, 7u64), (3, 5, 8), (4, 9, 9)] {
         let cluster = Cluster::new(machines).with_telemetry(registry.clone());
         let splits = make_splits(records(200), splits_n, machines);
-        let out = cluster.run(&SumJob, &splits, seed);
+        let out = cluster.try_run(&SumJob, &splits, seed).unwrap();
         expected.absorb(&out.stats);
         expected.assert_matches(&registry);
 
-        let out = cluster.run_with_combiner(&SumJobCombined, &splits, seed ^ 0xABCD);
+        let out = cluster
+            .try_run_with_combiner(&SumJobCombined, &splits, seed ^ 0xABCD)
+            .unwrap();
         expected.absorb(&out.stats);
         expected.assert_matches(&registry);
     }
@@ -146,7 +148,7 @@ fn retry_counters_agree_under_failures() {
         .with_telemetry(registry.clone());
     let splits = make_splits(records(120), 6, 2);
     for seed in 0..10u64 {
-        let out = cluster.run(&SumJob, &splits, seed);
+        let out = cluster.try_run(&SumJob, &splits, seed).unwrap();
         expected.absorb(&out.stats);
     }
     assert!(
@@ -161,8 +163,10 @@ fn phase_spans_cover_the_job() {
     let registry = Registry::new();
     let cluster = Cluster::new(2).with_telemetry(registry.clone());
     let splits = make_splits(records(50), 4, 2);
-    cluster.run_with_combiner(&SumJobCombined, &splits, 3);
-    cluster.run(&SumJob, &splits, 4);
+    cluster
+        .try_run_with_combiner(&SumJobCombined, &splits, 3)
+        .unwrap();
+    cluster.try_run(&SumJob, &splits, 4).unwrap();
 
     let snap = registry.snapshot();
     assert_eq!(snap.span_calls("mr.job"), 2);
@@ -178,7 +182,7 @@ fn cluster_without_telemetry_emits_nothing() {
     let registry = Registry::new();
     let cluster = Cluster::new(2);
     let splits = make_splits(records(30), 2, 2);
-    cluster.run(&SumJob, &splits, 1);
+    cluster.try_run(&SumJob, &splits, 1).unwrap();
     assert_eq!(registry.snapshot().counter_names().count(), 0);
     assert!(cluster.telemetry().is_none());
 }

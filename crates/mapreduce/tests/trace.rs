@@ -71,7 +71,9 @@ fn traced_run(machines: usize, failure_prob: f64, seed: u64) -> Vec<JobTrace> {
         cluster = cluster.with_failures(failure_prob);
     }
     let splits = make_splits(words(64), 5, machines);
-    cluster.run_with_combiner(&WordLen, &splits, seed);
+    cluster
+        .try_run_with_combiner(&WordLen, &splits, seed)
+        .unwrap();
     sink.jobs()
 }
 
@@ -84,7 +86,9 @@ fn trace_stream_is_sorted_and_complete() {
         .with_trace(sink.clone())
         .with_job_name("wordlen");
     let splits = make_splits(words(64), 5, 3);
-    let out = cluster.run_with_combiner(&WordLen, &splits, 0xDEAD_BEEF);
+    let out = cluster
+        .try_run_with_combiner(&WordLen, &splits, 0xDEAD_BEEF)
+        .unwrap();
 
     let jobs = sink.jobs();
     assert_eq!(jobs.len(), 1);
@@ -149,7 +153,9 @@ fn chrome_trace_export_is_byte_identical_across_runs() {
             .with_trace(sink.clone())
             .with_job_name("repro");
         let splits = make_splits(words(128), 9, 4);
-        cluster.run_with_combiner(&WordLen, &splits, seed);
+        cluster
+            .try_run_with_combiner(&WordLen, &splits, seed)
+            .unwrap();
         sink.chrome_trace_json()
     };
     assert_eq!(
@@ -169,7 +175,9 @@ fn chrome_trace_export_matches_golden_file() {
         .with_trace(sink.clone())
         .with_job_name("wordlen");
     let splits = make_splits(words(64), 5, 3);
-    cluster.run_with_combiner(&WordLen, &splits, 0xDEAD_BEEF);
+    cluster
+        .try_run_with_combiner(&WordLen, &splits, 0xDEAD_BEEF)
+        .unwrap();
 
     let json = sink.chrome_trace_json();
     let path = PathBuf::from(env!("CARGO_MANIFEST_DIR")).join("tests/golden/chrome_trace.json");
@@ -212,4 +220,52 @@ proptest! {
         std::env::remove_var("RAYON_NUM_THREADS");
         prop_assert_eq!(single, multi);
     }
+}
+
+/// Counter, span and job names reach the JSON exports verbatim through
+/// `Registry::counter`, `Registry::span` and `Cluster::with_job_name`.
+/// A control character or a combining accent must still come out as
+/// valid JSON that parses back to the same name.
+#[test]
+fn exports_escape_hostile_names() {
+    use serde::{find_field, Value};
+    use stratmr_mapreduce::Registry;
+    let names = ["a\u{1}b", "e\u{301}"];
+    let registry = Registry::new();
+    let sink = TraceSink::new();
+    for name in names {
+        registry.counter(name).inc();
+        drop(registry.span(name));
+        Cluster::new(2)
+            .with_trace(sink.clone())
+            .with_job_name(name)
+            .try_run_with_combiner(&WordLen, &make_splits(words(8), 2, 2), 1)
+            .unwrap();
+    }
+    let parse = |json: &str| serde_json::from_str::<Value>(json).expect("valid JSON");
+    let field = |v: &Value, key: &str| find_field(v.as_object().unwrap(), key).unwrap().clone();
+    let snapshot = parse(&registry.snapshot().to_json());
+    for section in ["counters", "spans"] {
+        let keys: Vec<String> = field(&snapshot, section)
+            .as_object()
+            .unwrap()
+            .iter()
+            .map(|(k, _)| k.clone())
+            .collect();
+        assert_eq!(keys, names, "{section}");
+    }
+    let trace = parse(&sink.chrome_trace_json());
+    let processes: Vec<String> = field(&trace, "traceEvents")
+        .as_array()
+        .unwrap()
+        .iter()
+        .filter(|e| field(e, "name").as_str() == Some("process_name"))
+        .map(|e| {
+            field(&field(e, "args"), "name")
+                .as_str()
+                .unwrap()
+                .to_string()
+        })
+        .collect();
+    assert_eq!(processes, ["#0 a\u{1}b", "#1 e\u{301}"]);
 }

@@ -21,43 +21,13 @@ use crate::estimate::{srs_mean, stratified_mean, Estimate};
 use crate::stats::binomial_within_bound;
 use stratmr_population::{AttrId, Individual};
 use stratmr_query::SsdAnswer;
-use stratmr_telemetry::Snapshot;
+use stratmr_telemetry::{escape_json, write_json_f64, Snapshot};
 
 /// z-score of a two-sided 95% confidence interval.
 pub const Z_95: f64 = 1.96;
 
 /// z-score used by the audit's realized-`f` bias gate (≈ 99.7%).
 pub const BIAS_GATE_Z: f64 = 3.0;
-
-/// Write `v` to `out` with fixed six-decimal precision, or `null` when
-/// not finite — the same convention as the telemetry JSON writer, so
-/// artifacts stay byte-identical across runs and platforms.
-pub(crate) fn write_json_f64(out: &mut String, v: f64) {
-    if v.is_finite() {
-        let _ = write!(out, "{v:.6}");
-    } else {
-        out.push_str("null");
-    }
-}
-
-/// Escape a string for embedding in a JSON document.
-pub(crate) fn escape_json(s: &str) -> String {
-    let mut out = String::with_capacity(s.len());
-    for c in s.chars() {
-        match c {
-            '"' => out.push_str("\\\""),
-            '\\' => out.push_str("\\\\"),
-            '\n' => out.push_str("\\n"),
-            '\t' => out.push_str("\\t"),
-            '\r' => out.push_str("\\r"),
-            c if (c as u32) < 0x20 => {
-                let _ = write!(out, "\\u{:04x}", c as u32);
-            }
-            c => out.push(c),
-        }
-    }
-    out
-}
 
 /// The inclusion-probability trail of one stratum of one sampling job —
 /// the raw material of the audit ledger, reconstructed from the

@@ -21,7 +21,6 @@
 //! single-program formulation is available for cross-checking
 //! (DESIGN.md, substitution 4).
 
-use crate::audit::{escape_json, write_json_f64};
 use crate::limits::try_stratum_selection_limits;
 use crate::mqe::try_mr_mqe_on_splits;
 use crate::obs::StratumCounters;
@@ -38,9 +37,9 @@ use stratmr_lp::{
     BranchBoundStats, LpError, Problem, Relation, SimplexStats, Solution,
 };
 use stratmr_mapreduce::{Cluster, CombineJob, Emitter, InputSplit, JobError, JobStats, TaskCtx};
-use stratmr_population::{DistributedDataset, Individual};
+use stratmr_population::Individual;
 use stratmr_query::{MssdAnswer, MssdQuery, SsdAnswer, StratumMatcher, SurveySet};
-use stratmr_telemetry::Registry;
+use stratmr_telemetry::{escape_json, write_json_f64, Registry};
 
 /// Why a CPS run failed: the constraint program was unsolvable, or one
 /// of the MapReduce phases could not complete under the fault model.
@@ -89,28 +88,35 @@ pub enum SolverKind {
 pub struct CpsConfig {
     /// LP relaxation (MR-CPS) or exact IP (CPS).
     pub solver: SolverKind,
-    /// Floor nudge `ε` compensating solver quantization: assignments are
-    /// rounded to `⌊X_τ(σ) + ε⌋` (the paper uses 1e-4).
-    pub epsilon: f64,
-    /// Safety bound on residual top-up rounds (one round suffices
-    /// analytically; see the module docs).
-    pub max_residual_rounds: usize,
     /// Solve one joint program over all selections instead of one block
     /// per σ. Mathematically identical; exists for verification and the
     /// ablation bench.
     pub joint_formulation: bool,
+    /// Also capture a full [`PlanExplain`] — the strata universe, the
+    /// solved programs, the sharing graph, cost attribution and the
+    /// residual-round breakdown — into [`CpsRun::explain`]. Capturing
+    /// changes no decision the pipeline makes: answers are byte-identical
+    /// with and without it.
+    pub explain: bool,
 }
 
 impl Default for CpsConfig {
     fn default() -> Self {
         Self {
             solver: SolverKind::Lp,
-            epsilon: 1e-4,
-            max_residual_rounds: 4,
             joint_formulation: false,
+            explain: false,
         }
     }
 }
+
+/// Floor nudge `ε` compensating solver quantization: LP assignments are
+/// rounded to `⌊X_τ(σ) + ε⌋` (the paper uses 1e-4).
+const EPSILON: f64 = 1e-4;
+
+/// Safety bound on residual top-up rounds (one round suffices
+/// analytically; see the module docs).
+const MAX_RESIDUAL_ROUNDS: usize = 4;
 
 impl CpsConfig {
     /// MR-CPS: the paper's scalable LP-based variant.
@@ -158,6 +164,8 @@ pub struct CpsRun {
     pub timings: CpsTimings,
     /// Per-MapReduce-phase statistics, labeled.
     pub phase_stats: Vec<(String, JobStats)>,
+    /// The plan EXPLAIN, present when [`CpsConfig::explain`] was set.
+    pub explain: Option<PlanExplain>,
 }
 
 /// The solved allocation for one stratum selection.
@@ -529,53 +537,9 @@ impl PlanExplain {
     }
 }
 
-/// Run CPS / MR-CPS over a distributed dataset.
-pub fn mr_cps(
-    cluster: &Cluster,
-    data: &DistributedDataset,
-    mssd: &MssdQuery,
-    config: CpsConfig,
-    seed: u64,
-) -> Result<CpsRun, LpError> {
-    mr_cps_on_splits(
-        cluster,
-        &crate::input::to_input_splits(data),
-        mssd,
-        config,
-        seed,
-    )
-}
-
-/// Run CPS / MR-CPS on pre-built input splits.
-pub fn mr_cps_on_splits(
-    cluster: &Cluster,
-    splits: &[InputSplit<Individual>],
-    mssd: &MssdQuery,
-    config: CpsConfig,
-    seed: u64,
-) -> Result<CpsRun, LpError> {
-    lp_or_panic(mr_cps_inner(cluster, splits, mssd, config, seed, false)).map(|(run, _)| run)
-}
-
-/// Fault-aware [`mr_cps`]: scheduling failures in any MapReduce phase
-/// come back as [`CpsError::Job`] instead of panicking.
-pub fn try_mr_cps(
-    cluster: &Cluster,
-    data: &DistributedDataset,
-    mssd: &MssdQuery,
-    config: CpsConfig,
-    seed: u64,
-) -> Result<CpsRun, CpsError> {
-    try_mr_cps_on_splits(
-        cluster,
-        &crate::input::to_input_splits(data),
-        mssd,
-        config,
-        seed,
-    )
-}
-
-/// Fault-aware [`mr_cps_on_splits`].
+/// Run CPS / MR-CPS on pre-built input splits. An unsolvable program
+/// comes back as [`CpsError::Lp`], a MapReduce phase that cannot
+/// complete under the fault model as [`CpsError::Job`].
 pub fn try_mr_cps_on_splits(
     cluster: &Cluster,
     splits: &[InputSplit<Individual>],
@@ -583,62 +547,6 @@ pub fn try_mr_cps_on_splits(
     config: CpsConfig,
     seed: u64,
 ) -> Result<CpsRun, CpsError> {
-    mr_cps_inner(cluster, splits, mssd, config, seed, false).map(|(run, _)| run)
-}
-
-/// Preserve the legacy contract of the `Result<_, LpError>` entry
-/// points: solver errors pass through, scheduling failures panic (they
-/// only occur when a fault plan or failure injection is configured).
-fn lp_or_panic<T>(r: Result<T, CpsError>) -> Result<T, LpError> {
-    match r {
-        Ok(v) => Ok(v),
-        Err(CpsError::Lp(e)) => Err(e),
-        Err(CpsError::Job(e)) => panic!("mapreduce job failed: {e}"),
-    }
-}
-
-/// Run CPS / MR-CPS over a distributed dataset, also capturing a full
-/// [`PlanExplain`] — the strata universe, the solved programs, the
-/// sharing graph, cost attribution and the residual-round breakdown.
-pub fn mr_cps_explain(
-    cluster: &Cluster,
-    data: &DistributedDataset,
-    mssd: &MssdQuery,
-    config: CpsConfig,
-    seed: u64,
-) -> Result<(CpsRun, PlanExplain), LpError> {
-    mr_cps_explain_on_splits(
-        cluster,
-        &crate::input::to_input_splits(data),
-        mssd,
-        config,
-        seed,
-    )
-}
-
-/// [`mr_cps_explain`] on pre-built input splits.
-pub fn mr_cps_explain_on_splits(
-    cluster: &Cluster,
-    splits: &[InputSplit<Individual>],
-    mssd: &MssdQuery,
-    config: CpsConfig,
-    seed: u64,
-) -> Result<(CpsRun, PlanExplain), LpError> {
-    lp_or_panic(mr_cps_inner(cluster, splits, mssd, config, seed, true))
-        .map(|(run, explain)| (run, explain.expect("explain capture was requested")))
-}
-
-/// The shared CPS pipeline; `capture` switches the EXPLAIN bookkeeping
-/// on. Capturing changes no decision the pipeline makes — answers are
-/// byte-identical with and without it.
-fn mr_cps_inner(
-    cluster: &Cluster,
-    splits: &[InputSplit<Individual>],
-    mssd: &MssdQuery,
-    config: CpsConfig,
-    seed: u64,
-    capture: bool,
-) -> Result<(CpsRun, Option<PlanExplain>), CpsError> {
     let queries = mssd.queries();
     let n = queries.len();
     let mut phase_stats = Vec::new();
@@ -696,7 +604,7 @@ fn mr_cps_inner(
 
     // EXPLAIN: the strata universe — every relevant σ with its limit and
     // per-survey selection frequencies
-    let selections_explain: Vec<SelectionExplain> = if capture {
+    let selections_explain: Vec<SelectionExplain> = if config.explain {
         relevant
             .iter()
             .map(|sel| SelectionExplain {
@@ -722,7 +630,7 @@ fn mr_cps_inner(
     let mut programs: Vec<ProgramExplain> = Vec::new();
     let plans: Vec<SigmaPlan> = {
         let _s = tel.map(|t| t.span("solve"));
-        let explain = capture.then_some(&mut programs);
+        let explain = config.explain.then_some(&mut programs);
         if config.joint_formulation {
             solve_joint(
                 &relevant,
@@ -823,7 +731,7 @@ fn mr_cps_inner(
     // σ(t) lookup instead of re-evaluating ϕ(σ).
     let mut residual_selections = 0usize;
     let mut residual_rounds: Vec<ResidualRoundExplain> = Vec::new();
-    for round in 0..config.max_residual_rounds {
+    for round in 0..MAX_RESIDUAL_ROUNDS {
         // deficits per (i, σ)
         let mut needed: HashMap<(usize, StratumSelection), usize> = HashMap::new();
         for i in 0..n {
@@ -874,7 +782,7 @@ fn mr_cps_inner(
             }
         }
         residual_selections += added_this_round;
-        if capture {
+        if config.explain {
             residual_rounds.push(ResidualRoundExplain {
                 round,
                 deficit,
@@ -894,7 +802,7 @@ fn mr_cps_inner(
     }
     let answer = MssdAnswer::new(star);
     let cost = answer.cost(mssd.costs());
-    let explain = if capture {
+    let explain = if config.explain {
         let costs = mssd.costs();
         // sharing graph + cost attribution from the realized answer,
         // walked in sorted-id order so f64 sums are byte-deterministic
@@ -958,20 +866,18 @@ fn mr_cps_inner(
     } else {
         None
     };
-    Ok((
-        CpsRun {
-            answer,
-            cost,
-            solver_objective,
-            residual_selections,
-            variables,
-            constraints,
-            relevant_selections: relevant.len(),
-            timings,
-            phase_stats,
-        },
+    Ok(CpsRun {
+        answer,
+        cost,
+        solver_objective,
+        residual_selections,
+        variables,
+        constraints,
+        relevant_selections: relevant.len(),
+        timings,
+        phase_stats,
         explain,
-    ))
+    })
 }
 
 /// MR-SQE on the combined query Q′, with stratum matching done by
@@ -1141,8 +1047,8 @@ fn taus_of(active: SurveySet) -> Vec<SurveySet> {
 }
 
 /// Floor with the paper's ε nudge.
-fn floor_eps(x: f64, eps: f64) -> u64 {
-    (x + eps).floor().max(0.0) as u64
+fn floor_eps(x: f64) -> u64 {
+    (x + EPSILON).floor().max(0.0) as u64
 }
 
 /// Search effort behind one solved (sub)program, normalized across the
@@ -1262,7 +1168,7 @@ fn solve_blockwise(
             .map(|(&tau, &v)| {
                 let x = solution.values[v];
                 let count = match config.solver {
-                    SolverKind::Lp => floor_eps(x, config.epsilon),
+                    SolverKind::Lp => floor_eps(x),
                     SolverKind::Ip => x.round() as u64,
                 };
                 (tau, count)
@@ -1307,7 +1213,7 @@ fn program_explain(
                 cost: mssd.costs().cost(tau),
                 value: solution.values[v],
                 allocation: match config.solver {
-                    SolverKind::Lp => floor_eps(solution.values[v], config.epsilon),
+                    SolverKind::Lp => floor_eps(solution.values[v]),
                     SolverKind::Ip => solution.values[v].round() as u64,
                 },
             })
@@ -1391,7 +1297,7 @@ fn solve_joint(
                 .map(|(&tau, &v)| {
                     let x = solution.values[v];
                     let count = match config.solver {
-                        SolverKind::Lp => floor_eps(x, config.epsilon),
+                        SolverKind::Lp => floor_eps(x),
                         SolverKind::Ip => x.round() as u64,
                     };
                     (tau, count)
@@ -1411,7 +1317,7 @@ fn solve_joint(
 #[cfg(test)]
 mod tests {
     use super::*;
-    use crate::mqe::mr_mqe;
+    use crate::input::to_input_splits;
     use stratmr_population::{AttrDef, AttrId, Dataset, Placement, Schema};
     use stratmr_query::{CostModel, Formula, SsdQuery, StratumConstraint};
 
@@ -1426,6 +1332,14 @@ mod tests {
             .map(|i| Individual::new(i, vec![(i % 100) as i64], 100))
             .collect();
         Dataset::new(schema, tuples)
+    }
+
+    /// `config` with EXPLAIN capture switched on.
+    fn explained(config: CpsConfig) -> CpsConfig {
+        CpsConfig {
+            explain: true,
+            ..config
+        }
     }
 
     /// Two overlapping surveys over the same attribute, sharing free.
@@ -1445,11 +1359,11 @@ mod tests {
     #[test]
     fn traced_cps_names_each_phase() {
         use stratmr_mapreduce::TraceSink;
-        let data = dataset(1000).distribute(3, 6, Placement::RoundRobin);
+        let splits = to_input_splits(&dataset(1000).distribute(3, 6, Placement::RoundRobin));
         let sink = TraceSink::new();
         let cluster = Cluster::new(3).with_trace(sink.clone());
         let mssd = overlapping_mssd();
-        mr_cps(&cluster, &data, &mssd, CpsConfig::mr_cps(), 42).unwrap();
+        try_mr_cps_on_splits(&cluster, &splits, &mssd, CpsConfig::mr_cps(), 42).unwrap();
         let names: Vec<String> = sink.jobs().into_iter().map(|j| j.name).collect();
         assert_eq!(names[0], "cps/initial-mqe", "all: {names:?}");
         assert_eq!(names[1], "cps/limits");
@@ -1464,10 +1378,10 @@ mod tests {
 
     #[test]
     fn cps_answer_satisfies_all_queries() {
-        let data = dataset(2000).distribute(4, 8, Placement::RoundRobin);
+        let splits = to_input_splits(&dataset(2000).distribute(4, 8, Placement::RoundRobin));
         let cluster = Cluster::new(4);
         let mssd = overlapping_mssd();
-        let run = mr_cps(&cluster, &data, &mssd, CpsConfig::mr_cps(), 42).unwrap();
+        let run = try_mr_cps_on_splits(&cluster, &splits, &mssd, CpsConfig::mr_cps(), 42).unwrap();
         assert!(
             run.answer.satisfies(&mssd),
             "CPS answer must satisfy every SSD"
@@ -1476,16 +1390,17 @@ mod tests {
 
     #[test]
     fn cps_cost_beats_mqe_on_average() {
-        let data = dataset(2000).distribute(3, 6, Placement::RoundRobin);
+        let splits = to_input_splits(&dataset(2000).distribute(3, 6, Placement::RoundRobin));
         let cluster = Cluster::new(3);
         let mssd = overlapping_mssd();
         let runs = 15;
         let mut cps_total = 0.0;
         let mut mqe_total = 0.0;
         for s in 0..runs {
-            let cps = mr_cps(&cluster, &data, &mssd, CpsConfig::mr_cps(), s).unwrap();
+            let cps =
+                try_mr_cps_on_splits(&cluster, &splits, &mssd, CpsConfig::mr_cps(), s).unwrap();
             cps_total += cps.cost;
-            let mqe = mr_mqe(&cluster, &data, mssd.queries(), s);
+            let mqe = try_mr_mqe_on_splits(&cluster, &splits, mssd.queries(), None, s).unwrap();
             mqe_total += mqe.answer.cost(mssd.costs());
         }
         assert!(
@@ -1497,11 +1412,11 @@ mod tests {
     #[test]
     fn lp_objective_bounds_realized_cost() {
         // C_LP ≤ C_IP ≤ C_A (§6.2.2)
-        let data = dataset(1500).distribute(2, 4, Placement::RoundRobin);
+        let splits = to_input_splits(&dataset(1500).distribute(2, 4, Placement::RoundRobin));
         let cluster = Cluster::new(2);
         let mssd = overlapping_mssd();
-        let lp = mr_cps(&cluster, &data, &mssd, CpsConfig::mr_cps(), 7).unwrap();
-        let ip = mr_cps(&cluster, &data, &mssd, CpsConfig::exact(), 7).unwrap();
+        let lp = try_mr_cps_on_splits(&cluster, &splits, &mssd, CpsConfig::mr_cps(), 7).unwrap();
+        let ip = try_mr_cps_on_splits(&cluster, &splits, &mssd, CpsConfig::exact(), 7).unwrap();
         assert!(
             lp.solver_objective <= ip.solver_objective + 1e-6,
             "C_LP {} > C_IP {}",
@@ -1518,10 +1433,10 @@ mod tests {
 
     #[test]
     fn exact_ip_has_no_residuals() {
-        let data = dataset(1500).distribute(2, 4, Placement::RoundRobin);
+        let splits = to_input_splits(&dataset(1500).distribute(2, 4, Placement::RoundRobin));
         let cluster = Cluster::new(2);
         let mssd = overlapping_mssd();
-        let run = mr_cps(&cluster, &data, &mssd, CpsConfig::exact(), 11).unwrap();
+        let run = try_mr_cps_on_splits(&cluster, &splits, &mssd, CpsConfig::exact(), 11).unwrap();
         assert_eq!(
             run.residual_selections, 0,
             "integral solutions need no residual phase"
@@ -1532,12 +1447,12 @@ mod tests {
 
     #[test]
     fn joint_and_blockwise_agree() {
-        let data = dataset(1200).distribute(2, 4, Placement::RoundRobin);
+        let splits = to_input_splits(&dataset(1200).distribute(2, 4, Placement::RoundRobin));
         let cluster = Cluster::new(2);
         let mssd = overlapping_mssd();
-        let block = mr_cps(
+        let block = try_mr_cps_on_splits(
             &cluster,
-            &data,
+            &splits,
             &mssd,
             CpsConfig {
                 joint_formulation: false,
@@ -1546,9 +1461,9 @@ mod tests {
             5,
         )
         .unwrap();
-        let joint = mr_cps(
+        let joint = try_mr_cps_on_splits(
             &cluster,
-            &data,
+            &splits,
             &mssd,
             CpsConfig {
                 joint_formulation: true,
@@ -1569,7 +1484,7 @@ mod tests {
 
     #[test]
     fn sharing_is_high_when_free_and_low_when_penalized() {
-        let data = dataset(2000).distribute(2, 4, Placement::RoundRobin);
+        let splits = to_input_splits(&dataset(2000).distribute(2, 4, Placement::RoundRobin));
         let cluster = Cluster::new(2);
         // two *identical* surveys → everything can be shared
         let q = SsdQuery::new(vec![StratumConstraint::new(Formula::lt(x(), 100), 20)]);
@@ -1577,7 +1492,7 @@ mod tests {
             vec![q.clone(), q.clone()],
             CostModel::paper_style(2, 4.0, &[], 0.0),
         );
-        let run = mr_cps(&cluster, &data, &free, CpsConfig::mr_cps(), 3).unwrap();
+        let run = try_mr_cps_on_splits(&cluster, &splits, &free, CpsConfig::mr_cps(), 3).unwrap();
         let hist = run.answer.sharing_histogram(2);
         assert_eq!(hist[1], 20, "all individuals should serve both surveys");
         assert!(
@@ -1591,7 +1506,8 @@ mod tests {
             vec![q.clone(), q],
             CostModel::paper_style(2, 4.0, &[(0, 1)], 100.0),
         );
-        let run2 = mr_cps(&cluster, &data, &penalized, CpsConfig::mr_cps(), 3).unwrap();
+        let run2 =
+            try_mr_cps_on_splits(&cluster, &splits, &penalized, CpsConfig::mr_cps(), 3).unwrap();
         let hist2 = run2.answer.sharing_histogram(2);
         assert_eq!(hist2[1], 0, "penalty should forbid sharing: {hist2:?}");
         assert!((run2.cost - 160.0).abs() < 1e-9);
@@ -1612,7 +1528,8 @@ mod tests {
         let tuples: Vec<Individual> = (0..200u64)
             .map(|i| Individual::new(i, vec![(i % 2) as i64, ((i / 2) % 2) as i64], 10))
             .collect();
-        let data = Dataset::new(schema, tuples).distribute(2, 4, Placement::RoundRobin);
+        let splits =
+            to_input_splits(&Dataset::new(schema, tuples).distribute(2, 4, Placement::RoundRobin));
         let cluster = Cluster::new(2);
         let men = SsdQuery::new(vec![StratumConstraint::new(Formula::eq(g, 0), 6)]);
         let singles = SsdQuery::new(vec![StratumConstraint::new(Formula::eq(st, 0), 12)]);
@@ -1622,7 +1539,8 @@ mod tests {
         let runs = 40;
         let mut single_men = 0usize;
         for s in 0..runs {
-            let run = mr_cps(&cluster, &data, &mssd, CpsConfig::mr_cps(), s).unwrap();
+            let run =
+                try_mr_cps_on_splits(&cluster, &splits, &mssd, CpsConfig::mr_cps(), s).unwrap();
             assert!(run.answer.satisfies(&mssd));
             single_men += run
                 .answer
@@ -1649,7 +1567,8 @@ mod tests {
             Individual::new(0, vec![0], 10),
             Individual::new(1, vec![0], 10),
         ];
-        let data = Dataset::new(schema, tuples).distribute(2, 2, Placement::RoundRobin);
+        let splits =
+            to_input_splits(&Dataset::new(schema, tuples).distribute(2, 2, Placement::RoundRobin));
         let cluster = Cluster::new(2);
         // three surveys, each sampling 1 individual from the one stratum
         let q = SsdQuery::new(vec![StratumConstraint::new(Formula::eq(x(), 0), 1)]);
@@ -1659,7 +1578,7 @@ mod tests {
         let costs = CostModel::paper_style(3, 4.0, &[(0, 1), (0, 2), (1, 2)], 2.0)
             .with_override(SurveySet::from_iter([0, 1, 2]), 10.0);
         let mssd = MssdQuery::new(vec![q.clone(), q.clone(), q], costs);
-        let run = mr_cps(&cluster, &data, &mssd, CpsConfig::mr_cps(), 3).unwrap();
+        let run = try_mr_cps_on_splits(&cluster, &splits, &mssd, CpsConfig::mr_cps(), 3).unwrap();
         assert!(
             (run.solver_objective - 9.0).abs() < 1e-6,
             "expected the fractional optimum 9, got {}",
@@ -1683,10 +1602,10 @@ mod tests {
     #[test]
     fn telemetry_covers_all_phases() {
         let registry = Registry::new();
-        let data = dataset(1500).distribute(3, 6, Placement::RoundRobin);
+        let splits = to_input_splits(&dataset(1500).distribute(3, 6, Placement::RoundRobin));
         let cluster = Cluster::new(3).with_telemetry(registry.clone());
         let mssd = overlapping_mssd();
-        let run = mr_cps(&cluster, &data, &mssd, CpsConfig::mr_cps(), 17).unwrap();
+        let run = try_mr_cps_on_splits(&cluster, &splits, &mssd, CpsConfig::mr_cps(), 17).unwrap();
 
         let snap = registry.snapshot();
         assert_eq!(snap.counter("cps.runs"), 1);
@@ -1742,10 +1661,10 @@ mod tests {
     #[test]
     fn exact_solver_emits_ip_counters() {
         let registry = Registry::new();
-        let data = dataset(1000).distribute(2, 4, Placement::RoundRobin);
+        let splits = to_input_splits(&dataset(1000).distribute(2, 4, Placement::RoundRobin));
         let cluster = Cluster::new(2).with_telemetry(registry.clone());
         let mssd = overlapping_mssd();
-        let run = mr_cps(&cluster, &data, &mssd, CpsConfig::exact(), 19).unwrap();
+        let run = try_mr_cps_on_splits(&cluster, &splits, &mssd, CpsConfig::exact(), 19).unwrap();
         let snap = registry.snapshot();
         assert_eq!(snap.counter("ip.solves"), run.relevant_selections as u64);
         assert!(snap.counter("ip.nodes") >= snap.counter("ip.solves"));
@@ -1755,21 +1674,21 @@ mod tests {
 
     #[test]
     fn deterministic_given_seed() {
-        let data = dataset(1000).distribute(2, 4, Placement::RoundRobin);
+        let splits = to_input_splits(&dataset(1000).distribute(2, 4, Placement::RoundRobin));
         let cluster = Cluster::new(2);
         let mssd = overlapping_mssd();
-        let a = mr_cps(&cluster, &data, &mssd, CpsConfig::mr_cps(), 9).unwrap();
-        let b = mr_cps(&cluster, &data, &mssd, CpsConfig::mr_cps(), 9).unwrap();
+        let a = try_mr_cps_on_splits(&cluster, &splits, &mssd, CpsConfig::mr_cps(), 9).unwrap();
+        let b = try_mr_cps_on_splits(&cluster, &splits, &mssd, CpsConfig::mr_cps(), 9).unwrap();
         assert_eq!(a.answer, b.answer);
         assert_eq!(a.cost, b.cost);
     }
 
     #[test]
     fn empty_mssd_yields_empty_answer() {
-        let data = dataset(100).distribute(2, 2, Placement::RoundRobin);
+        let splits = to_input_splits(&dataset(100).distribute(2, 2, Placement::RoundRobin));
         let cluster = Cluster::new(2);
         let mssd = MssdQuery::new(vec![], CostModel::indifferent(vec![]));
-        let run = mr_cps(&cluster, &data, &mssd, CpsConfig::mr_cps(), 1).unwrap();
+        let run = try_mr_cps_on_splits(&cluster, &splits, &mssd, CpsConfig::mr_cps(), 1).unwrap();
         assert!(run.answer.is_empty());
         assert_eq!(run.cost, 0.0);
         assert_eq!(run.relevant_selections, 0);
@@ -1777,15 +1696,16 @@ mod tests {
 
     #[test]
     fn explain_captures_sharing_and_cost_attribution() {
-        let data = dataset(2000).distribute(2, 4, Placement::RoundRobin);
+        let splits = to_input_splits(&dataset(2000).distribute(2, 4, Placement::RoundRobin));
         let cluster = Cluster::new(2);
         // two identical surveys with free sharing: every individual is
         // shared, so the graph has one fully-shared edge and the cost
         // splits evenly
         let q = SsdQuery::new(vec![StratumConstraint::new(Formula::lt(x(), 100), 20)]);
         let free = MssdQuery::new(vec![q.clone(), q], CostModel::paper_style(2, 4.0, &[], 0.0));
-        let (run, explain) =
-            mr_cps_explain(&cluster, &data, &free, CpsConfig::mr_cps(), 3).unwrap();
+        let run = try_mr_cps_on_splits(&cluster, &splits, &free, explained(CpsConfig::mr_cps()), 3)
+            .unwrap();
+        let explain = run.explain.as_ref().unwrap();
         assert_eq!(explain.sharing.len(), 1);
         let edge = &explain.sharing[0];
         assert_eq!(edge.surveys, (0, 1));
@@ -1808,13 +1728,16 @@ mod tests {
 
     #[test]
     fn explain_gap_is_zero_for_exact_and_nonnegative_for_lp() {
-        let data = dataset(1500).distribute(2, 4, Placement::RoundRobin);
+        let splits = to_input_splits(&dataset(1500).distribute(2, 4, Placement::RoundRobin));
         let cluster = Cluster::new(2);
         let mssd = overlapping_mssd();
-        let (_, lp) = mr_cps_explain(&cluster, &data, &mssd, CpsConfig::mr_cps(), 7).unwrap();
+        let explain =
+            |config| try_mr_cps_on_splits(&cluster, &splits, &mssd, explained(config), 7).unwrap();
+        let lp = explain(CpsConfig::mr_cps()).explain.unwrap();
         assert!(lp.optimality_gap() >= 0.0);
         assert!(lp.to_json().contains("\"solver\": \"lp\""));
-        let (run, ip) = mr_cps_explain(&cluster, &data, &mssd, CpsConfig::exact(), 7).unwrap();
+        let run = explain(CpsConfig::exact());
+        let ip = run.explain.as_ref().unwrap();
         assert_eq!(
             ip.optimality_gap(),
             0.0,
@@ -1841,14 +1764,16 @@ mod tests {
             Individual::new(0, vec![0], 10),
             Individual::new(1, vec![0], 10),
         ];
-        let data = Dataset::new(schema, tuples).distribute(2, 2, Placement::RoundRobin);
+        let splits =
+            to_input_splits(&Dataset::new(schema, tuples).distribute(2, 2, Placement::RoundRobin));
         let cluster = Cluster::new(2);
         let q = SsdQuery::new(vec![StratumConstraint::new(Formula::eq(x(), 0), 1)]);
         let costs = CostModel::paper_style(3, 4.0, &[(0, 1), (0, 2), (1, 2)], 2.0)
             .with_override(SurveySet::from_iter([0, 1, 2]), 10.0);
         let mssd = MssdQuery::new(vec![q.clone(), q.clone(), q], costs);
-        let (run, explain) =
-            mr_cps_explain(&cluster, &data, &mssd, CpsConfig::mr_cps(), 3).unwrap();
+        let run = try_mr_cps_on_splits(&cluster, &splits, &mssd, explained(CpsConfig::mr_cps()), 3)
+            .unwrap();
+        let explain = run.explain.as_ref().unwrap();
         assert!(!explain.residual_rounds.is_empty());
         let added: u64 = explain.residual_rounds.iter().map(|r| r.added).sum();
         assert_eq!(added as usize, run.residual_selections);
@@ -1874,22 +1799,24 @@ mod tests {
 
     #[test]
     fn explain_json_is_byte_deterministic() {
-        let data = dataset(1200).distribute(3, 6, Placement::RoundRobin);
+        let splits = to_input_splits(&dataset(1200).distribute(3, 6, Placement::RoundRobin));
         let cluster = Cluster::new(3);
         let mssd = overlapping_mssd();
-        let (_, a) = mr_cps_explain(&cluster, &data, &mssd, CpsConfig::mr_cps(), 21).unwrap();
-        let (_, b) = mr_cps_explain(&cluster, &data, &mssd, CpsConfig::mr_cps(), 21).unwrap();
+        let run = |config| try_mr_cps_on_splits(&cluster, &splits, &mssd, config, 21).unwrap();
+        let a = run(explained(CpsConfig::mr_cps())).explain.unwrap();
+        let b = run(explained(CpsConfig::mr_cps())).explain.unwrap();
         assert_eq!(a.to_json(), b.to_json(), "fixed seed → identical bytes");
         assert_eq!(a.render_text(), b.render_text());
         // capture must not perturb the pipeline itself
-        let plain = mr_cps(&cluster, &data, &mssd, CpsConfig::mr_cps(), 21).unwrap();
+        let plain = run(CpsConfig::mr_cps());
+        assert!(plain.explain.is_none());
         assert_eq!(plain.cost, a.realized_cost);
         // joint formulation collapses the programs into one
         let joint_cfg = CpsConfig {
             joint_formulation: true,
             ..CpsConfig::mr_cps()
         };
-        let (_, j) = mr_cps_explain(&cluster, &data, &mssd, joint_cfg, 21).unwrap();
+        let j = run(explained(joint_cfg)).explain.unwrap();
         assert_eq!(j.programs.len(), 1);
         assert_eq!(j.programs[0].selection, "joint");
         assert_eq!(j.programs[0].variables.len(), j.variables);
@@ -1897,10 +1824,10 @@ mod tests {
 
     #[test]
     fn phase_stats_are_labeled() {
-        let data = dataset(800).distribute(2, 4, Placement::RoundRobin);
+        let splits = to_input_splits(&dataset(800).distribute(2, 4, Placement::RoundRobin));
         let cluster = Cluster::new(2);
         let mssd = overlapping_mssd();
-        let run = mr_cps(&cluster, &data, &mssd, CpsConfig::mr_cps(), 2).unwrap();
+        let run = try_mr_cps_on_splits(&cluster, &splits, &mssd, CpsConfig::mr_cps(), 2).unwrap();
         let labels: Vec<&str> = run.phase_stats.iter().map(|(l, _)| l.as_str()).collect();
         assert!(labels.contains(&"initial MR-MQE"));
         assert!(labels.contains(&"selection limits"));

@@ -19,7 +19,7 @@
 //! use stratmr_population::{AttrDef, Dataset, Individual, Placement, Schema};
 //! use stratmr_query::{Formula, SsdQuery, StratumConstraint};
 //! use stratmr_mapreduce::Cluster;
-//! use stratmr_sampling::sqe::mr_sqe;
+//! use stratmr_sampling::{to_input_splits, try_mr_sqe_on_splits};
 //!
 //! let schema = Schema::new(vec![AttrDef::numeric("age", 0, 99)]);
 //! let age = schema.attr_id("age").unwrap();
@@ -27,13 +27,15 @@
 //!     .map(|i| Individual::new(i, vec![(i % 100) as i64], 100))
 //!     .collect();
 //! let data = Dataset::new(schema, tuples).distribute(4, 8, Placement::RoundRobin);
+//! let splits = to_input_splits(&data);
 //!
 //! let query = SsdQuery::new(vec![
 //!     StratumConstraint::new(Formula::lt(age, 30), 5),
 //!     StratumConstraint::new(Formula::ge(age, 30), 10),
 //! ]);
-//! let run = mr_sqe(&Cluster::new(4), &data, &query, 42);
+//! let run = try_mr_sqe_on_splits(&Cluster::new(4), &splits, &query, 42)?;
 //! assert!(run.answer.satisfies(&query));
+//! # Ok::<(), stratmr_mapreduce::JobError>(())
 //! ```
 
 #![warn(missing_docs)]
@@ -47,7 +49,6 @@ pub mod mqe;
 pub mod naive;
 mod obs;
 pub mod percent;
-pub mod predicate;
 pub mod reservoir;
 pub mod sequential;
 pub mod sqe;
@@ -59,22 +60,20 @@ pub mod unified;
 
 pub use audit::{summarize_mean, EstimateSummary, QualityReport, StratumTrail, BIAS_GATE_Z};
 pub use cps::{
-    mr_cps, mr_cps_explain, mr_cps_explain_on_splits, mr_cps_on_splits, try_mr_cps,
     try_mr_cps_on_splits, CpsConfig, CpsError, CpsRun, CpsTimings, PlanExplain, SolverKind,
 };
 pub use estimate::{srs_mean, stratified_mean, stratified_proportion, stratified_total, Estimate};
 pub use input::{to_input_splits, wire_bytes};
-pub use limits::{stratum_selection_limits, try_stratum_selection_limits};
-pub use mqe::{mr_mqe, mr_mqe_on_splits, try_mr_mqe_on_splits, MqeJob, MqeRun};
-pub use naive::{naive_sqe, naive_sqe_on_splits, NaiveSqeJob, SqeRun};
+pub use limits::try_stratum_selection_limits;
+pub use mqe::{try_mr_mqe_on_splits, MqeJob, MqeRun};
+pub use naive::{naive_sqe_on_splits, NaiveSqeJob, SqeRun};
 pub use percent::{
     mr_sqe_percent, resolve_percentages, PercentRun, PercentSsdQuery, PercentStratum,
 };
-pub use predicate::{predicate_sample, PredicateSample};
 pub use reservoir::{reservoir_sample, Reservoir, SkipReservoir, ZReservoir};
 pub use sequential::sequential_ssd;
-pub use sqe::{mr_sqe, mr_sqe_on_splits, try_mr_sqe_on_splits, SqeJob};
-pub use srs::{mr_srs, mr_srs_on_splits};
+pub use sqe::{try_mr_sqe_on_splits, SqeJob};
+pub use srs::mr_srs_on_splits;
 pub use sst::{Sst, StratumSelection};
 pub use stream::{merge_streams, StreamingSampler};
 pub use unified::{unified_sampler, IntermediateSample};

@@ -80,22 +80,8 @@ impl CombineJob for LimitsJob<'_> {
 }
 
 /// Compute `L(σ)` for every selection in `filter` (or all occurring
-/// selections when `filter` is `None`).
-pub fn stratum_selection_limits(
-    cluster: &Cluster,
-    splits: &[InputSplit<Individual>],
-    queries: &[SsdQuery],
-    filter: Option<&HashSet<StratumSelection>>,
-    seed: u64,
-) -> (HashMap<StratumSelection, u64>, JobStats) {
-    match try_stratum_selection_limits(cluster, splits, queries, filter, seed) {
-        Ok(out) => out,
-        Err(e) => panic!("mapreduce job failed: {e}"),
-    }
-}
-
-/// Fault-aware [`stratum_selection_limits`]: surfaces scheduling
-/// failures as [`JobError`] instead of panicking.
+/// selections when `filter` is `None`). Scheduling failures come back
+/// as [`JobError`].
 pub fn try_stratum_selection_limits(
     cluster: &Cluster,
     splits: &[InputSplit<Individual>],
@@ -141,7 +127,8 @@ mod tests {
     fn counts_match_ground_truth() {
         let (splits, queries) = setup();
         let cluster = Cluster::new(3);
-        let (limits, stats) = stratum_selection_limits(&cluster, &splits, &queries, None, 1);
+        let (limits, stats) =
+            try_stratum_selection_limits(&cluster, &splits, &queries, None, 1).unwrap();
         // three populated selections: (s0, s0) = x<20 → 20 tuples,
         // (s0, ·) = 20..49 → 30 tuples, (s1, ·) = 50..99 → 50 tuples.
         assert_eq!(limits.len(), 3);
@@ -160,7 +147,8 @@ mod tests {
         let cluster = Cluster::new(3);
         let want: HashSet<StratumSelection> =
             [StratumSelection::from_choices(&[Some(1), None])].into();
-        let (limits, stats) = stratum_selection_limits(&cluster, &splits, &queries, Some(&want), 1);
+        let (limits, stats) =
+            try_stratum_selection_limits(&cluster, &splits, &queries, Some(&want), 1).unwrap();
         assert_eq!(limits.len(), 1);
         assert_eq!(
             limits[&StratumSelection::from_choices(&[Some(1), None])],
@@ -174,7 +162,8 @@ mod tests {
     fn limits_sum_to_population_when_unfiltered() {
         let (splits, queries) = setup();
         let cluster = Cluster::new(2);
-        let (limits, _) = stratum_selection_limits(&cluster, &splits, &queries, None, 2);
+        let (limits, _) =
+            try_stratum_selection_limits(&cluster, &splits, &queries, None, 2).unwrap();
         let total: u64 = limits.values().sum();
         assert_eq!(total, 100);
     }

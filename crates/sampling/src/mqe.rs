@@ -16,7 +16,7 @@ use rand::SeedableRng;
 use rand_chacha::ChaCha8Rng;
 use std::collections::HashSet;
 use stratmr_mapreduce::{Cluster, CombineJob, Emitter, InputSplit, JobError, JobStats, TaskCtx};
-use stratmr_population::{DistributedDataset, Individual};
+use stratmr_population::Individual;
 use stratmr_query::{MssdAnswer, SsdAnswer, SsdQuery, StratumId, StratumMatcher};
 use stratmr_telemetry::Registry;
 
@@ -150,22 +150,7 @@ pub struct MqeRun {
 }
 
 /// Run MR-MQE on pre-built input splits, with optional per-query
-/// exclusion sets.
-pub fn mr_mqe_on_splits(
-    cluster: &Cluster,
-    splits: &[InputSplit<Individual>],
-    queries: &[SsdQuery],
-    exclusions: Option<&[HashSet<u64>]>,
-    seed: u64,
-) -> MqeRun {
-    match try_mr_mqe_on_splits(cluster, splits, queries, exclusions, seed) {
-        Ok(run) => run,
-        Err(e) => panic!("mapreduce job failed: {e}"),
-    }
-}
-
-/// Fault-aware [`mr_mqe_on_splits`]: surfaces scheduling failures as
-/// [`JobError`] instead of panicking.
+/// exclusion sets. Scheduling failures come back as [`JobError`].
 pub fn try_mr_mqe_on_splits(
     cluster: &Cluster,
     splits: &[InputSplit<Individual>],
@@ -193,26 +178,11 @@ pub fn try_mr_mqe_on_splits(
     })
 }
 
-/// Run MR-MQE over a distributed dataset.
-pub fn mr_mqe(
-    cluster: &Cluster,
-    data: &DistributedDataset,
-    queries: &[SsdQuery],
-    seed: u64,
-) -> MqeRun {
-    mr_mqe_on_splits(
-        cluster,
-        &crate::input::to_input_splits(data),
-        queries,
-        None,
-        seed,
-    )
-}
-
 #[cfg(test)]
 mod tests {
     use super::*;
-    use crate::sqe::mr_sqe;
+    use crate::input::to_input_splits;
+    use crate::sqe::try_mr_sqe_on_splits;
     use stratmr_population::{AttrDef, AttrId, Dataset, Placement, Schema};
     use stratmr_query::{Formula, StratumConstraint};
 
@@ -241,10 +211,10 @@ mod tests {
 
     #[test]
     fn every_query_is_satisfied() {
-        let data = dataset(2000).distribute(4, 8, Placement::RoundRobin);
+        let splits = to_input_splits(&dataset(2000).distribute(4, 8, Placement::RoundRobin));
         let cluster = Cluster::new(4);
         let qs = queries();
-        let run = mr_mqe(&cluster, &data, &qs, 5);
+        let run = try_mr_mqe_on_splits(&cluster, &splits, &qs, None, 5).unwrap();
         for (i, q) in qs.iter().enumerate() {
             assert!(run.answer.answer(i).satisfies(q), "query {i} unsatisfied");
         }
@@ -252,10 +222,10 @@ mod tests {
 
     #[test]
     fn single_pass_scans_data_once() {
-        let data = dataset(1000).distribute(2, 4, Placement::RoundRobin);
+        let splits = to_input_splits(&dataset(1000).distribute(2, 4, Placement::RoundRobin));
         let cluster = Cluster::new(2);
         let qs = queries();
-        let run = mr_mqe(&cluster, &data, &qs, 5);
+        let run = try_mr_mqe_on_splits(&cluster, &splits, &qs, None, 5).unwrap();
         // one scan: map input records equals the dataset size, even with
         // two queries (each tuple emits up to 2 pairs instead)
         assert_eq!(run.stats.map_input_records, 1000);
@@ -265,12 +235,12 @@ mod tests {
     #[test]
     fn equivalent_to_independent_sqe_runs_statistically() {
         // Same stratum constraint as a solo SQE run: answer sizes match.
-        let data = dataset(800).distribute(3, 6, Placement::RoundRobin);
+        let splits = to_input_splits(&dataset(800).distribute(3, 6, Placement::RoundRobin));
         let cluster = Cluster::new(3);
         let qs = queries();
-        let mqe = mr_mqe(&cluster, &data, &qs, 8);
+        let mqe = try_mr_mqe_on_splits(&cluster, &splits, &qs, None, 8).unwrap();
         for (i, q) in qs.iter().enumerate() {
-            let solo = mr_sqe(&cluster, &data, q, 8);
+            let solo = try_mr_sqe_on_splits(&cluster, &splits, q, 8).unwrap();
             for k in 0..q.len() {
                 assert_eq!(
                     mqe.answer.answer(i).stratum(k).len(),
@@ -284,10 +254,10 @@ mod tests {
     fn telemetry_counts_per_query_strata() {
         use stratmr_telemetry::Registry;
         let registry = Registry::new();
-        let data = dataset(1000).distribute(2, 4, Placement::RoundRobin);
+        let splits = to_input_splits(&dataset(1000).distribute(2, 4, Placement::RoundRobin));
         let cluster = Cluster::new(2).with_telemetry(registry.clone());
         let qs = queries();
-        let run = mr_mqe(&cluster, &data, &qs, 5);
+        let run = try_mr_mqe_on_splits(&cluster, &splits, &qs, None, 5).unwrap();
         let snap = registry.snapshot();
         let mut candidates_total = 0;
         for (i, q) in qs.iter().enumerate() {
@@ -318,8 +288,8 @@ mod tests {
         // exclude ids 0..80 for query 0 only
         let ex0: HashSet<u64> = (0..80).collect();
         let exclusions = vec![ex0.clone(), HashSet::new()];
-        let splits = crate::input::to_input_splits(&data);
-        let run = mr_mqe_on_splits(&cluster, &splits, &qs, Some(&exclusions), 3);
+        let splits = to_input_splits(&data);
+        let run = try_mr_mqe_on_splits(&cluster, &splits, &qs, Some(&exclusions), 3).unwrap();
         assert!(run.answer.answer(0).iter().all(|t| !ex0.contains(&t.id)));
         assert_eq!(run.answer.answer(0).len(), 10);
         assert_eq!(run.answer.answer(1).len(), 10);
@@ -330,7 +300,7 @@ mod tests {
         // MR-MQE selects independently per query: overlap happens only by
         // chance. With 10 of 100 eligible individuals per query, expected
         // overlap is ~1 individual.
-        let data = dataset(100).distribute(2, 4, Placement::RoundRobin);
+        let splits = to_input_splits(&dataset(100).distribute(2, 4, Placement::RoundRobin));
         let cluster = Cluster::new(2);
         let x = AttrId(0);
         let qs = vec![
@@ -340,7 +310,7 @@ mod tests {
         let mut shared_total = 0usize;
         let runs = 50;
         for s in 0..runs {
-            let run = mr_mqe(&cluster, &data, &qs, s);
+            let run = try_mr_mqe_on_splits(&cluster, &splits, &qs, None, s).unwrap();
             let hist = run.answer.sharing_histogram(2);
             shared_total += hist[1];
         }

@@ -10,8 +10,8 @@
 use crate::reservoir::reservoir_sample;
 use rand::SeedableRng;
 use rand_chacha::ChaCha8Rng;
-use stratmr_mapreduce::{Cluster, Emitter, InputSplit, Job, JobStats, TaskCtx};
-use stratmr_population::{DistributedDataset, Individual};
+use stratmr_mapreduce::{Cluster, Emitter, InputSplit, Job, JobError, JobStats, TaskCtx};
+use stratmr_population::Individual;
 use stratmr_query::{SsdAnswer, SsdQuery, StratumId};
 
 /// The Figure 1 job: `map(null, t) → [(s_k, t)]`,
@@ -70,32 +70,23 @@ pub fn naive_sqe_on_splits(
     splits: &[InputSplit<Individual>],
     query: &SsdQuery,
     seed: u64,
-) -> SqeRun {
+) -> Result<SqeRun, JobError> {
     let job = NaiveSqeJob::new(query);
-    let out = cluster.named_or("naive-sqe").run(&job, splits, seed);
+    let out = cluster.named_or("naive-sqe").try_run(&job, splits, seed)?;
     let mut answer = SsdAnswer::empty(query.len());
     for (k, sample) in out.results {
         *answer.stratum_mut(k) = sample;
     }
-    SqeRun {
+    Ok(SqeRun {
         answer,
         stats: out.stats,
-    }
-}
-
-/// Run the naive sampler over a distributed dataset.
-pub fn naive_sqe(
-    cluster: &Cluster,
-    data: &DistributedDataset,
-    query: &SsdQuery,
-    seed: u64,
-) -> SqeRun {
-    naive_sqe_on_splits(cluster, &crate::input::to_input_splits(data), query, seed)
+    })
 }
 
 #[cfg(test)]
 mod tests {
     use super::*;
+    use crate::input::to_input_splits;
     use stratmr_population::{AttrDef, AttrId, Dataset, Placement, Schema};
     use stratmr_query::{Formula, StratumConstraint};
 
@@ -117,10 +108,10 @@ mod tests {
 
     #[test]
     fn answer_satisfies_query() {
-        let data = dataset(1000).distribute(4, 8, Placement::RoundRobin);
+        let splits = to_input_splits(&dataset(1000).distribute(4, 8, Placement::RoundRobin));
         let cluster = Cluster::new(4);
         let q = two_strata_query();
-        let run = naive_sqe(&cluster, &data, &q, 42);
+        let run = naive_sqe_on_splits(&cluster, &splits, &q, 42).unwrap();
         assert!(run.answer.satisfies(&q));
         // everything matching a stratum was shuffled — the naive cost
         assert_eq!(run.stats.map_output_records, 1000);
@@ -128,38 +119,39 @@ mod tests {
 
     #[test]
     fn deficient_stratum_returns_everything_available() {
-        let data = dataset(20).distribute(2, 4, Placement::RoundRobin); // x = 0..19
+        // x = 0..19
+        let splits = to_input_splits(&dataset(20).distribute(2, 4, Placement::RoundRobin));
         let x = AttrId(0);
         let q = SsdQuery::new(vec![StratumConstraint::new(Formula::lt(x, 3), 10)]);
         let cluster = Cluster::new(2);
-        let run = naive_sqe(&cluster, &data, &q, 1);
+        let run = naive_sqe_on_splits(&cluster, &splits, &q, 1).unwrap();
         assert_eq!(run.answer.stratum(0).len(), 3);
         assert!(run.answer.satisfies_clamped(&q, Some(&[3])));
     }
 
     #[test]
     fn unmatched_strata_stay_empty() {
-        let data = dataset(100).distribute(2, 2, Placement::RoundRobin);
+        let splits = to_input_splits(&dataset(100).distribute(2, 2, Placement::RoundRobin));
         let x = AttrId(0);
         let q = SsdQuery::new(vec![
             StratumConstraint::new(Formula::lt(x, 50), 5),
             StratumConstraint::new(Formula::gt(x, 1000), 5), // matches nothing
         ]);
         let cluster = Cluster::new(2);
-        let run = naive_sqe(&cluster, &data, &q, 3);
+        let run = naive_sqe_on_splits(&cluster, &splits, &q, 3).unwrap();
         assert_eq!(run.answer.stratum(0).len(), 5);
         assert!(run.answer.stratum(1).is_empty());
     }
 
     #[test]
     fn deterministic_given_seed() {
-        let data = dataset(500).distribute(3, 6, Placement::RoundRobin);
+        let splits = to_input_splits(&dataset(500).distribute(3, 6, Placement::RoundRobin));
         let cluster = Cluster::new(3);
         let q = two_strata_query();
-        let a = naive_sqe(&cluster, &data, &q, 9);
-        let b = naive_sqe(&cluster, &data, &q, 9);
+        let a = naive_sqe_on_splits(&cluster, &splits, &q, 9).unwrap();
+        let b = naive_sqe_on_splits(&cluster, &splits, &q, 9).unwrap();
         assert_eq!(a.answer, b.answer);
-        let c = naive_sqe(&cluster, &data, &q, 10);
+        let c = naive_sqe_on_splits(&cluster, &splits, &q, 10).unwrap();
         assert_ne!(a.answer, c.answer);
     }
 }

@@ -30,7 +30,7 @@ fn push_bounded<T>(items: &mut Vec<T>, capacity: usize, item: T) {
 
 /// Algorithm R: a fixed-capacity uniform reservoir.
 ///
-/// Storage grows with the stream (see [`push_bounded`]), so a reservoir
+/// Storage grows with the stream (see `push_bounded`), so a reservoir
 /// holds `min(capacity, seen)` items; the same holds for the skip
 /// reservoirs.
 #[derive(Debug, Clone)]

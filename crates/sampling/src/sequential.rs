@@ -30,7 +30,7 @@ pub fn sequential_ssd<'a>(
 mod tests {
     use super::*;
     use crate::input::to_input_splits;
-    use crate::sqe::mr_sqe_on_splits;
+    use crate::sqe::try_mr_sqe_on_splits;
     use crate::stats::{chi2_critical_999, chi2_statistic};
     use stratmr_mapreduce::Cluster;
     use stratmr_population::{AttrDef, AttrId, Dataset, Placement, Schema};
@@ -98,7 +98,11 @@ mod tests {
             for t in sequential_ssd(data.tuples(), &q, s).stratum(0) {
                 seq_counts[t.id as usize] += 1;
             }
-            for t in mr_sqe_on_splits(&cluster, &splits, &q, s).answer.stratum(0) {
+            for t in try_mr_sqe_on_splits(&cluster, &splits, &q, s)
+                .unwrap()
+                .answer
+                .stratum(0)
+            {
                 mr_counts[t.id as usize] += 1;
             }
         }

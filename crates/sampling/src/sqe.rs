@@ -17,7 +17,7 @@ use crate::unified::{unified_sampler, IntermediateSample};
 use rand::SeedableRng;
 use rand_chacha::ChaCha8Rng;
 use stratmr_mapreduce::{Cluster, CombineJob, Emitter, InputSplit, JobError, TaskCtx};
-use stratmr_population::{DistributedDataset, Individual};
+use stratmr_population::Individual;
 use stratmr_query::{SsdAnswer, SsdQuery, StratumId, StratumMatcher};
 use stratmr_telemetry::Registry;
 
@@ -107,22 +107,9 @@ impl CombineJob for SqeJob<'_> {
     }
 }
 
-/// Run MR-SQE on pre-built input splits.
-pub fn mr_sqe_on_splits(
-    cluster: &Cluster,
-    splits: &[InputSplit<Individual>],
-    query: &SsdQuery,
-    seed: u64,
-) -> SqeRun {
-    match try_mr_sqe_on_splits(cluster, splits, query, seed) {
-        Ok(run) => run,
-        Err(e) => panic!("mapreduce job failed: {e}"),
-    }
-}
-
-/// Fault-aware [`mr_sqe_on_splits`]: surfaces scheduling failures (retry
-/// exhaustion, no healthy machines under a fault plan) as [`JobError`]
-/// instead of panicking.
+/// Run MR-SQE on pre-built input splits. Scheduling failures (retry
+/// exhaustion, no healthy machines under a fault plan) come back as
+/// [`JobError`].
 pub fn try_mr_sqe_on_splits(
     cluster: &Cluster,
     splits: &[InputSplit<Individual>],
@@ -146,15 +133,11 @@ pub fn try_mr_sqe_on_splits(
     })
 }
 
-/// Run MR-SQE over a distributed dataset.
-pub fn mr_sqe(cluster: &Cluster, data: &DistributedDataset, query: &SsdQuery, seed: u64) -> SqeRun {
-    mr_sqe_on_splits(cluster, &crate::input::to_input_splits(data), query, seed)
-}
-
 #[cfg(test)]
 mod tests {
     use super::*;
-    use crate::naive::naive_sqe;
+    use crate::input::to_input_splits;
+    use crate::naive::naive_sqe_on_splits;
     use crate::stats::{chi2_critical_999, chi2_uniform};
     use stratmr_population::{AttrDef, AttrId, Dataset, Placement, Schema};
     use stratmr_query::{Formula, StratumConstraint};
@@ -177,20 +160,20 @@ mod tests {
 
     #[test]
     fn answer_satisfies_query() {
-        let data = dataset(2000).distribute(5, 10, Placement::RoundRobin);
+        let splits = to_input_splits(&dataset(2000).distribute(5, 10, Placement::RoundRobin));
         let cluster = Cluster::new(5);
         let q = two_strata_query(10, 20);
-        let run = mr_sqe(&cluster, &data, &q, 11);
+        let run = try_mr_sqe_on_splits(&cluster, &splits, &q, 11).unwrap();
         assert!(run.answer.satisfies(&q));
     }
 
     #[test]
     fn combiner_cuts_shuffle_relative_to_naive() {
-        let data = dataset(5000).distribute(5, 20, Placement::RoundRobin);
+        let splits = to_input_splits(&dataset(5000).distribute(5, 20, Placement::RoundRobin));
         let cluster = Cluster::new(5);
         let q = two_strata_query(5, 5);
-        let naive = naive_sqe(&cluster, &data, &q, 11);
-        let sqe = mr_sqe(&cluster, &data, &q, 11);
+        let naive = naive_sqe_on_splits(&cluster, &splits, &q, 11).unwrap();
+        let sqe = try_mr_sqe_on_splits(&cluster, &splits, &q, 11).unwrap();
         assert_eq!(naive.answer.stratum(0).len(), sqe.answer.stratum(0).len());
         assert!(
             sqe.stats.shuffle_bytes * 10 < naive.stats.shuffle_bytes,
@@ -204,11 +187,12 @@ mod tests {
 
     #[test]
     fn deficient_stratum_collects_all() {
-        let data = dataset(30).distribute(3, 6, Placement::RoundRobin); // x = 0..29
+        // x = 0..29
+        let splits = to_input_splits(&dataset(30).distribute(3, 6, Placement::RoundRobin));
         let x = AttrId(0);
         let q = SsdQuery::new(vec![StratumConstraint::new(Formula::lt(x, 4), 50)]);
         let cluster = Cluster::new(3);
-        let run = mr_sqe(&cluster, &data, &q, 2);
+        let run = try_mr_sqe_on_splits(&cluster, &splits, &q, 2).unwrap();
         assert_eq!(run.answer.stratum(0).len(), 4);
     }
 
@@ -216,10 +200,10 @@ mod tests {
     /// combiner's reservoir grows with the matches it sees.
     #[test]
     fn huge_frequency_returns_every_match() {
-        let data = dataset(100).distribute(3, 6, Placement::RoundRobin);
+        let splits = to_input_splits(&dataset(100).distribute(3, 6, Placement::RoundRobin));
         let cluster = Cluster::new(3);
         let q = two_strata_query(100_000_000_000, usize::MAX);
-        let run = mr_sqe(&cluster, &data, &q, 5);
+        let run = try_mr_sqe_on_splits(&cluster, &splits, &q, 5).unwrap();
         assert_eq!(run.answer.stratum(0).len(), 50);
         assert_eq!(run.answer.stratum(1).len(), 50);
         assert!(run.answer.stratum(0).iter().all(|t| t.get(AttrId(0)) < 50));
@@ -227,12 +211,16 @@ mod tests {
 
     #[test]
     fn deterministic_given_seed() {
-        let data = dataset(500).distribute(2, 4, Placement::RoundRobin);
+        let splits = to_input_splits(&dataset(500).distribute(2, 4, Placement::RoundRobin));
         let cluster = Cluster::new(2);
         let q = two_strata_query(5, 5);
         assert_eq!(
-            mr_sqe(&cluster, &data, &q, 7).answer,
-            mr_sqe(&cluster, &data, &q, 7).answer
+            try_mr_sqe_on_splits(&cluster, &splits, &q, 7)
+                .unwrap()
+                .answer,
+            try_mr_sqe_on_splits(&cluster, &splits, &q, 7)
+                .unwrap()
+                .answer
         );
     }
 
@@ -249,13 +237,14 @@ mod tests {
         let tuples: Vec<Individual> = (0..24u64)
             .map(|i| Individual::new(i, vec![0], 10))
             .collect();
-        let data = Dataset::new(schema, tuples).distribute(2, 2, Placement::Contiguous);
+        let splits =
+            to_input_splits(&Dataset::new(schema, tuples).distribute(2, 2, Placement::Contiguous));
         let q = SsdQuery::new(vec![StratumConstraint::new(Formula::eq(x, 0), 2)]);
         let cluster = Cluster::new(2);
         let trials = 8_000usize;
         let mut counts = vec![0u64; 24];
         for s in 0..trials {
-            let run = mr_sqe(&cluster, &data, &q, s as u64);
+            let run = try_mr_sqe_on_splits(&cluster, &splits, &q, s as u64).unwrap();
             for t in run.answer.stratum(0) {
                 counts[t.id as usize] += 1;
             }
@@ -275,10 +264,10 @@ mod tests {
     fn telemetry_counts_candidates_and_samples() {
         use stratmr_telemetry::Registry;
         let registry = Registry::new();
-        let data = dataset(1000).distribute(3, 6, Placement::RoundRobin);
+        let splits = to_input_splits(&dataset(1000).distribute(3, 6, Placement::RoundRobin));
         let cluster = Cluster::new(3).with_telemetry(registry.clone());
         let q = two_strata_query(7, 9);
-        let run = mr_sqe(&cluster, &data, &q, 13);
+        let run = try_mr_sqe_on_splits(&cluster, &splits, &q, 13).unwrap();
         let snap = registry.snapshot();
         for k in 0..2 {
             let candidates = snap.counter(&format!("sqe.s{k}.candidates"));
@@ -331,7 +320,7 @@ mod tests {
             StratumConstraint::new(Formula::eq(x, 1), 6),
         ]);
         let cluster = Cluster::new(2);
-        let run = mr_sqe(&cluster, &data, &q, 3);
+        let run = try_mr_sqe_on_splits(&cluster, &to_input_splits(&data), &q, 3).unwrap();
         assert_eq!(run.answer.stratum(0).len(), 5);
         assert_eq!(run.answer.stratum(1).len(), 6);
         assert!(run.answer.satisfies(&q));

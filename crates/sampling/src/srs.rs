@@ -7,37 +7,28 @@
 //! Internally this *is* MR-SQE with a tautology stratum — one combiner
 //! reservoir per split, one unified-sampler merge.
 
-use crate::sqe::{mr_sqe_on_splits, SqeRun};
-use stratmr_mapreduce::{Cluster, InputSplit};
-use stratmr_population::{DistributedDataset, Individual};
+use crate::sqe::{try_mr_sqe_on_splits, SqeRun};
+use stratmr_mapreduce::{Cluster, InputSplit, JobError};
+use stratmr_population::Individual;
 use stratmr_query::{Formula, SsdQuery, StratumConstraint};
 
 /// Draw a uniform simple random sample of `n` individuals from the
-/// distributed dataset, in one MapReduce pass.
-pub fn mr_srs(
-    cluster: &Cluster,
-    data: &DistributedDataset,
-    n: usize,
-    seed: u64,
-) -> (Vec<Individual>, SqeRun) {
-    mr_srs_on_splits(cluster, &crate::input::to_input_splits(data), n, seed)
-}
-
-/// [`mr_srs`] on pre-built input splits.
+/// input splits, in one MapReduce pass.
 pub fn mr_srs_on_splits(
     cluster: &Cluster,
     splits: &[InputSplit<Individual>],
     n: usize,
     seed: u64,
-) -> (Vec<Individual>, SqeRun) {
+) -> Result<(Vec<Individual>, SqeRun), JobError> {
     let query = SsdQuery::new(vec![StratumConstraint::new(Formula::tautology(), n)]);
-    let run = mr_sqe_on_splits(&cluster.named_or("srs"), splits, &query, seed);
-    (run.answer.stratum(0).to_vec(), run)
+    let run = try_mr_sqe_on_splits(&cluster.named_or("srs"), splits, &query, seed)?;
+    Ok((run.answer.stratum(0).to_vec(), run))
 }
 
 #[cfg(test)]
 mod tests {
     use super::*;
+    use crate::input::to_input_splits;
     use crate::stats::{chi2_critical_999, chi2_uniform};
     use stratmr_population::{AttrDef, Dataset, Placement, Schema};
 
@@ -51,8 +42,8 @@ mod tests {
 
     #[test]
     fn exact_size_no_duplicates() {
-        let data = dataset(500).distribute(4, 8, Placement::RoundRobin);
-        let (sample, _) = mr_srs(&Cluster::new(4), &data, 50, 3);
+        let splits = to_input_splits(&dataset(500).distribute(4, 8, Placement::RoundRobin));
+        let (sample, _) = mr_srs_on_splits(&Cluster::new(4), &splits, 50, 3).unwrap();
         assert_eq!(sample.len(), 50);
         let mut ids: Vec<u64> = sample.iter().map(|t| t.id).collect();
         ids.sort_unstable();
@@ -62,20 +53,20 @@ mod tests {
 
     #[test]
     fn oversampling_returns_whole_population() {
-        let data = dataset(30).distribute(2, 4, Placement::RoundRobin);
-        let (sample, _) = mr_srs(&Cluster::new(2), &data, 100, 1);
+        let splits = to_input_splits(&dataset(30).distribute(2, 4, Placement::RoundRobin));
+        let (sample, _) = mr_srs_on_splits(&Cluster::new(2), &splits, 100, 1).unwrap();
         assert_eq!(sample.len(), 30);
     }
 
     #[test]
     fn srs_is_uniform_across_machines() {
         // even with contiguous (non-random) placement
-        let data = dataset(40).distribute(4, 4, Placement::Contiguous);
+        let splits = to_input_splits(&dataset(40).distribute(4, 4, Placement::Contiguous));
         let cluster = Cluster::new(4);
         let trials = 8000;
         let mut counts = vec![0u64; 40];
         for s in 0..trials {
-            let (sample, _) = mr_srs(&cluster, &data, 4, s);
+            let (sample, _) = mr_srs_on_splits(&cluster, &splits, 4, s).unwrap();
             for t in sample {
                 counts[t.id as usize] += 1;
             }

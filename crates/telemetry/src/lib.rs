@@ -614,7 +614,7 @@ fn write_map<'a, V: 'a>(
     for (key, value) in entries {
         out.push_str(if first { "\n" } else { ",\n" });
         first = false;
-        let _ = write!(out, "    {key:?}: ");
+        let _ = write!(out, "    \"{}\": ", escape_json(key));
         write_value(out, value);
     }
     out.push_str("\n  }");
@@ -634,7 +634,7 @@ fn write_map_indented<'a, V: 'a>(
     for (key, value) in entries {
         out.push_str(if first { "\n" } else { ",\n" });
         first = false;
-        let _ = write!(out, "{indent}{key:?}: ");
+        let _ = write!(out, "{indent}\"{}\": ", escape_json(key));
         write_value(out, value);
     }
     let closing_indent = &indent[..indent.len().saturating_sub(2)];
@@ -644,13 +644,35 @@ fn write_map_indented<'a, V: 'a>(
 /// Write a float with exactly six fractional digits (or `null` for
 /// non-finite values). Fixed precision keeps exports line-diffable:
 /// equal values always render to identical bytes, and a value that
-/// moves changes exactly one line.
-fn write_json_f64(out: &mut String, v: f64) {
+/// moves changes exactly one line. Every deterministic JSON export in
+/// the workspace writes its floats through this function.
+pub fn write_json_f64(out: &mut String, v: f64) {
     if v.is_finite() {
         let _ = write!(out, "{v:.6}");
     } else {
         out.push_str("null");
     }
+}
+
+/// Escape a string for embedding between the quotes of a JSON string
+/// literal: quotes, backslashes and control characters are escaped,
+/// everything else (including non-ASCII) is written as is.
+pub fn escape_json(s: &str) -> String {
+    let mut out = String::with_capacity(s.len());
+    for c in s.chars() {
+        match c {
+            '"' => out.push_str("\\\""),
+            '\\' => out.push_str("\\\\"),
+            '\n' => out.push_str("\\n"),
+            '\t' => out.push_str("\\t"),
+            '\r' => out.push_str("\\r"),
+            c if (c as u32) < 0x20 => {
+                let _ = write!(out, "\\u{:04x}", c as u32);
+            }
+            c => out.push(c),
+        }
+    }
+    out
 }
 
 #[cfg(test)]

@@ -30,6 +30,7 @@
 //! simulated machine as a thread track, with a `driver` row carrying the
 //! per-job setup overhead. The clock is simulated microseconds.
 
+use crate::escape_json;
 use std::fmt::Write as _;
 use std::sync::{Arc, Mutex};
 
@@ -241,8 +242,8 @@ impl TraceSink {
                 &mut out,
                 &format!(
                     "{{\"ph\": \"M\", \"pid\": {pid}, \"name\": \"process_name\", \
-                     \"args\": {{\"name\": {:?}}}}}",
-                    format!("#{pid} {}", job.name)
+                     \"args\": {{\"name\": \"#{pid} {}\"}}}}",
+                    escape_json(&job.name)
                 ),
                 &mut first,
             );
@@ -292,9 +293,10 @@ impl TraceSink {
                 };
                 let _ = write!(
                     line,
-                    "{{\"ph\": \"X\", \"pid\": {pid}, \"tid\": {}, \"name\": {name:?}, \
+                    "{{\"ph\": \"X\", \"pid\": {pid}, \"tid\": {}, \"name\": \"{}\", \
                      \"cat\": \"{}\", \"ts\": ",
                     e.machine,
+                    escape_json(&name),
                     e.phase.as_str(),
                 );
                 write_us(&mut line, job.start_us + e.start_us);

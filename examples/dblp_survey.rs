@@ -11,10 +11,11 @@ use stratmr::mapreduce::Cluster;
 use stratmr::population::dblp::{DblpConfig, DblpGenerator};
 use stratmr::population::Placement;
 use stratmr::query::{GroupSpec, QueryGenerator};
-use stratmr::sampling::cps::{mr_cps, CpsConfig};
-use stratmr::sampling::mqe::mr_mqe;
+use stratmr::sampling::cps::{try_mr_cps_on_splits, CpsConfig};
+use stratmr::sampling::mqe::try_mr_mqe_on_splits;
+use stratmr::sampling::to_input_splits;
 
-fn main() {
+fn main() -> Result<(), Box<dyn std::error::Error>> {
     let group = match std::env::args().nth(1).as_deref() {
         None | Some("small") => GroupSpec::SMALL,
         Some("medium") => GroupSpec::MEDIUM,
@@ -37,7 +38,7 @@ fn main() {
 
     let generator = DblpGenerator::new(DblpConfig::default());
     let population = generator.generate(population_size, 2024);
-    let distributed = population.distribute(10, 40, Placement::RoundRobin);
+    let splits = to_input_splits(&population.distribute(10, 40, Placement::RoundRobin));
     let cluster = Cluster::new(10);
 
     let qgen = QueryGenerator::new(DblpGenerator::schema());
@@ -45,7 +46,7 @@ fn main() {
     let mssd = qgen.generate_paper_group_on(&group, sample_size, population.tuples(), 77);
 
     // --- cost-oblivious benchmark -------------------------------------
-    let mqe = mr_mqe(&cluster, &distributed, mssd.queries(), 1);
+    let mqe = try_mr_mqe_on_splits(&cluster, &splits, mssd.queries(), None, 1)?;
     let mqe_cost = mqe.answer.cost(mssd.costs());
     println!("\nMR-MQE:");
     println!("  total selections : {}", mqe.answer.total_selections());
@@ -57,8 +58,7 @@ fn main() {
     );
 
     // --- cost-aware MR-CPS ---------------------------------------------
-    let cps =
-        mr_cps(&cluster, &distributed, &mssd, CpsConfig::mr_cps(), 1).expect("solvable program");
+    let cps = try_mr_cps_on_splits(&cluster, &splits, &mssd, CpsConfig::mr_cps(), 1)?;
     println!("\nMR-CPS:");
     println!("  total selections : {}", cps.answer.total_selections());
     println!("  unique individuals: {}", cps.answer.unique_individuals());
@@ -120,4 +120,5 @@ fn main() {
             true
         }
     );
+    Ok(())
 }

@@ -17,10 +17,11 @@ use rand_chacha::ChaCha8Rng;
 use stratmr::mapreduce::Cluster;
 use stratmr::population::{AttrDef, Dataset, Individual, Placement, Schema};
 use stratmr::query::{CostModel, Formula, MssdQuery, SharingBase, SsdQuery, StratumConstraint};
-use stratmr::sampling::cps::{mr_cps, CpsConfig};
-use stratmr::sampling::mqe::mr_mqe;
+use stratmr::sampling::cps::{try_mr_cps_on_splits, CpsConfig};
+use stratmr::sampling::mqe::try_mr_mqe_on_splits;
+use stratmr::sampling::to_input_splits;
 
-fn main() {
+fn main() -> Result<(), Box<dyn std::error::Error>> {
     // A population with gender, marital status and income.
     let schema = Schema::new(vec![
         AttrDef::categorical("gender", &["male", "female"]),
@@ -37,7 +38,7 @@ fn main() {
         })
         .collect();
     let population = Dataset::new(schema.clone(), tuples);
-    let distributed = population.distribute(5, 10, Placement::RoundRobin);
+    let splits = to_input_splits(&population.distribute(5, 10, Placement::RoundRobin));
     let cluster = Cluster::new(5);
 
     let gender = schema.attr_id("gender").unwrap();
@@ -59,7 +60,7 @@ fn main() {
     println!("survey A: 50 men — survey B: 100 singles — $1 anonymization each\n");
 
     // Cost-oblivious baseline: independent samples (MR-MQE).
-    let mqe = mr_mqe(&cluster, &distributed, mssd.queries(), 7);
+    let mqe = try_mr_mqe_on_splits(&cluster, &splits, mssd.queries(), None, 7)?;
     let mqe_cost = mqe.answer.cost(mssd.costs());
     println!(
         "MR-MQE (no sharing optimization): {} unique individuals, ${:.0}",
@@ -68,8 +69,7 @@ fn main() {
     );
 
     // Cost-aware MR-CPS.
-    let cps = mr_cps(&cluster, &distributed, &mssd, CpsConfig::mr_cps(), 7)
-        .expect("constraint program should be solvable");
+    let cps = try_mr_cps_on_splits(&cluster, &splits, &mssd, CpsConfig::mr_cps(), 7)?;
     println!(
         "MR-CPS (optimal sharing)        : {} unique individuals, ${:.0}",
         cps.answer.unique_individuals(),
@@ -115,12 +115,13 @@ fn main() {
     )]);
     let costs = CostModel::new(vec![20.0, 4.0], SharingBase::Max);
     let mssd2 = MssdQuery::new(vec![face_to_face, telephone], costs);
-    let run2 = mr_cps(&cluster, &distributed, &mssd2, CpsConfig::mr_cps(), 9).unwrap();
-    let baseline2 = mr_mqe(&cluster, &distributed, mssd2.queries(), 9)
+    let run2 = try_mr_cps_on_splits(&cluster, &splits, &mssd2, CpsConfig::mr_cps(), 9)?;
+    let baseline2 = try_mr_mqe_on_splits(&cluster, &splits, mssd2.queries(), None, 9)?
         .answer
         .cost(mssd2.costs());
     println!(
         "MR-CPS ${:.0} vs MR-MQE ${:.0} — a shared individual costs max($20, $4) = $20",
         run2.cost, baseline2
     );
+    Ok(())
 }

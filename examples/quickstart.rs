@@ -9,9 +9,10 @@ use stratmr::mapreduce::Cluster;
 use stratmr::population::dblp::{DblpConfig, DblpGenerator};
 use stratmr::population::Placement;
 use stratmr::query::{Formula, SsdQuery, StratumConstraint};
-use stratmr::sampling::sqe::mr_sqe;
+use stratmr::sampling::sqe::try_mr_sqe_on_splits;
+use stratmr::sampling::to_input_splits;
 
-fn main() {
+fn main() -> Result<(), Box<dyn std::error::Error>> {
     // 1. A population of 50k synthetic DBLP authors (Table 1 attributes).
     let generator = DblpGenerator::new(DblpConfig::default());
     let population = generator.generate(50_000, 42);
@@ -23,7 +24,7 @@ fn main() {
     );
 
     // 2. Distribute onto 10 machines as 40 input splits.
-    let distributed = population.distribute(10, 40, Placement::RoundRobin);
+    let splits = to_input_splits(&population.distribute(10, 40, Placement::RoundRobin));
 
     // 3. A stratified sample design: survey career stages separately.
     //    Veterans (first publication before 1990) are rare; stratifying
@@ -45,7 +46,7 @@ fn main() {
 
     // 4. Run MR-SQE.
     let cluster = Cluster::new(10);
-    let run = mr_sqe(&cluster, &distributed, &query, 7);
+    let run = try_mr_sqe_on_splits(&cluster, &splits, &query, 7)?;
 
     println!("\nsample ({} individuals):", run.answer.len());
     for (k, _) in query.constraints().iter().enumerate() {
@@ -79,4 +80,5 @@ fn main() {
         run.stats.sim.makespan_secs(),
         cluster.machines()
     );
+    Ok(())
 }

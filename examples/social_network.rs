@@ -11,10 +11,11 @@ use stratmr::population::graph::SocialGraph;
 use stratmr::population::Placement;
 use stratmr::query::{design_ssd, Allocation, Formula};
 use stratmr::sampling::estimate::{srs_mean, stratified_mean};
-use stratmr::sampling::sqe::mr_sqe;
-use stratmr::sampling::srs::mr_srs;
+use stratmr::sampling::sqe::try_mr_sqe_on_splits;
+use stratmr::sampling::srs::mr_srs_on_splits;
+use stratmr::sampling::to_input_splits;
 
-fn main() {
+fn main() -> Result<(), Box<dyn std::error::Error>> {
     // a 100k-member social network with preferential attachment
     let graph = SocialGraph::generate_ba(100_000, 5, 2024);
     let population = graph.to_population(100_000);
@@ -55,9 +56,9 @@ fn main() {
         println!("  {:<22} {:>5}", names[k], s.frequency);
     }
 
-    let dist = population.distribute(10, 40, Placement::RoundRobin);
+    let splits = to_input_splits(&population.distribute(10, 40, Placement::RoundRobin));
     let cluster = Cluster::new(10);
-    let run = mr_sqe(&cluster, &dist, &query, 7);
+    let run = try_mr_sqe_on_splits(&cluster, &splits, &query, 7)?;
     assert!(run.answer.satisfies(&query));
 
     let stratum_sizes: Vec<usize> = query
@@ -75,7 +76,7 @@ fn main() {
 
     // same budget, simple random sample — noisier on this heavy-tailed
     // attribute (the Example 1 phenomenon)
-    let (srs_sample, _) = mr_srs(&cluster, &dist, 400, 7);
+    let (srs_sample, _) = mr_srs_on_splits(&cluster, &splits, 400, 7)?;
     let srs_est = srs_mean(&srs_sample, population.len(), degree);
     println!(
         "simple-random estimate          : {:.2} ± {:.2}",
@@ -87,4 +88,5 @@ fn main() {
          buys the same precision with a far smaller survey",
         (srs_est.std_error / strat_est.std_error).powi(2)
     );
+    Ok(())
 }

@@ -32,9 +32,9 @@ use stratmr_population::{Dataset, Placement, Schema};
 use stratmr_query::{
     parse_formula, CostModel, MssdQuery, SharingBase, SsdAnswer, SsdQuery, StratumConstraint,
 };
-use stratmr_sampling::cps::{mr_cps_on_splits, CpsConfig};
-use stratmr_sampling::mqe::mr_mqe_on_splits;
-use stratmr_sampling::sqe::mr_sqe_on_splits;
+use stratmr_sampling::cps::{try_mr_cps_on_splits, CpsConfig};
+use stratmr_sampling::mqe::try_mr_mqe_on_splits;
+use stratmr_sampling::sqe::try_mr_sqe_on_splits;
 use stratmr_sampling::to_input_splits;
 
 /// A parsed CLI invocation.
@@ -326,7 +326,7 @@ pub fn run(command: Command) -> Result<(), Box<dyn Error>> {
             let query = build_ssd(&spec, &schema)?;
             let dist = pop.distribute(machines, machines * 4, Placement::RoundRobin);
             let splits = to_input_splits(&dist);
-            let run = mr_sqe_on_splits(&Cluster::new(machines), &splits, &query, seed);
+            let run = try_mr_sqe_on_splits(&Cluster::new(machines), &splits, &query, seed)?;
             for (k, s) in query.constraints().iter().enumerate() {
                 println!(
                     "stratum {k}: {} of {} requested — {}",
@@ -415,15 +415,15 @@ pub fn run(command: Command) -> Result<(), Box<dyn Error>> {
             let splits = to_input_splits(&dist);
             let cluster = Cluster::new(machines);
             let answer = if optimize {
-                let run = mr_cps_on_splits(&cluster, &splits, &mssd, CpsConfig::mr_cps(), seed)
-                    .map_err(|e| format!("constraint program failed: {e}"))?;
+                let run =
+                    try_mr_cps_on_splits(&cluster, &splits, &mssd, CpsConfig::mr_cps(), seed)?;
                 println!(
                     "MR-CPS: cost ${:.2} (program objective ${:.2}, {} residual top-ups)",
                     run.cost, run.solver_objective, run.residual_selections
                 );
                 run.answer
             } else {
-                let run = mr_mqe_on_splits(&cluster, &splits, mssd.queries(), None, seed);
+                let run = try_mr_mqe_on_splits(&cluster, &splits, mssd.queries(), None, seed)?;
                 println!(
                     "MR-MQE: cost ${:.2} (no sharing optimization)",
                     run.answer.cost(mssd.costs())

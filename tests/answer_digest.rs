@@ -12,7 +12,7 @@ use stratmr::population::dblp::{DblpConfig, DblpGenerator};
 use stratmr::population::{Individual, Placement};
 use stratmr::query::{GroupSpec, MssdAnswer, MssdQuery, QueryGenerator, SsdAnswer};
 use stratmr::sampling::{
-    mr_cps_on_splits, mr_mqe_on_splits, mr_sqe_on_splits, to_input_splits, CpsConfig,
+    to_input_splits, try_mr_cps_on_splits, try_mr_mqe_on_splits, try_mr_sqe_on_splits, CpsConfig,
 };
 
 const SEEDS: [u64; 3] = [11, 12, 13];
@@ -72,7 +72,7 @@ fn sampling_answers_match_their_pinned_digests() {
     let mut sqe = Digest::new();
     for &seed in &SEEDS {
         for q in large.queries() {
-            let run = mr_sqe_on_splits(&cluster, &splits, q, seed);
+            let run = try_mr_sqe_on_splits(&cluster, &splits, q, seed).unwrap();
             sqe.ssd(&run.answer);
             sqe.stats(&run.stats);
         }
@@ -81,11 +81,11 @@ fn sampling_answers_match_their_pinned_digests() {
     let mut mqe = Digest::new();
     let mut cps = Digest::new();
     for &seed in &SEEDS {
-        let run = mr_mqe_on_splits(&cluster, &splits, medium.queries(), None, seed);
+        let run = try_mr_mqe_on_splits(&cluster, &splits, medium.queries(), None, seed).unwrap();
         mqe.mssd(&run.answer);
         mqe.stats(&run.stats);
 
-        let run = mr_cps_on_splits(&cluster, &splits, &medium, CpsConfig::mr_cps(), seed)
+        let run = try_mr_cps_on_splits(&cluster, &splits, &medium, CpsConfig::mr_cps(), seed)
             .expect("the Medium group is solvable");
         cps.mssd(&run.answer);
         for (_, stats) in &run.phase_stats {

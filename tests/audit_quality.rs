@@ -9,8 +9,9 @@ use proptest::prelude::*;
 use stratmr::mapreduce::{Cluster, Registry};
 use stratmr::population::{AttrDef, AttrId, Dataset, Individual, Placement, Schema};
 use stratmr::query::{Formula, SsdQuery, StratumConstraint};
-use stratmr::sampling::cps::{mr_cps, CpsConfig};
-use stratmr::sampling::sqe::mr_sqe;
+use stratmr::sampling::cps::{try_mr_cps_on_splits, CpsConfig};
+use stratmr::sampling::sqe::try_mr_sqe_on_splits;
+use stratmr::sampling::to_input_splits;
 use stratmr::sampling::{QualityReport, BIAS_GATE_Z};
 
 fn schema() -> Schema {
@@ -49,10 +50,10 @@ fn audited_sqe(
     placement: Placement,
     seed: u64,
 ) -> QualityReport {
-    let dist = data.distribute(machines, splits, placement);
+    let splits = to_input_splits(&data.distribute(machines, splits, placement));
     let registry = Registry::new();
     let cluster = Cluster::new(machines).with_telemetry(registry.clone());
-    mr_sqe(&cluster, &dist, query, seed);
+    try_mr_sqe_on_splits(&cluster, &splits, query, seed).unwrap();
     QualityReport::from_snapshot(&registry.snapshot())
 }
 
@@ -92,12 +93,12 @@ proptest! {
 fn realized_f_passes_the_binomial_bound_over_250_seeds() {
     let values: Vec<i64> = (0..400).map(|i| i % 100).collect();
     let data = population(&values);
-    let dist = data.distribute(4, 8, Placement::RoundRobin);
+    let splits = to_input_splits(&data.distribute(4, 8, Placement::RoundRobin));
     let query = banded_query([20, 35, 10]);
     for seed in 0..250u64 {
         let registry = Registry::new();
         let cluster = Cluster::new(4).with_telemetry(registry.clone());
-        mr_sqe(&cluster, &dist, &query, seed);
+        try_mr_sqe_on_splits(&cluster, &splits, &query, seed).unwrap();
         let report = QualityReport::from_snapshot(&registry.snapshot());
         assert_eq!(report.trails.len(), 3, "seed {seed}");
         assert!(
@@ -113,25 +114,28 @@ fn realized_f_passes_the_binomial_bound_over_250_seeds() {
 fn cps_audit_ledger_stays_within_bound_and_reports_no_negative_gap() {
     use stratmr::query::{CostModel, MssdQuery};
     let values: Vec<i64> = (0..300).map(|i| (i * 7) % 100).collect();
-    let data = population(&values);
-    let dist = data.distribute(3, 6, Placement::RoundRobin);
+    let splits = to_input_splits(&population(&values).distribute(3, 6, Placement::RoundRobin));
     let queries = MssdQuery::new(
         vec![banded_query([8, 6, 4]), banded_query([5, 10, 3])],
         CostModel::paper_style(2, 4.0, &[], 0.0),
     );
+    let explained = |solver| CpsConfig {
+        explain: true,
+        ..solver
+    };
     for seed in 0..25u64 {
         let registry = Registry::new();
         let cluster = Cluster::new(3).with_telemetry(registry.clone());
-        let (run, plan) = stratmr::sampling::cps::mr_cps_explain(
+        let run = try_mr_cps_on_splits(
             &cluster,
-            &dist,
+            &splits,
             &queries,
-            CpsConfig::mr_cps(),
+            explained(CpsConfig::mr_cps()),
             seed,
         )
         .expect("solvable");
         assert!(run.answer.satisfies(&queries), "seed {seed}");
-        assert!(plan.optimality_gap() >= 0.0, "seed {seed}");
+        assert!(run.explain.unwrap().optimality_gap() >= 0.0, "seed {seed}");
         let report = QualityReport::from_snapshot(&registry.snapshot());
         assert!(!report.trails.is_empty(), "seed {seed}");
         assert!(
@@ -143,12 +147,17 @@ fn cps_audit_ledger_stays_within_bound_and_reports_no_negative_gap() {
     // the exact IP configuration reports a gap of exactly zero
     let registry = Registry::new();
     let cluster = Cluster::new(3).with_telemetry(registry.clone());
-    let (_, plan) =
-        stratmr::sampling::cps::mr_cps_explain(&cluster, &dist, &queries, CpsConfig::exact(), 1)
-            .expect("solvable");
-    assert_eq!(plan.optimality_gap(), 0.0);
-    // and the plain (non-explain) entry point is unperturbed by capture
-    let plain =
-        mr_cps(&Cluster::new(3), &dist, &queries, CpsConfig::mr_cps(), 1).expect("solvable");
+    let run = try_mr_cps_on_splits(
+        &cluster,
+        &splits,
+        &queries,
+        explained(CpsConfig::exact()),
+        1,
+    )
+    .expect("solvable");
+    assert_eq!(run.explain.unwrap().optimality_gap(), 0.0);
+    // and a run without capture is unperturbed by it
+    let plain = try_mr_cps_on_splits(&Cluster::new(3), &splits, &queries, CpsConfig::mr_cps(), 1)
+        .expect("solvable");
     assert!(plain.answer.satisfies(&queries));
 }

@@ -9,11 +9,12 @@ use rand_chacha::ChaCha8Rng;
 use stratmr::mapreduce::Cluster;
 use stratmr::population::{AttrDef, AttrId, Dataset, Individual, Placement, Schema};
 use stratmr::query::{Formula, SsdQuery, StratumConstraint};
-use stratmr::sampling::naive::naive_sqe;
-use stratmr::sampling::sqe::mr_sqe;
+use stratmr::sampling::naive::naive_sqe_on_splits;
+use stratmr::sampling::sqe::try_mr_sqe_on_splits;
 use stratmr::sampling::stats::{
     binomial_within_bound, chi2_critical_999, chi2_gof_ok, chi2_uniform, hypergeometric_pmf,
 };
+use stratmr::sampling::to_input_splits;
 
 fn skewed_population(n: usize) -> (Dataset, AttrId) {
     // attribute encodes a "region": values sorted, so SortedBy placement
@@ -30,7 +31,7 @@ fn skewed_population(n: usize) -> (Dataset, AttrId) {
 #[test]
 fn mr_sqe_is_unbiased_under_geographic_skew() {
     let (data, region) = skewed_population(120);
-    let dist = data.distribute(4, 4, Placement::SortedBy(region));
+    let splits = to_input_splits(&data.distribute(4, 4, Placement::SortedBy(region)));
     // one stratum covering regions 0..5 (placed on ~2 machines only)
     let q = SsdQuery::new(vec![StratumConstraint::new(Formula::lt(region, 5), 3)]);
     let cluster = Cluster::new(4);
@@ -44,7 +45,7 @@ fn mr_sqe_is_unbiased_under_geographic_skew() {
     let mut counts = vec![0u64; eligible.len()];
     let trials = 6000;
     for s in 0..trials {
-        let run = mr_sqe(&cluster, &dist, &q, s);
+        let run = try_mr_sqe_on_splits(&cluster, &splits, &q, s).unwrap();
         assert_eq!(run.answer.stratum(0).len(), 3);
         for t in run.answer.stratum(0) {
             let pos = eligible.iter().position(|&id| id == t.id).unwrap();
@@ -62,7 +63,7 @@ fn naive_mapreduce_sampler_is_also_unbiased() {
     // is slow but NOT biased — the bias danger is in local sub-sampling
     // without size adjustment, which MR-SQE's combiner design avoids.
     let (data, region) = skewed_population(60);
-    let dist = data.distribute(3, 3, Placement::SortedBy(region));
+    let splits = to_input_splits(&data.distribute(3, 3, Placement::SortedBy(region)));
     let q = SsdQuery::new(vec![StratumConstraint::new(Formula::lt(region, 6), 2)]);
     let cluster = Cluster::new(3);
     let eligible: Vec<u64> = data
@@ -74,7 +75,7 @@ fn naive_mapreduce_sampler_is_also_unbiased() {
     let mut counts = vec![0u64; eligible.len()];
     let trials = 6000;
     for s in 0..trials {
-        let run = naive_sqe(&cluster, &dist, &q, s);
+        let run = naive_sqe_on_splits(&cluster, &splits, &q, s).unwrap();
         for t in run.answer.stratum(0) {
             let pos = eligible.iter().position(|&id| id == t.id).unwrap();
             counts[pos] += 1;
@@ -95,7 +96,7 @@ fn naive_mapreduce_sampler_is_also_unbiased() {
 #[test]
 fn per_stratum_inclusion_frequencies_are_unbiased() {
     let (data, region) = skewed_population(120);
-    let dist = data.distribute(4, 6, Placement::SortedBy(region));
+    let splits = to_input_splits(&data.distribute(4, 6, Placement::SortedBy(region)));
     // stratum 0: regions 0..5 (60 eligible, f = 4); stratum 1: regions
     // 5..10 (60 eligible, f = 9) — different inclusion probabilities.
     let q = SsdQuery::new(vec![
@@ -108,7 +109,7 @@ fn per_stratum_inclusion_frequencies_are_unbiased() {
     let fractions = [4.0 / 60.0, 9.0 / 60.0];
     let mut counts = vec![0u64; 120];
     for seed in 0..trials {
-        let run = mr_sqe(&cluster, &dist, &q, seed);
+        let run = try_mr_sqe_on_splits(&cluster, &splits, &q, seed).unwrap();
         assert_eq!(run.answer.stratum(0).len(), 4);
         assert_eq!(run.answer.stratum(1).len(), 9);
         for k in 0..2 {
@@ -152,14 +153,14 @@ fn per_machine_selection_counts_are_hypergeometric() {
         .map(|i| Individual::new(i, vec![0], 10))
         .collect();
     let data = Dataset::new(schema, tuples);
-    let dist = data.distribute(2, 2, Placement::Contiguous); // 15 / 15
+    let splits = to_input_splits(&data.distribute(2, 2, Placement::Contiguous)); // 15 / 15
     let q = SsdQuery::new(vec![StratumConstraint::new(Formula::eq(AttrId(0), 0), 4)]);
     let cluster = Cluster::new(2);
 
     let trials = 20_000u64;
     let mut counts = [0u64; 5]; // selections from machine 1 ∈ 0..=4
     for s in 0..trials {
-        let run = mr_sqe(&cluster, &dist, &q, s);
+        let run = try_mr_sqe_on_splits(&cluster, &splits, &q, s).unwrap();
         let in_first = run.answer.stratum(0).iter().filter(|t| t.id < 15).count();
         counts[in_first] += 1;
     }
@@ -187,9 +188,9 @@ fn no_stratum_no_selection() {
         Placement::SortedBy(region),
         Placement::Shuffled(5),
     ] {
-        let dist = data.distribute(4, 8, placement);
+        let splits = to_input_splits(&data.distribute(4, 8, placement));
         let q = SsdQuery::new(vec![StratumConstraint::new(Formula::lt(region, 2), 6)]);
-        let run = mr_sqe(&Cluster::new(4), &dist, &q, 1);
+        let run = try_mr_sqe_on_splits(&Cluster::new(4), &splits, &q, 1).unwrap();
         assert_eq!(run.answer.stratum(0).len(), 6);
         assert!(run.answer.iter().all(|t| t.get(region) < 2));
     }
@@ -202,14 +203,14 @@ fn no_stratum_no_selection() {
 #[test]
 fn cross_crate_determinism() {
     let (data, _region) = skewed_population(300);
-    let dist = data.distribute(5, 10, Placement::RoundRobin);
+    let splits = to_input_splits(&data.distribute(5, 10, Placement::RoundRobin));
     let q = SsdQuery::new(vec![StratumConstraint::new(Formula::ge(AttrId(0), 5), 11)]);
     let cluster = Cluster::new(5);
     let mut rng = ChaCha8Rng::seed_from_u64(0);
     use rand::Rng;
     let seed: u64 = rng.gen();
-    let a = mr_sqe(&cluster, &dist, &q, seed);
-    let b = mr_sqe(&cluster, &dist, &q, seed);
+    let a = try_mr_sqe_on_splits(&cluster, &splits, &q, seed).unwrap();
+    let b = try_mr_sqe_on_splits(&cluster, &splits, &q, seed).unwrap();
     assert_eq!(a.answer, b.answer);
     assert_eq!(a.stats.shuffle_bytes, b.stats.shuffle_bytes);
 }

@@ -23,7 +23,10 @@ use stratmr::query::{CostModel, Formula, MssdQuery, SsdQuery, StratumConstraint}
 use stratmr::sampling::cps::{try_mr_cps_on_splits, CpsConfig, CpsError};
 use stratmr::sampling::mqe::try_mr_mqe_on_splits;
 use stratmr::sampling::sqe::try_mr_sqe_on_splits;
-use stratmr::sampling::to_input_splits;
+use stratmr::sampling::{
+    mr_sqe_percent, mr_srs_on_splits, naive_sqe_on_splits, to_input_splits,
+    try_stratum_selection_limits, PercentSsdQuery, PercentStratum,
+};
 use stratmr_mapreduce::InputSplit;
 use stratmr_population::Individual;
 
@@ -297,7 +300,7 @@ fn cps_pipeline_survives_chaos_bit_identically() {
 }
 
 /// A plan that crashes every node before any work finishes cannot
-/// complete — all three samplers must surface the typed error.
+/// complete — every sampler must surface the typed error.
 #[test]
 fn impossible_plans_fail_with_typed_errors() {
     let machines = 3usize;
@@ -321,6 +324,22 @@ fn impossible_plans_fail_with_typed_errors() {
         try_mr_cps_on_splits(&cluster, &splits, &mssd(), CpsConfig::mr_cps(), 1),
         Err(CpsError::Job(JobError::NoHealthyMachines { .. }))
     ));
+    let percent = PercentSsdQuery::new(vec![PercentStratum {
+        formula: Formula::lt(AttrId(0), 50),
+        percent: 10.0,
+    }]);
+    let errors = [
+        naive_sqe_on_splits(&cluster, &splits, q, 1).err(),
+        mr_srs_on_splits(&cluster, &splits, 5, 1).err(),
+        mr_sqe_percent(&cluster, &splits, &percent, 1).err(),
+        try_stratum_selection_limits(&cluster, &splits, &qs, None, 1).err(),
+    ];
+    for (i, e) in errors.into_iter().enumerate() {
+        assert!(
+            matches!(e, Some(JobError::NoHealthyMachines { .. })),
+            "sampler {i}: {e:?}"
+        );
+    }
 }
 
 /// Retry budgets surface exhaustion instead of looping: with every

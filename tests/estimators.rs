@@ -6,7 +6,7 @@ use stratmr::population::dblp::{DblpConfig, DblpGenerator};
 use stratmr::population::Placement;
 use stratmr::query::{design_ssd, Allocation, Formula};
 use stratmr::sampling::estimate::stratified_mean;
-use stratmr::sampling::sqe::mr_sqe_on_splits;
+use stratmr::sampling::sqe::try_mr_sqe_on_splits;
 use stratmr::sampling::to_input_splits;
 
 /// Standard errors must shrink roughly as 1/√n when the budget grows.
@@ -32,7 +32,7 @@ fn standard_error_scales_with_sample_size() {
             Allocation::Proportional,
             data.tuples(),
         );
-        let run = mr_sqe_on_splits(&cluster, &splits, &q, 3);
+        let run = try_mr_sqe_on_splits(&cluster, &splits, &q, 3).unwrap();
         let est = stratified_mean(&run.answer, &sizes, cc);
         errors.push(est.std_error);
     }
@@ -72,7 +72,7 @@ fn confidence_intervals_cover_nominally() {
     let runs: u64 = 60;
     let covered = (0..runs)
         .filter(|&s| {
-            let run = mr_sqe_on_splits(&cluster, &splits, &q, 1000 + s);
+            let run = try_mr_sqe_on_splits(&cluster, &splits, &q, 1000 + s).unwrap();
             let est = stratified_mean(&run.answer, &sizes, fy);
             let (lo, hi) = est.interval(1.96);
             lo <= truth && truth <= hi

@@ -8,7 +8,8 @@ use stratmr::population::graph::SocialGraph;
 use stratmr::population::Placement;
 use stratmr::query::{design_ssd, Allocation, Formula};
 use stratmr::sampling::estimate::{stratified_mean, stratified_proportion};
-use stratmr::sampling::sqe::mr_sqe;
+use stratmr::sampling::sqe::try_mr_sqe_on_splits;
+use stratmr::sampling::to_input_splits;
 
 #[test]
 fn degree_stratified_survey_over_a_social_graph() {
@@ -40,8 +41,8 @@ fn degree_stratified_survey_over_a_social_graph() {
         .map(|s| population.tuples().iter().filter(|t| s.matches(t)).count())
         .collect();
 
-    let dist = population.distribute(8, 16, Placement::RoundRobin);
-    let run = mr_sqe(&Cluster::new(8), &dist, &query, 5);
+    let splits = to_input_splits(&population.distribute(8, 16, Placement::RoundRobin));
+    let run = try_mr_sqe_on_splits(&Cluster::new(8), &splits, &query, 5).unwrap();
     assert!(run.answer.satisfies(&query));
 
     // estimate the mean degree from the sample; must agree with the
@@ -89,8 +90,8 @@ fn hub_stratum_guarantees_rare_group_representation() {
         stratmr::query::StratumConstraint::new(Formula::lt(degree, 50), 270),
         stratmr::query::StratumConstraint::new(Formula::ge(degree, 50), 30.min(hubs)),
     ]);
-    let dist = population.distribute(4, 8, Placement::RoundRobin);
-    let run = mr_sqe(&Cluster::new(4), &dist, &query, 9);
+    let splits = to_input_splits(&population.distribute(4, 8, Placement::RoundRobin));
+    let run = try_mr_sqe_on_splits(&Cluster::new(4), &splits, &query, 9).unwrap();
     assert_eq!(run.answer.stratum(1).len(), 30.min(hubs));
     assert!(run.answer.stratum(1).iter().all(|t| t.get(degree) >= 50));
 }
