@@ -16,10 +16,9 @@
 //!   verbatim.
 //!
 //! Everything in the artifact is a pure function of the code, the seed
-//! and the configuration: the suite pins the cost model's
-//! `cpu_slowdown` to zero (as `--trace` does), so simulated times carry
-//! no host noise and two runs at one commit produce byte-identical
-//! files. Rendering is deterministic by construction — `BTreeMap`
+//! and the configuration: simulated times are charged from record and
+//! byte counts, so they carry no host noise and two runs at one commit
+//! produce byte-identical files. Rendering is deterministic by construction — `BTreeMap`
 //! metric order, fixed key order inside objects, fixed six-digit float
 //! precision — so artifact diffs are clean line diffs.
 

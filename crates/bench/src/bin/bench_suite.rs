@@ -14,8 +14,9 @@
 //! same reduced configuration so artifacts stay comparable.
 //!
 //! Every artifact is a pure function of code, seed and configuration
-//! (the suite pins `cpu_slowdown` to zero, and wall-clock fields never
-//! enter the artifact), so two runs at one commit are byte-identical.
+//! (simulated times depend on record and byte counts only, and
+//! wall-clock fields never enter the artifact), so two runs at one
+//! commit are byte-identical.
 
 use std::path::PathBuf;
 use stratmr_bench::{experiments, BenchEnv};

@@ -12,8 +12,8 @@
 //!    (full separation of two n-sample sets caps the achievable z),
 //!    the shift must also be statistically significant (|z| > z_crit,
 //!    default 3). Small-sample and single-sample metrics (deterministic
-//!    counters) skip this gate: with `cpu_slowdown` pinned they carry
-//!    no noise, so the delta alone decides.
+//!    counters) skip this gate: simulated times and counters carry no
+//!    noise, so the delta alone decides.
 //!
 //! Two more checks reuse the repo's statistical helpers:
 //!

@@ -6,11 +6,12 @@ use crate::explain::{self, ExplainFile};
 use crate::meta::ArtifactMeta;
 use crate::report;
 use crate::telemetry::{self, TelemetrySink, TraceFile};
-use stratmr_mapreduce::{Cluster, InputSplit};
+use stratmr_mapreduce::InputSplit;
 use stratmr_population::dblp::{DblpConfig, DblpGenerator};
 use stratmr_population::uniform::generate_uniform;
 use stratmr_population::{Dataset, Individual, Placement};
 use stratmr_query::{GroupSpec, MssdQuery, QueryGenerator};
+use stratmr_telemetry::{Registry, TraceSink};
 
 /// Seed every experiment dataset is generated from.
 pub const DATA_SEED: u64 = 0xDB1F;
@@ -53,53 +54,77 @@ impl Default for BenchConfig {
 
 impl BenchConfig {
     /// Read the configuration from `STRATMR_*` environment variables,
-    /// falling back to the defaults.
+    /// falling back to the defaults. A malformed value prints a usage
+    /// message naming the variable and exits with status 2.
     pub fn from_env() -> Self {
+        Self::from_vars(|name| std::env::var(name).ok()).unwrap_or_else(|e| usage_exit(&e))
+    }
+
+    /// [`BenchConfig::from_env`] over an arbitrary variable lookup:
+    /// unset variables keep their defaults, and a value that does not
+    /// parse is an error naming the variable.
+    fn from_vars(var: impl Fn(&str) -> Option<String>) -> Result<Self, String> {
         let mut cfg = Self::default();
-        if let Some(v) = env_usize("STRATMR_POP") {
+        let count = |name: &str| -> Result<Option<usize>, String> {
+            var(name)
+                .map(|v| parse_number(&v, &format!("{name}=<count>")))
+                .transpose()
+        };
+        if let Some(v) = count("STRATMR_POP")? {
             cfg.population = v;
         }
-        if let Some(v) = env_usize("STRATMR_RUNS") {
+        if let Some(v) = count("STRATMR_RUNS")? {
             cfg.runs = v;
         }
-        if let Ok(s) = std::env::var("STRATMR_SCALES") {
-            let scales: Vec<usize> = s.split(',').filter_map(|p| p.trim().parse().ok()).collect();
-            if !scales.is_empty() {
-                cfg.scales = scales;
-            }
+        if let Some(s) = var("STRATMR_SCALES") {
+            cfg.scales = s
+                .split(',')
+                .map(|p| parse_number(p, "STRATMR_SCALES=<size>[,<size>...]"))
+                .collect::<Result<_, _>>()?;
         }
-        if let Some(v) = env_usize("STRATMR_MACHINES") {
+        if let Some(v) = count("STRATMR_MACHINES")? {
             cfg.machines = v;
         }
-        if let Some(v) = env_u64("STRATMR_FAULT_SEED") {
-            cfg.fault_seed = Some(v);
-        }
-        cfg
+        cfg.fault_seed = var("STRATMR_FAULT_SEED")
+            .map(|v| parse_number(&v, "STRATMR_FAULT_SEED=<seed>"))
+            .transpose()?;
+        Ok(cfg)
     }
 }
 
-fn env_usize(name: &str) -> Option<usize> {
-    std::env::var(name).ok()?.parse().ok()
+/// Parse an unsigned integer, or fail with a usage message quoting
+/// `usage` and the offending value.
+fn parse_number<T: std::str::FromStr>(value: &str, usage: &str) -> Result<T, String> {
+    value
+        .trim()
+        .parse()
+        .map_err(|_| format!("usage: {usage} (got {value:?}, not an unsigned integer)"))
 }
 
-fn env_u64(name: &str) -> Option<u64> {
-    std::env::var(name).ok()?.parse().ok()
-}
-
-/// The value of a `--flag <value>` / `--flag=<value>` process argument.
-fn flag_value(flag: &str) -> Option<String> {
-    let mut args = std::env::args().skip(1);
-    while let Some(a) = args.next() {
+/// The operand of the first `--flag <value>` or `--flag=<value>` in
+/// `args` (the arguments after the program name). `Ok(None)` when the
+/// flag is absent; an error naming `usage` when it is the last argument
+/// and so has no operand.
+fn flag_value(args: &[String], flag: &str, usage: &str) -> Result<Option<String>, String> {
+    let mut it = args.iter();
+    while let Some(a) = it.next() {
         if a == flag {
-            return args.next();
+            return match it.next() {
+                Some(v) => Ok(Some(v.clone())),
+                None => Err(format!("usage: {flag} {usage}")),
+            };
         }
-        if let Some(v) = a.strip_prefix(flag) {
-            if let Some(v) = v.strip_prefix('=') {
-                return Some(v.to_string());
-            }
+        if let Some(v) = a.strip_prefix(flag).and_then(|v| v.strip_prefix('=')) {
+            return Ok(Some(v.to_string()));
         }
     }
-    None
+    Ok(None)
+}
+
+/// Print a usage error and exit with status 2.
+fn usage_exit(message: &str) -> ! {
+    eprintln!("{message}");
+    std::process::exit(2);
 }
 
 /// A prepared experiment environment: one population, pre-partitioned,
@@ -139,11 +164,6 @@ impl BenchEnv {
         Self::new(BenchConfig::from_env())
     }
 
-    /// A cluster of `machines` simulated slave nodes.
-    pub fn cluster(&self, machines: usize) -> Cluster {
-        Cluster::new(machines)
-    }
-
     /// Generate one paper-style MSSD query group with proportional
     /// frequency allocation.
     pub fn group(&self, spec: &GroupSpec, sample_size: usize, seed: u64) -> MssdQuery {
@@ -178,15 +198,34 @@ pub struct CliArgs {
 }
 
 impl CliArgs {
-    /// Parse the shared flags from the process arguments.
+    /// Parse the shared flags from the process arguments. A missing or
+    /// malformed operand prints a usage message naming the flag and
+    /// exits with status 2.
     pub fn parse() -> Self {
-        CliArgs {
-            telemetry: telemetry::from_args(),
-            trace: telemetry::trace_from_args(),
-            explain: explain::from_args(),
-            uniform: std::env::args().any(|a| a == "--uniform"),
-            faults: flag_value("--faults").and_then(|v| v.parse().ok()),
-        }
+        let args: Vec<String> = std::env::args().skip(1).collect();
+        Self::from_args(&args).unwrap_or_else(|e| usage_exit(&e))
+    }
+
+    /// [`CliArgs::parse`] over an explicit argument list (without the
+    /// program name). Flags other than the shared ones are ignored.
+    fn from_args(args: &[String]) -> Result<Self, String> {
+        let path = |flag: &str| flag_value(args, flag, "<out.json>");
+        let faults = flag_value(args, "--faults", "<seed>")?
+            .map(|v| parse_number(&v, "--faults <seed>"))
+            .transpose()?;
+        Ok(CliArgs {
+            telemetry: path("--telemetry")?.map(|p| TelemetrySink {
+                registry: Registry::new(),
+                path: p.into(),
+            }),
+            trace: path("--trace")?.map(|p| TraceFile {
+                sink: TraceSink::new(),
+                path: p.into(),
+            }),
+            explain: path("--explain")?.map(|p| ExplainFile { path: p.into() }),
+            uniform: args.iter().any(|a| a == "--uniform"),
+            faults,
+        })
     }
 
     /// Honor `--explain` on a CPS-capable binary: run the standard
@@ -248,6 +287,7 @@ impl CliArgs {
 #[cfg(test)]
 mod tests {
     use super::*;
+    use std::path::PathBuf;
 
     #[test]
     fn env_builds_and_generates_groups() {
@@ -279,5 +319,97 @@ mod tests {
         };
         let env = BenchEnv::new(cfg);
         assert_eq!(env.data.len(), 1_000);
+    }
+
+    fn args(list: &[&str]) -> Vec<String> {
+        list.iter().map(|a| a.to_string()).collect()
+    }
+
+    fn vars<'a>(list: &'a [(&str, &str)]) -> impl Fn(&str) -> Option<String> + 'a {
+        move |name| {
+            list.iter()
+                .find(|(k, _)| *k == name)
+                .map(|(_, v)| v.to_string())
+        }
+    }
+
+    #[test]
+    fn flags_take_separate_or_inline_operands() {
+        let cli = CliArgs::from_args(&args(&[
+            "--telemetry",
+            "t.json",
+            "--trace=tr.json",
+            "--faults",
+            "7",
+            "--uniform",
+        ]))
+        .unwrap();
+        assert_eq!(cli.telemetry.unwrap().path, PathBuf::from("t.json"));
+        assert_eq!(cli.trace.unwrap().path, PathBuf::from("tr.json"));
+        assert!(cli.explain.is_none());
+        assert_eq!(cli.faults, Some(7));
+        assert!(cli.uniform);
+        let cli = CliArgs::from_args(&args(&["--explain=e.json", "--faults=9"])).unwrap();
+        assert_eq!(cli.explain.unwrap().path, PathBuf::from("e.json"));
+        assert_eq!(cli.faults, Some(9));
+        assert!(!cli.uniform);
+    }
+
+    #[test]
+    fn missing_operand_names_the_flag() {
+        for flag in ["--telemetry", "--trace", "--explain", "--faults"] {
+            let err = CliArgs::from_args(&args(&["--uniform", flag]))
+                .err()
+                .unwrap();
+            assert!(err.starts_with(&format!("usage: {flag} ")), "{err}");
+        }
+    }
+
+    #[test]
+    fn malformed_fault_seed_is_an_error() {
+        for bad in [
+            &["--faults", "abc"][..],
+            &["--faults=-1"],
+            &["--faults", ""],
+        ] {
+            let err = CliArgs::from_args(&args(bad)).err().unwrap();
+            assert!(err.contains("--faults <seed>"), "{err}");
+        }
+    }
+
+    #[test]
+    fn env_values_parse_and_default() {
+        assert_eq!(
+            BenchConfig::from_vars(vars(&[])).unwrap(),
+            BenchConfig::default()
+        );
+        let cfg = BenchConfig::from_vars(vars(&[
+            ("STRATMR_POP", "2000"),
+            ("STRATMR_RUNS", "3"),
+            ("STRATMR_SCALES", "50, 100"),
+            ("STRATMR_MACHINES", "4"),
+            ("STRATMR_FAULT_SEED", "11"),
+        ]))
+        .unwrap();
+        assert_eq!(cfg.population, 2000);
+        assert_eq!(cfg.runs, 3);
+        assert_eq!(cfg.scales, vec![50, 100]);
+        assert_eq!(cfg.machines, 4);
+        assert_eq!(cfg.fault_seed, Some(11));
+    }
+
+    #[test]
+    fn malformed_env_values_name_the_variable() {
+        let cases: [(&[(&str, &str)], &str); 5] = [
+            (&[("STRATMR_POP", "2k")], "STRATMR_POP="),
+            (&[("STRATMR_SCALES", "50,x")], "STRATMR_SCALES="),
+            (&[("STRATMR_SCALES", "")], "STRATMR_SCALES="),
+            (&[("STRATMR_RUNS", "-1")], "STRATMR_RUNS="),
+            (&[("STRATMR_FAULT_SEED", "0x1")], "STRATMR_FAULT_SEED="),
+        ];
+        for (set, name) in cases {
+            let err = BenchConfig::from_vars(vars(set)).err().unwrap();
+            assert!(err.starts_with(&format!("usage: {name}")), "{err}");
+        }
     }
 }

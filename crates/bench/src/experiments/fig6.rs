@@ -11,6 +11,7 @@ use crate::Table;
 use serde::Serialize;
 use std::collections::BTreeMap;
 use std::fmt::Write as _;
+use stratmr_mapreduce::Cluster;
 use stratmr_query::GroupSpec;
 use stratmr_sampling::cps::{try_mr_cps_on_splits, CpsConfig};
 use stratmr_sampling::mqe::try_mr_mqe_on_splits;
@@ -29,7 +30,7 @@ struct Record {
 pub fn run(env: &BenchEnv, obs: &Obs) -> ExpOutput {
     let sample_size = env.config.scales[env.config.scales.len() / 2];
     let runs = env.config.runs;
-    let cluster = obs.cluster(env.cluster(env.config.machines));
+    let cluster = obs.cluster(Cluster::new(env.config.machines));
     let mut text = String::new();
     let _ = writeln!(
         text,

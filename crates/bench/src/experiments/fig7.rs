@@ -18,6 +18,7 @@ use crate::Table;
 use serde::Serialize;
 use std::collections::BTreeMap;
 use std::fmt::Write as _;
+use stratmr_mapreduce::Cluster;
 use stratmr_query::GroupSpec;
 use stratmr_sampling::cps::{try_mr_cps_on_splits, CpsConfig};
 use stratmr_sampling::mqe::try_mr_mqe_on_splits;
@@ -57,7 +58,7 @@ pub fn run(env: &BenchEnv, obs: &Obs) -> ExpOutput {
             let mssd = env.group(spec, scale, 4000);
             let mut cells = vec![format!("{}~{}", spec.name, scale)];
             for &slaves in &slaves_configs {
-                let cluster = obs.cluster(env.cluster(slaves));
+                let cluster = obs.cluster(Cluster::new(slaves));
                 let mqe = try_mr_mqe_on_splits(&cluster, &env.splits, mssd.queries(), None, 42)
                     .expect("a healthy cluster completes every job");
                 let mqe_min = mqe.stats.sim.makespan_us / 60e6;

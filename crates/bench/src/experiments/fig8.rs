@@ -17,6 +17,7 @@ use crate::{fmt_duration_s, Table};
 use serde::Serialize;
 use std::collections::BTreeMap;
 use std::fmt::Write as _;
+use stratmr_mapreduce::Cluster;
 use stratmr_query::GroupSpec;
 use stratmr_sampling::cps::{try_mr_cps_on_splits, CpsConfig};
 
@@ -36,7 +37,7 @@ struct Record {
 /// Run the Figure 8 LP-times experiment.
 pub fn run(env: &BenchEnv, obs: &Obs) -> ExpOutput {
     let runs = env.config.runs.clamp(1, 10);
-    let cluster = obs.cluster(env.cluster(env.config.machines));
+    let cluster = obs.cluster(Cluster::new(env.config.machines));
     let mut text = String::new();
     let _ = writeln!(
         text,

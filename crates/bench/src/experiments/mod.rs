@@ -13,12 +13,11 @@
 //! # Determinism
 //!
 //! In suite mode ([`Obs::full`]) every cluster gets a fresh telemetry
-//! [`Registry`] and a [`TraceSink`], and — exactly like the `--trace`
-//! flag — tracing pins the cost model's `cpu_slowdown` to zero, the
-//! only host-dependent input to simulated times. Every metric an
-//! experiment emits is then a pure function of code, seed and
-//! configuration, which is what makes `BENCH_*.json` byte-identical
-//! across runs at one commit.
+//! [`Registry`] and a [`TraceSink`]. The sinks only observe: simulated
+//! times are a function of record and byte counts, so every metric an
+//! experiment emits is a pure function of code, seed and configuration
+//! whether or not it is traced. That is what makes `BENCH_*.json`
+//! byte-identical across runs at one commit.
 
 pub mod fig6;
 pub mod fig7;
@@ -32,14 +31,11 @@ use crate::artifact::{BenchArtifact, MetricSeries, QualityBlock, StageTotals};
 use crate::env::{BenchEnv, DATA_SEED};
 use crate::meta::ArtifactMeta;
 use std::collections::BTreeMap;
-use stratmr_mapreduce::{Cluster, CostConfig};
+use stratmr_mapreduce::Cluster;
 use stratmr_telemetry::{Registry, TraceSink};
 
-/// Observability context threaded into an experiment run.
-///
-/// `cluster` attaches whatever is configured to a base cluster; with a
-/// trace sink attached it also pins `cpu_slowdown` to zero so simulated
-/// times are host-independent (see module docs).
+/// Observability context threaded into an experiment run: `cluster`
+/// attaches whatever sinks are configured to a base cluster.
 #[derive(Clone, Default)]
 pub struct Obs {
     /// Telemetry registry collecting counters/histograms/spans.
@@ -49,11 +45,6 @@ pub struct Obs {
 }
 
 impl Obs {
-    /// No observability: plain clusters, host-calibrated cost model.
-    pub fn none() -> Self {
-        Self::default()
-    }
-
     /// Fresh registry and trace sink — suite mode.
     pub fn full() -> Self {
         Obs {
@@ -69,13 +60,7 @@ impl Obs {
             None => base,
         };
         match &self.trace {
-            Some(t) => {
-                let costs = CostConfig {
-                    cpu_slowdown: 0.0,
-                    ..*with_tel.costs()
-                };
-                with_tel.with_costs(costs).with_trace(t.clone())
-            }
+            Some(t) => with_tel.with_trace(t.clone()),
             None => with_tel,
         }
     }
@@ -227,10 +212,9 @@ mod tests {
     use super::*;
 
     #[test]
-    fn obs_full_pins_cpu_slowdown_and_attaches_sinks() {
+    fn obs_full_attaches_sinks() {
         let obs = Obs::full();
         let cluster = obs.cluster(Cluster::new(2));
-        assert_eq!(cluster.costs().cpu_slowdown, 0.0);
         // registry and trace actually collect
         use stratmr_mapreduce::{make_splits, Emitter, Job, TaskCtx};
         struct Count;
@@ -254,10 +238,22 @@ mod tests {
     }
 
     #[test]
-    fn obs_none_leaves_the_cluster_untouched() {
-        let obs = Obs::none();
-        let cluster = obs.cluster(Cluster::new(2));
-        assert!(cluster.costs().cpu_slowdown > 0.0, "calibrated model kept");
+    fn tracing_does_not_change_experiment_metrics() {
+        let env = BenchEnv::new(crate::BenchConfig {
+            population: 1_000,
+            runs: 1,
+            scales: vec![20],
+            machines: 2,
+            splits: 4,
+            ..crate::BenchConfig::default()
+        });
+        let untraced = Obs {
+            registry: Some(Registry::new()),
+            trace: None,
+        };
+        let a = fig7::run(&env, &untraced);
+        let b = fig7::run(&env, &Obs::full());
+        assert_eq!(a.metrics, b.metrics);
     }
 
     #[test]

@@ -11,6 +11,7 @@ use crate::Table;
 use serde::Serialize;
 use std::collections::BTreeMap;
 use std::fmt::Write as _;
+use stratmr_mapreduce::Cluster;
 use stratmr_query::GroupSpec;
 use stratmr_sampling::cps::{try_mr_cps_on_splits, CpsConfig};
 use stratmr_sampling::mqe::try_mr_mqe_on_splits;
@@ -46,7 +47,7 @@ pub fn run(env: &BenchEnv, obs: &Obs) -> ExpOutput {
         env.config.population, sample_size, runs
     );
 
-    let cluster = obs.cluster(env.cluster(env.config.machines));
+    let cluster = obs.cluster(Cluster::new(env.config.machines));
     let paper = [62.0, 51.0, 47.0];
     let mut table = Table::new(&["group", "avg cost MQE", "avg cost CPS", "CPS/MQE", "paper"]);
     let mut records = Vec::new();

@@ -23,6 +23,7 @@ use crate::artifact::indent_after_first_line;
 use crate::env::BenchEnv;
 use crate::meta::ArtifactMeta;
 use std::path::PathBuf;
+use stratmr_mapreduce::Cluster;
 use stratmr_query::GroupSpec;
 use stratmr_sampling::cps::CpsConfig;
 use stratmr_sampling::{try_mr_cps_on_splits, PlanExplain, QualityReport};
@@ -38,27 +39,7 @@ pub const EXPLAIN_RUN_SEED: u64 = 800;
 
 /// An EXPLAIN output path requested on the command line.
 pub struct ExplainFile {
-    path: PathBuf,
-}
-
-/// Parse `--explain <path>` (or `--explain=<path>`) from the process
-/// arguments. Returns `None` when the flag is absent; exits with a
-/// usage error when the path operand is missing.
-pub fn from_args() -> Option<ExplainFile> {
-    let mut args = std::env::args().skip(1);
-    while let Some(a) = args.next() {
-        if a == "--explain" {
-            let path = args.next().unwrap_or_else(|| {
-                eprintln!("usage: --explain <out.json>");
-                std::process::exit(2);
-            });
-            return Some(ExplainFile { path: path.into() });
-        }
-        if let Some(p) = a.strip_prefix("--explain=") {
-            return Some(ExplainFile { path: p.into() });
-        }
-    }
-    None
+    pub(crate) path: PathBuf,
 }
 
 /// One captured EXPLAIN: the plan, the audit report of the same run,
@@ -85,9 +66,7 @@ impl ExplainOutput {
 /// audit registry, and assemble the artifact stamped with `meta`.
 pub fn run_explain(env: &BenchEnv, config: CpsConfig, meta: &ArtifactMeta) -> ExplainOutput {
     let registry = Registry::new();
-    let cluster = env
-        .cluster(env.config.machines)
-        .with_telemetry(registry.clone());
+    let cluster = Cluster::new(env.config.machines).with_telemetry(registry.clone());
     let sample_size = env.config.scales[env.config.scales.len() / 2];
     let mssd = env.group(&GroupSpec::MEDIUM, sample_size, EXPLAIN_GROUP_SEED);
     let config = CpsConfig {

@@ -26,7 +26,7 @@
 //! written to the given path as JSON. `--trace <out.json>` additionally
 //! collects a per-task trace of every MapReduce job and writes it in
 //! Chrome trace-event JSON (loadable in Perfetto), printing a per-job
-//! critical-path/skew summary on exit; see [`telemetry::trace_from_args`].
+//! critical-path/skew summary on exit; see [`CliArgs`] and [`telemetry`].
 
 #![warn(missing_docs)]
 

@@ -14,21 +14,19 @@
 //!     --telemetry fig7_telemetry.json --trace fig7_trace.json
 //! ```
 //!
-//! Tracing pins the cost model's `cpu_slowdown` to zero on every traced
-//! cluster — the measured-CPU term is the only host-dependent input to
-//! simulated times, so with it removed a fixed-seed trace is
-//! byte-identical across runs (simulated times then respond only to
-//! record/byte counts, not to the algorithms' measured CPU).
+//! Simulated times are a function of record and byte counts only, so a
+//! fixed-seed trace and the deterministic sections of a telemetry dump
+//! are byte-identical across runs. The flags are parsed by
+//! [`crate::CliArgs`].
 
 use std::path::PathBuf;
-use stratmr_mapreduce::{Cluster, CostConfig};
 use stratmr_telemetry::{Registry, TraceSink};
 
 /// A telemetry sink requested on the command line.
 pub struct TelemetrySink {
     /// The registry collecting counters, histograms and spans.
     pub registry: Registry,
-    path: PathBuf,
+    pub(crate) path: PathBuf,
 }
 
 impl TelemetrySink {
@@ -37,40 +35,6 @@ impl TelemetrySink {
     pub fn write(&self, meta: Option<&str>) -> std::io::Result<&std::path::Path> {
         std::fs::write(&self.path, self.registry.snapshot().to_json_with_meta(meta))?;
         Ok(&self.path)
-    }
-}
-
-/// Parse `--telemetry <path>` (or `--telemetry=<path>`) from the
-/// process arguments. Returns `None` when the flag is absent; exits
-/// with a usage error when the path operand is missing.
-pub fn from_args() -> Option<TelemetrySink> {
-    let mut args = std::env::args().skip(1);
-    while let Some(a) = args.next() {
-        if a == "--telemetry" {
-            let path = args.next().unwrap_or_else(|| {
-                eprintln!("usage: --telemetry <out.json>");
-                std::process::exit(2);
-            });
-            return Some(TelemetrySink {
-                registry: Registry::new(),
-                path: path.into(),
-            });
-        }
-        if let Some(p) = a.strip_prefix("--telemetry=") {
-            return Some(TelemetrySink {
-                registry: Registry::new(),
-                path: p.into(),
-            });
-        }
-    }
-    None
-}
-
-/// Attach the sink's registry to a cluster (no-op without a sink).
-pub fn attach(cluster: Cluster, sink: Option<&TelemetrySink>) -> Cluster {
-    match sink {
-        Some(s) => cluster.with_telemetry(s.registry.clone()),
-        None => cluster,
     }
 }
 
@@ -95,49 +59,7 @@ pub fn finish(sink: Option<TelemetrySink>, meta: Option<&str>) {
 pub struct TraceFile {
     /// The shared sink every traced cluster appends to.
     pub sink: TraceSink,
-    path: PathBuf,
-}
-
-/// Parse `--trace <path>` (or `--trace=<path>`) from the process
-/// arguments. Returns `None` when the flag is absent; exits with a
-/// usage error when the path operand is missing.
-pub fn trace_from_args() -> Option<TraceFile> {
-    let mut args = std::env::args().skip(1);
-    while let Some(a) = args.next() {
-        if a == "--trace" {
-            let path = args.next().unwrap_or_else(|| {
-                eprintln!("usage: --trace <out.json>");
-                std::process::exit(2);
-            });
-            return Some(TraceFile {
-                sink: TraceSink::new(),
-                path: path.into(),
-            });
-        }
-        if let Some(p) = a.strip_prefix("--trace=") {
-            return Some(TraceFile {
-                sink: TraceSink::new(),
-                path: p.into(),
-            });
-        }
-    }
-    None
-}
-
-/// Attach the trace sink to a cluster (no-op without a sink). Tracing
-/// pins `cpu_slowdown` to zero so fixed-seed traces are byte-identical
-/// across runs (see module docs).
-pub fn attach_trace(cluster: Cluster, trace: Option<&TraceFile>) -> Cluster {
-    match trace {
-        Some(t) => {
-            let costs = CostConfig {
-                cpu_slowdown: 0.0,
-                ..*cluster.costs()
-            };
-            cluster.with_costs(costs).with_trace(t.sink.clone())
-        }
-        None => cluster,
-    }
+    pub(crate) path: PathBuf,
 }
 
 /// Write the Chrome-trace JSON (if a sink is active), print the per-job

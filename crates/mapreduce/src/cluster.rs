@@ -441,7 +441,6 @@ impl Cluster {
                 let mut groups: Vec<(J::Key, J::Acc)> = Vec::new();
                 let mut scan_bytes = 0u64;
                 let mut out_records = 0u64;
-                let map_clock = Instant::now();
                 for record in &split.records {
                     scan_bytes += job.input_bytes(record);
                     job.map(&ctx, record, &mut emitter);
@@ -464,7 +463,6 @@ impl Cluster {
                         job.observe(&mut groups[g].1, v);
                     }
                 }
-                let map_real_us = map_clock.elapsed().as_secs_f64() * 1e6;
                 let in_records = split.records.len() as u64;
 
                 let combine_clock = Instant::now();
@@ -472,19 +470,14 @@ impl Cluster {
                     .into_iter()
                     .map(|(k, acc)| (k, job.finish(acc)))
                     .collect();
-                let combine_real_us = combine_clock.elapsed().as_secs_f64() * 1e6;
+                let combine_wall_us = combine_clock.elapsed().as_secs_f64() * 1e6;
 
-                let mut map_us = costs.task_overhead_us
+                let map_us = costs.task_overhead_us
                     + scan_bytes as f64 * costs.scan_us_per_byte
-                    + in_records as f64 * costs.map_cpu_us_per_record
-                    + map_real_us * costs.cpu_slowdown;
+                    + in_records as f64 * costs.map_cpu_us_per_record;
                 let combine_us = if job.has_combiner() {
                     out_records as f64 * costs.combine_cpu_us_per_record
-                        + combine_real_us * costs.cpu_slowdown
                 } else {
-                    // no combiner: the sort/spill work is part of the
-                    // map-side machinery
-                    map_us += combine_real_us * costs.cpu_slowdown;
                     0.0
                 };
                 if let Some(c) = &map_counters {
@@ -501,7 +494,7 @@ impl Cluster {
                     scan_bytes,
                     map_us,
                     combine_us,
-                    combine_wall_us: combine_real_us,
+                    combine_wall_us,
                 }
             })
             .collect();
@@ -724,7 +717,6 @@ impl Cluster {
             .enumerate()
             .map(|(p, pairs)| {
                 let machine = p % self.machines;
-                let reduce_clock = Instant::now();
                 // group by key, preserving arrival order
                 let mut index: HashMap<J::Key, usize, FxBuild> = HashMap::default();
                 let mut groups: Vec<(J::Key, Vec<J::CombOut>)> = Vec::new();
@@ -754,9 +746,7 @@ impl Cluster {
                         (k, o)
                     })
                     .collect();
-                let us = costs.task_overhead_us
-                    + n_values as f64 * costs.reduce_cpu_us_per_record
-                    + reduce_clock.elapsed().as_secs_f64() * 1e6 * costs.cpu_slowdown;
+                let us = costs.task_overhead_us + n_values as f64 * costs.reduce_cpu_us_per_record;
                 if let Some(c) = &reduce_counters {
                     c.tasks.inc();
                     c.input_values.add(n_values);
@@ -1029,6 +1019,8 @@ mod tests {
         let a = cluster.try_run(&WordCount, &splits, 99).unwrap();
         let b = cluster.try_run(&WordCount, &splits, 99).unwrap();
         assert_eq!(a.results, b.results);
+        // simulated time is a function of record and byte counts only
+        assert_eq!(a.stats.sim, b.stats.sim);
     }
 
     #[test]

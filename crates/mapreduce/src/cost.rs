@@ -33,15 +33,6 @@ pub struct CostConfig {
     pub task_overhead_us: f64,
     /// Fixed per-job overhead: job setup, staging, cleanup (µs).
     pub job_overhead_us: f64,
-    /// Multiplier applied to *measured* per-task CPU time when charging
-    /// it to the simulated clock.
-    ///
-    /// The engine times the user map/combine/reduce functions for real,
-    /// so simulated times respond to actual algorithmic work (number of
-    /// strata matched, sample sizes, …); the multiplier converts this
-    /// host's single fast core into the paper's slower EC2 M1-Small
-    /// workers (~1 ECU).
-    pub cpu_slowdown: f64,
 }
 
 impl Default for CostConfig {
@@ -58,7 +49,6 @@ impl Default for CostConfig {
             task_overhead_us: 1_000_000.0,
             // job submission + staging ~5 s
             job_overhead_us: 5_000_000.0,
-            cpu_slowdown: 5.0,
         }
     }
 }

@@ -173,10 +173,7 @@ fn zero_work_job_yields_zero_fractions_and_overhead_only_makespan() {
     // SimTime edge case: an empty job does no work in any phase, so
     // phase_fractions must be all-zero (not NaN) and the makespan must
     // collapse to the configured overheads.
-    let costs = CostConfig {
-        cpu_slowdown: 0.0,
-        ..CostConfig::zero_overhead()
-    };
+    let costs = CostConfig::zero_overhead();
     let sink = TraceSink::new();
     let cluster = Cluster::new(2).with_costs(costs).with_trace(sink.clone());
     let splits = make_splits(Vec::<(u8, i64)>::new(), 2, 2);
@@ -189,14 +186,8 @@ fn zero_work_job_yields_zero_fractions_and_overhead_only_makespan() {
 
     // with overheads restored, the empty job costs exactly the fixed
     // overheads: job setup + one task overhead per phase barrier chain
-    let costs = CostConfig {
-        cpu_slowdown: 0.0,
-        ..CostConfig::default()
-    };
-    let out = Cluster::new(2)
-        .with_costs(costs)
-        .try_run(&KeyedSum, &splits, 0)
-        .unwrap();
+    let costs = CostConfig::default();
+    let out = Cluster::new(2).try_run(&KeyedSum, &splits, 0).unwrap();
     let expect = costs.job_overhead_us + costs.task_overhead_us + costs.task_overhead_us;
     assert!(
         rel_err(out.stats.sim.makespan_us, expect) < 1e-12,
@@ -229,7 +220,6 @@ fn arb_costs() -> impl Strategy<Value = CostConfig> {
                 reduce_cpu_us_per_record: reduce,
                 task_overhead_us: task_oh,
                 job_overhead_us: job_oh,
-                cpu_slowdown: 0.0,
             },
         )
 }
@@ -280,11 +270,8 @@ proptest! {
         // On a uniform fleet with no failures: the makespan can never
         // beat perfect map/combine parallelism, and can never exceed
         // fully serialized work (overhead + every phase's total).
-        let costs = CostConfig {
-            cpu_slowdown: 0.0,
-            ..CostConfig::default()
-        };
-        let cluster = Cluster::new(machines).with_costs(costs);
+        let costs = CostConfig::default();
+        let cluster = Cluster::new(machines);
         let splits = make_splits(records(n_records), n_splits, machines);
         let sim: SimTime = cluster.try_run(&KeyedSum, &splits, seed).unwrap().stats.sim;
         let upper = costs.job_overhead_us + sim.total_work_us();

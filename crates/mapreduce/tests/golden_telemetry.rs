@@ -12,7 +12,7 @@
 //! ```
 
 use std::path::PathBuf;
-use stratmr_mapreduce::{make_splits, Cluster, CombineJob, CostConfig, Emitter, TaskCtx};
+use stratmr_mapreduce::{make_splits, Cluster, CombineJob, Emitter, TaskCtx};
 use stratmr_telemetry::Registry;
 
 struct WordLen;
@@ -51,12 +51,7 @@ fn golden_path() -> PathBuf {
 #[test]
 fn telemetry_json_export_is_byte_stable() {
     let registry = Registry::new();
-    // zero measured-CPU cost so the `mr.sim.*` histograms are exact
     let cluster = Cluster::new(3)
-        .with_costs(CostConfig {
-            cpu_slowdown: 0.0,
-            ..CostConfig::default()
-        })
         .with_failures(0.25)
         .with_telemetry(registry.clone());
     let words: Vec<String> = (0..64u64)

@@ -69,15 +69,7 @@ fn instrumented_snapshot(
 ) -> Snapshot {
     let registry = Registry::new();
     let splits = make_splits(records.to_vec(), 4, machines);
-    // zero out the measured-CPU component so simulated times (and the
-    // `mr.sim.*` histograms derived from them) are exactly reproducible
-    let costs = CostConfig {
-        cpu_slowdown: 0.0,
-        ..CostConfig::default()
-    };
-    let mut cluster = Cluster::new(machines)
-        .with_costs(costs)
-        .with_telemetry(registry.clone());
+    let mut cluster = Cluster::new(machines).with_telemetry(registry.clone());
     if failure_prob > 0.0 {
         cluster = cluster.with_failures(failure_prob);
     }
@@ -129,15 +121,8 @@ proptest! {
         seed in any::<u64>(),
     ) {
         let splits = make_splits(records.clone(), 4, 2);
-        // zero out the measured-CPU component so simulated times are
-        // exactly deterministic and comparable across runs
-        let costs = CostConfig {
-            cpu_slowdown: 0.0,
-            ..CostConfig::default()
-        };
-        let clean = Cluster::new(2).with_costs(costs).try_run(&SumJob, &splits, seed).unwrap();
+        let clean = Cluster::new(2).try_run(&SumJob, &splits, seed).unwrap();
         let flaky = Cluster::new(2)
-            .with_costs(costs)
             .with_failures(prob)
             .try_run(&SumJob, &splits, seed)
             .unwrap();
@@ -264,14 +249,11 @@ proptest! {
             ..FaultMix::default()
         };
         let plan = FaultPlan::seeded(fault_seed, machines, &mix);
-        let costs = CostConfig { cpu_slowdown: 0.0, ..CostConfig::default() };
         let splits = make_splits(records, 4, machines);
         let clean = Cluster::new(machines)
-            .with_costs(costs)
             .try_run(&SumJob, &splits, seed)
             .unwrap();
         let faulty = Cluster::new(machines)
-            .with_costs(costs)
             .with_fault_plan(plan)
             .try_run(&SumJob, &splits, seed)
             .unwrap();

@@ -108,12 +108,8 @@ fn empty_splits_are_charged_only_overhead() {
     let job = CombinerContract {
         combine_calls: AtomicU64::new(0),
     };
-    let costs = CostConfig {
-        cpu_slowdown: 0.0,
-        ..CostConfig::default()
-    };
+    let costs = CostConfig::default();
     let out = Cluster::new(3)
-        .with_costs(costs)
         .try_run_with_combiner(&&job, &splits, 1)
         .unwrap();
     assert_eq!(job.combine_calls.load(Ordering::Relaxed), 0);

@@ -3,9 +3,7 @@
 //! in the driver's accounting pass. The two accountings must agree on
 //! every job, for every cluster shape, with and without failures.
 
-use stratmr_mapreduce::{
-    make_splits, Cluster, CombineJob, CostConfig, Emitter, Job, JobStats, TaskCtx,
-};
+use stratmr_mapreduce::{make_splits, Cluster, CombineJob, Emitter, Job, JobStats, TaskCtx};
 use stratmr_telemetry::Registry;
 
 struct SumJob;
@@ -140,10 +138,6 @@ fn retry_counters_agree_under_failures() {
     let registry = Registry::new();
     let mut expected = Expected::default();
     let cluster = Cluster::new(2)
-        .with_costs(CostConfig {
-            cpu_slowdown: 0.0,
-            ..CostConfig::default()
-        })
         .with_failures(0.4)
         .with_telemetry(registry.clone());
     let splits = make_splits(records(120), 6, 2);

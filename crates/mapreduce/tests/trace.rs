@@ -1,7 +1,7 @@
 //! Determinism and completeness of the per-task trace stream.
 //!
-//! The trace is part of the engine's reproducibility contract: with the
-//! measured-CPU term zeroed (`cpu_slowdown = 0.0`), the collected
+//! The trace is part of the engine's reproducibility contract: simulated
+//! time is a function of record and byte counts only, so the collected
 //! stream — and its Chrome-trace JSON export — must be bit-identical
 //! across runs and across host thread counts, and sorted by
 //! `(phase, machine, task, attempt)` within each job.
@@ -16,7 +16,7 @@
 use proptest::prelude::*;
 use std::path::PathBuf;
 use stratmr_mapreduce::{
-    make_splits, Cluster, CombineJob, CostConfig, Emitter, JobTrace, TaskCtx, TracePhase, TraceSink,
+    make_splits, Cluster, CombineJob, Emitter, JobTrace, TaskCtx, TracePhase, TraceSink,
 };
 
 struct WordLen;
@@ -52,19 +52,9 @@ fn words(n: u64) -> Vec<String> {
     (0..n).map(|i| "x".repeat((i % 7 + 1) as usize)).collect()
 }
 
-/// Deterministic cost model: the measured-CPU term is the only
-/// host-dependent input to simulated times.
-fn pinned_costs() -> CostConfig {
-    CostConfig {
-        cpu_slowdown: 0.0,
-        ..CostConfig::default()
-    }
-}
-
 fn traced_run(machines: usize, failure_prob: f64, seed: u64) -> Vec<JobTrace> {
     let sink = TraceSink::new();
     let mut cluster = Cluster::new(machines)
-        .with_costs(pinned_costs())
         .with_trace(sink.clone())
         .with_job_name("wordlen");
     if failure_prob > 0.0 {
@@ -81,7 +71,6 @@ fn traced_run(machines: usize, failure_prob: f64, seed: u64) -> Vec<JobTrace> {
 fn trace_stream_is_sorted_and_complete() {
     let sink = TraceSink::new();
     let cluster = Cluster::new(3)
-        .with_costs(pinned_costs())
         .with_failures(0.25)
         .with_trace(sink.clone())
         .with_job_name("wordlen");
@@ -148,7 +137,6 @@ fn chrome_trace_export_is_byte_identical_across_runs() {
     let export = |seed| {
         let sink = TraceSink::new();
         let cluster = Cluster::new(4)
-            .with_costs(pinned_costs())
             .with_failures(0.2)
             .with_trace(sink.clone())
             .with_job_name("repro");
@@ -170,7 +158,6 @@ fn chrome_trace_export_is_byte_identical_across_runs() {
 fn chrome_trace_export_matches_golden_file() {
     let sink = TraceSink::new();
     let cluster = Cluster::new(3)
-        .with_costs(pinned_costs())
         .with_failures(0.25)
         .with_trace(sink.clone())
         .with_job_name("wordlen");

@@ -17,10 +17,9 @@
 //! sink — and are batch-appended once per job, so the collected stream
 //! is independent of host thread interleaving. Within a job, events are
 //! sorted by `(phase, machine, task, attempt)`; jobs are ordered by
-//! execution. Event *durations* are pure functions of the job seed
-//! whenever the cost model's `cpu_slowdown` is zero (the measured-CPU
-//! term is the only host-dependent input); the Chrome-trace export is
-//! then byte-reproducible.
+//! execution. Event *durations* are simulated times, which the cluster
+//! charges from record and byte counts only, so they are pure functions
+//! of the job seed and the Chrome-trace export is byte-reproducible.
 //!
 //! # Viewing a trace
 //!

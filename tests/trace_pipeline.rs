@@ -1,10 +1,9 @@
 //! Fig. 7-shaped trace determinism over the full stack: a fixed-seed
-//! MQE + CPS run on a traced cluster (with the measured-CPU term
-//! zeroed, exactly as the bench binaries' `--trace` flag pins it) must
+//! MQE + CPS run on a traced cluster with the default cost model must
 //! export byte-identical Chrome-trace JSON run after run, with every
 //! sampling job appearing as a distinct named track.
 
-use stratmr::mapreduce::{analysis, Cluster, CostConfig, TraceSink};
+use stratmr::mapreduce::{analysis, Cluster, TraceSink};
 use stratmr::population::dblp::{DblpConfig, DblpGenerator};
 use stratmr::population::Placement;
 use stratmr::query::{GroupSpec, QueryGenerator};
@@ -17,13 +16,7 @@ fn traced_fig7_export() -> (Vec<String>, String) {
     let dist = data.distribute(5, 10, Placement::RoundRobin);
     let splits = to_input_splits(&dist);
     let sink = TraceSink::new();
-    // pin the cost model's only host-dependent term, as --trace does
-    let cluster = Cluster::new(5)
-        .with_costs(CostConfig {
-            cpu_slowdown: 0.0,
-            ..CostConfig::default()
-        })
-        .with_trace(sink.clone());
+    let cluster = Cluster::new(5).with_trace(sink.clone());
     let qgen = QueryGenerator::new(DblpGenerator::schema());
     let mssd = qgen.generate_paper_group_on(&GroupSpec::SMALL, 100, data.tuples(), 17);
 
