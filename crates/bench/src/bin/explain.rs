@@ -17,14 +17,17 @@
 
 use stratmr_bench::env::DATA_SEED;
 use stratmr_bench::{explain, ArtifactMeta, CliArgs};
-use stratmr_sampling::CpsConfig;
+use stratmr_sampling::{CpsConfig, SolverKind};
 
 fn main() {
     let mut cli = CliArgs::parse();
     let solver = if std::env::args().any(|a| a == "--exact") {
-        CpsConfig::exact()
+        CpsConfig {
+            solver: SolverKind::Ip,
+            ..CpsConfig::paper()
+        }
     } else {
-        CpsConfig::mr_cps()
+        CpsConfig::paper()
     };
     let env = cli.bench_env();
     let meta = ArtifactMeta::capture("explain", DATA_SEED, &env.config);

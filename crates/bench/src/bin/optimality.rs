@@ -19,6 +19,6 @@ fn main() {
     let env = cli.bench_env();
     let out = experiments::optimality::run(&env, &cli.obs());
     print!("{}", out.text);
-    cli.finish_explain(out.name, &env, CpsConfig::mr_cps());
+    cli.finish_explain(out.name, &env, CpsConfig::paper());
     cli.finish(&out, &env.config);
 }

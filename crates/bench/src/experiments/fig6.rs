@@ -54,7 +54,7 @@ pub fn run(env: &BenchEnv, obs: &Obs) -> ExpOutput {
         for run in 0..runs {
             let mssd = env.group(spec, sample_size, 2000 + run as u64);
             let seed = 7000 + run as u64;
-            let cps = try_mr_cps_on_splits(&cluster, &env.splits, &mssd, CpsConfig::mr_cps(), seed)
+            let cps = try_mr_cps_on_splits(&cluster, &env.splits, &mssd, CpsConfig::paper(), seed)
                 .expect("solvable");
             let hist = cps.answer.sharing_histogram(spec.n_ssds);
             let mut run_degree = 0usize;

@@ -63,7 +63,7 @@ pub fn run(env: &BenchEnv, obs: &Obs) -> ExpOutput {
                     .expect("a healthy cluster completes every job");
                 let mqe_min = mqe.stats.sim.makespan_us / 60e6;
                 let cps =
-                    try_mr_cps_on_splits(&cluster, &env.splits, &mssd, CpsConfig::mr_cps(), 42)
+                    try_mr_cps_on_splits(&cluster, &env.splits, &mssd, CpsConfig::paper(), 42)
                         .expect("solvable");
                 let cps_us: f64 = cps.phase_stats.iter().map(|(_, s)| s.sim.makespan_us).sum();
                 let cps_min = cps_us / 60e6;

@@ -75,7 +75,7 @@ pub fn run(env: &BenchEnv, obs: &Obs) -> ExpOutput {
                     &cluster,
                     &env.splits,
                     &mssd,
-                    CpsConfig::mr_cps(),
+                    CpsConfig::paper(),
                     900 + run as u64,
                 )
                 .expect("solvable");

@@ -21,7 +21,7 @@ use std::collections::BTreeMap;
 use std::fmt::Write as _;
 use stratmr_mapreduce::Cluster;
 use stratmr_query::GroupSpec;
-use stratmr_sampling::cps::{try_mr_cps_on_splits, CpsConfig};
+use stratmr_sampling::cps::{try_mr_cps_on_splits, CpsConfig, SolverKind};
 
 #[derive(Serialize)]
 struct Record {
@@ -71,11 +71,19 @@ pub fn run(env: &BenchEnv, obs: &Obs) -> ExpOutput {
             let mssd = env.group(spec, sample_size, 6000 + run as u64);
             let seed = 800 + run as u64;
             let lp_run =
-                try_mr_cps_on_splits(&cluster, &env.splits, &mssd, CpsConfig::mr_cps(), seed)
+                try_mr_cps_on_splits(&cluster, &env.splits, &mssd, CpsConfig::paper(), seed)
                     .expect("LP solvable");
-            let ip_run =
-                try_mr_cps_on_splits(&cluster, &env.splits, &mssd, CpsConfig::exact(), seed)
-                    .expect("IP solvable");
+            let ip_run = try_mr_cps_on_splits(
+                &cluster,
+                &env.splits,
+                &mssd,
+                CpsConfig {
+                    solver: SolverKind::Ip,
+                    ..CpsConfig::paper()
+                },
+                seed,
+            )
+            .expect("IP solvable");
             let c_lp = lp_run.solver_objective;
             let c_ip = ip_run.solver_objective;
             let c_a = lp_run.cost;

@@ -63,7 +63,7 @@ pub fn run(env: &BenchEnv, obs: &Obs) -> ExpOutput {
             let mqe = try_mr_mqe_on_splits(&cluster, &env.splits, mssd.queries(), None, seed)
                 .expect("a healthy cluster completes every job");
             let mqe_cost = mqe.answer.cost(mssd.costs());
-            let cps = try_mr_cps_on_splits(&cluster, &env.splits, &mssd, CpsConfig::mr_cps(), seed)
+            let cps = try_mr_cps_on_splits(&cluster, &env.splits, &mssd, CpsConfig::paper(), seed)
                 .expect("CPS program must be solvable");
             mqe_costs.push(mqe_cost);
             cps_costs.push(cps.cost);

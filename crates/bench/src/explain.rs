@@ -118,6 +118,7 @@ pub fn finish(file: Option<ExplainFile>, out: &ExplainOutput) {
 mod tests {
     use super::*;
     use crate::env::BenchConfig;
+    use stratmr_sampling::SolverKind;
 
     fn tiny_env() -> BenchEnv {
         BenchEnv::new(BenchConfig {
@@ -135,8 +136,8 @@ mod tests {
     fn explain_artifact_is_byte_deterministic() {
         let env = tiny_env();
         let meta = ArtifactMeta::fixed_for_tests("explain", crate::env::DATA_SEED, &env.config);
-        let a = run_explain(&env, CpsConfig::mr_cps(), &meta);
-        let b = run_explain(&env, CpsConfig::mr_cps(), &meta);
+        let a = run_explain(&env, CpsConfig::paper(), &meta);
+        let b = run_explain(&env, CpsConfig::paper(), &meta);
         assert_eq!(a.json, b.json);
         assert!(
             a.json.starts_with("{\n  \"meta\": {\"schema_version\""),
@@ -154,7 +155,14 @@ mod tests {
     fn exact_solver_reports_zero_gap() {
         let env = tiny_env();
         let meta = ArtifactMeta::fixed_for_tests("explain", crate::env::DATA_SEED, &env.config);
-        let out = run_explain(&env, CpsConfig::exact(), &meta);
+        let out = run_explain(
+            &env,
+            CpsConfig {
+                solver: SolverKind::Ip,
+                ..CpsConfig::paper()
+            },
+            &meta,
+        );
         assert_eq!(out.plan.optimality_gap(), 0.0);
         assert!(
             out.json.contains("\"optimality_gap\": 0.000000"),

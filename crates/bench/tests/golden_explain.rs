@@ -33,7 +33,7 @@ fn explain_artifact_is_byte_stable() {
     };
     let env = BenchEnv::new(config.clone());
     let meta = ArtifactMeta::fixed_for_tests("optimality", stratmr_bench::env::DATA_SEED, &config);
-    let out = explain::run_explain(&env, CpsConfig::mr_cps(), &meta);
+    let out = explain::run_explain(&env, CpsConfig::paper(), &meta);
 
     let path = golden_path();
     if std::env::var_os("UPDATE_GOLDEN").is_some() {

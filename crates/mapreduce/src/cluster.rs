@@ -50,6 +50,10 @@ pub struct JobStats {
     pub combine_output_pairs: u64,
     /// Bytes crossing the simulated network in the shuffle.
     pub shuffle_bytes: u64,
+    /// Bytes of finished map-task side states returned to the caller
+    /// ([`CombineJob::side_bytes`]), once per task; not part of the
+    /// shuffle.
+    pub side_bytes: u64,
     /// Values consumed by the reduce phase.
     pub reduce_input_values: u64,
     /// Number of distinct keys reduced.
@@ -83,15 +87,22 @@ pub struct JobStats {
     pub wall_secs: f64,
 }
 
-/// Result of a job: per-key outputs plus execution statistics.
+/// Result of a job: per-key outputs, per-task side states and execution
+/// statistics.
 #[derive(Debug, Clone)]
-pub struct JobOutput<K, O> {
+pub struct JobOutput<K, O, S = ()> {
     /// One `(key, reduce output)` pair per distinct intermediate key,
     /// in deterministic (partition, first-arrival) order.
     pub results: Vec<(K, O)>,
+    /// The finished side state of every map task, in split order.
+    pub sides: Vec<S>,
     /// Execution statistics.
     pub stats: JobStats,
 }
+
+/// The output of a [`CombineJob`] run.
+pub type OutputOf<J> =
+    JobOutput<<J as CombineJob>::Key, <J as CombineJob>::ReduceOut, <J as CombineJob>::Side>;
 
 /// Why a job could not complete. Returned by [`Cluster::try_run`] and
 /// [`Cluster::try_run_with_combiner`].
@@ -381,7 +392,7 @@ impl Cluster {
         job: &J,
         splits: &[InputSplit<J::Input>],
         seed: u64,
-    ) -> Result<JobOutput<J::Key, J::ReduceOut>, JobError>
+    ) -> Result<OutputOf<J>, JobError>
     where
         J::CombOut: Send + Sync,
         J::ReduceOut: Send,
@@ -411,19 +422,22 @@ impl Cluster {
         });
 
         // ---- map + combine phase: one task per split -------------------
-        struct MapTaskOut<K, C> {
+        struct MapTaskOut<K, C, S> {
             machine: usize,
             combined: Vec<(K, C)>,
+            side: S,
             in_records: u64,
             out_records: u64,
             scan_bytes: u64,
+            side_bytes: u64,
             map_us: f64,
+            /// The task's tail: the combiner fold plus the side upload.
             combine_us: f64,
             combine_wall_us: f64,
         }
 
         let map_span = tel.map(|t| t.span("map"));
-        let mut tasks: Vec<MapTaskOut<J::Key, J::CombOut>> = splits
+        let mut tasks: Vec<MapTaskOut<J::Key, J::CombOut, J::Side>> = splits
             .par_iter()
             .map(|split| {
                 let task_seed = mix_seed(seed, split.id as u64);
@@ -436,7 +450,7 @@ impl Cluster {
                 // the combiner folds each record's pairs as they are
                 // emitted; per-key state is kept in first-emit order, so
                 // group seeds (and thus whole runs) are deterministic
-                let mut emitter = Emitter::new();
+                let mut emitter = Emitter::new(J::Side::default());
                 let mut index: HashMap<J::Key, usize, FxBuild> = HashMap::default();
                 let mut groups: Vec<(J::Key, J::Acc)> = Vec::new();
                 let mut scan_bytes = 0u64;
@@ -464,6 +478,8 @@ impl Cluster {
                     }
                 }
                 let in_records = split.records.len() as u64;
+                let side = emitter.into_side();
+                let side_bytes = job.side_bytes(&side);
 
                 let combine_clock = Instant::now();
                 let combined: Vec<(J::Key, J::CombOut)> = groups
@@ -475,11 +491,12 @@ impl Cluster {
                 let map_us = costs.task_overhead_us
                     + scan_bytes as f64 * costs.scan_us_per_byte
                     + in_records as f64 * costs.map_cpu_us_per_record;
-                let combine_us = if job.has_combiner() {
+                let fold_us = if job.has_combiner() {
                     out_records as f64 * costs.combine_cpu_us_per_record
                 } else {
                     0.0
                 };
+                let combine_us = fold_us + side_bytes as f64 * costs.network_us_per_byte;
                 if let Some(c) = &map_counters {
                     c.tasks.inc();
                     c.in_records.add(in_records);
@@ -489,9 +506,11 @@ impl Cluster {
                 MapTaskOut {
                     machine: split.home_machine,
                     combined,
+                    side,
                     in_records,
                     out_records,
                     scan_bytes,
+                    side_bytes,
                     map_us,
                     combine_us,
                     combine_wall_us,
@@ -512,6 +531,7 @@ impl Cluster {
             stats.map_input_records += t.in_records;
             stats.map_output_records += t.out_records;
             stats.combine_output_pairs += t.combined.len() as u64;
+            stats.side_bytes += t.side_bytes;
             combine_wall_us += t.combine_wall_us;
         }
         // the combiner's fold runs inside the map loop and is timed with
@@ -816,6 +836,7 @@ impl Cluster {
             }
         }
 
+        let sides = tasks.into_iter().map(|t| t.side).collect();
         let mut results = Vec::new();
         for (_, outs, n_values, _) in reduce_outs.into_iter() {
             stats.reduce_input_values += n_values;
@@ -855,9 +876,10 @@ impl Cluster {
             t.record("mr.sim.shuffle_us", stats.sim.shuffle_us.round() as u64);
             t.record("mr.sim.reduce_us", stats.sim.reduce_us.round() as u64);
             t.record("mr.sim.makespan_us", stats.sim.makespan_us.round() as u64);
-            // recovery counters exist only when recovery happened, so
+            // side and recovery counters exist only when non-zero, so
             // fault-free telemetry snapshots keep their legacy shape
             for (name, v) in [
+                ("mr.side.bytes", stats.side_bytes),
                 ("mr.map.task_reexecutions", stats.map_task_reexecutions),
                 ("mr.spec.attempts", stats.speculative_attempts),
                 ("mr.spec.wins", stats.speculation_wins),
@@ -870,7 +892,11 @@ impl Cluster {
             }
         }
 
-        Ok(JobOutput { results, stats })
+        Ok(JobOutput {
+            results,
+            sides,
+            stats,
+        })
     }
 
     /// Count a scheduling failure on the telemetry registry and pass the
@@ -933,6 +959,7 @@ mod tests {
         type Acc = u64;
         type CombOut = u64;
         type ReduceOut = u64;
+        type Side = ();
 
         fn map(&self, _ctx: &TaskCtx, record: &String, out: &mut Emitter<String, u64>) {
             for w in record.split_whitespace() {
@@ -1402,6 +1429,7 @@ mod tests {
         type Acc = Spied;
         type CombOut = Spied;
         type ReduceOut = Vec<Spied>;
+        type Side = ();
         fn map(&self, _c: &TaskCtx, r: &Vec<(u8, u64)>, out: &mut Emitter<u8, u64>) {
             for &(k, v) in r {
                 out.emit(k, v);
@@ -1419,6 +1447,123 @@ mod tests {
         fn reduce(&self, _c: &TaskCtx, _k: &u8, v: Vec<Spied>) -> Vec<Spied> {
             v
         }
+    }
+
+    /// Counts records by residue; each map task's side state collects
+    /// its records in scan order, worth `side_bytes_per_record` each.
+    struct Collect {
+        side_bytes_per_record: u64,
+    }
+
+    impl CombineJob for Collect {
+        type Input = u64;
+        type Key = u8;
+        type MapOut = u64;
+        type Acc = u64;
+        type CombOut = u64;
+        type ReduceOut = u64;
+        type Side = Vec<u64>;
+        fn map(&self, _c: &TaskCtx, r: &u64, out: &mut Emitter<u8, u64, Vec<u64>>) {
+            out.side_mut().push(*r);
+            out.emit((*r % 3) as u8, 1);
+        }
+        fn start(&self, _c: &TaskCtx, _k: &u8) -> u64 {
+            0
+        }
+        fn observe(&self, acc: &mut u64, v: u64) {
+            *acc += v;
+        }
+        fn finish(&self, acc: u64) -> u64 {
+            acc
+        }
+        fn reduce(&self, _c: &TaskCtx, _k: &u8, v: Vec<u64>) -> u64 {
+            v.into_iter().sum()
+        }
+        fn input_bytes(&self, _r: &u64) -> u64 {
+            500_000
+        }
+        fn side_bytes(&self, side: &Vec<u64>) -> u64 {
+            self.side_bytes_per_record * side.len() as u64
+        }
+    }
+
+    #[test]
+    fn sides_come_back_in_split_order_at_any_thread_count() {
+        let splits = make_splits((0..100).collect(), 7, 3);
+        let job = Collect {
+            side_bytes_per_record: 0,
+        };
+        let run = |threads: &str| {
+            std::env::set_var("RAYON_NUM_THREADS", threads);
+            let out = Cluster::new(3)
+                .try_run_with_combiner(&job, &splits, 5)
+                .unwrap();
+            std::env::remove_var("RAYON_NUM_THREADS");
+            out.sides
+        };
+        let one = run("1");
+        let want: Vec<Vec<u64>> = splits.iter().map(|s| s.records.clone()).collect();
+        assert_eq!(one, want);
+        assert_eq!(run("4"), one);
+    }
+
+    /// Side bytes cost network time in the producing task's tail: once
+    /// per successful attempt, so again when a crash forces the task to
+    /// re-execute. They never count as shuffle bytes.
+    #[test]
+    fn side_bytes_are_charged_to_every_successful_attempt() {
+        let splits = make_splits((0..400).collect(), 8, 4);
+        let costs = CostConfig::default();
+        let run = |side_bytes_per_record, cluster: Cluster| {
+            let job = Collect {
+                side_bytes_per_record,
+            };
+            cluster
+                .try_run_with_combiner(&job, &splits, 3)
+                .unwrap()
+                .stats
+        };
+        // every task scans 50 records, folds 50 values and, with sides,
+        // sends 50 × 1000 side bytes
+        let per_attempt = |side_bytes_per_record: u64| {
+            50.0 * costs.combine_cpu_us_per_record
+                + (50 * side_bytes_per_record) as f64 * costs.network_us_per_byte
+        };
+        let crash = || Cluster::new(4).with_fault_plan(FaultPlan::new().crash(0, 7_000_000.0));
+        for cluster in [Cluster::new(4), crash()] {
+            let plain = run(0, cluster.clone());
+            let sided = run(1000, cluster);
+            assert_eq!(plain.side_bytes, 0);
+            assert_eq!(sided.side_bytes, 400_000, "once per task");
+            assert_eq!(sided.shuffle_bytes, plain.shuffle_bytes);
+            assert_eq!(sided.map_task_reexecutions, plain.map_task_reexecutions);
+            let attempts = 8.0 + sided.map_task_reexecutions as f64;
+            for (stats, bytes) in [(&plain, 0), (&sided, 1000)] {
+                let want = attempts * per_attempt(bytes);
+                assert!(
+                    (stats.sim.combine_us - want).abs() < 1e-6,
+                    "{} vs {want}",
+                    stats.sim.combine_us
+                );
+            }
+        }
+        assert!(run(1000, crash()).map_task_reexecutions > 0);
+    }
+
+    #[test]
+    fn side_bytes_counter_appears_only_when_non_zero() {
+        let splits = make_splits((0..40).collect(), 4, 2);
+        let registry = Registry::new();
+        let cluster = Cluster::new(2).with_telemetry(registry.clone());
+        let job = |side_bytes_per_record| Collect {
+            side_bytes_per_record,
+        };
+        cluster.try_run_with_combiner(&job(0), &splits, 1).unwrap();
+        let snap = registry.snapshot();
+        assert!(snap.counter_names().all(|n| n != "mr.side.bytes"));
+        let out = cluster.try_run_with_combiner(&job(3), &splits, 1).unwrap();
+        assert_eq!(out.stats.side_bytes, 120);
+        assert_eq!(registry.snapshot().counter("mr.side.bytes"), 120);
     }
 
     /// Group seeds follow first-emit order within each map task

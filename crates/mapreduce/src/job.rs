@@ -37,15 +37,21 @@ pub struct TaskCtx {
     pub seed: u64,
 }
 
-/// Collects the key-value pairs emitted by one `map` call.
+/// Collects the key-value pairs emitted by one `map` call, and carries
+/// the map task's side state `S` (see [`CombineJob::Side`]) from one
+/// record to the next.
 #[derive(Debug)]
-pub struct Emitter<K, V> {
+pub struct Emitter<K, V, S = ()> {
     pairs: Vec<(K, V)>,
+    side: S,
 }
 
-impl<K, V> Emitter<K, V> {
-    pub(crate) fn new() -> Self {
-        Self { pairs: Vec::new() }
+impl<K, V, S> Emitter<K, V, S> {
+    pub(crate) fn new(side: S) -> Self {
+        Self {
+            pairs: Vec::new(),
+            side,
+        }
     }
 
     /// Emit one intermediate pair.
@@ -69,6 +75,17 @@ impl<K, V> Emitter<K, V> {
     pub(crate) fn drain(&mut self) -> std::vec::Drain<'_, (K, V)> {
         self.pairs.drain(..)
     }
+
+    /// The map task's side state, shared by every record of the task.
+    #[inline]
+    pub fn side_mut(&mut self) -> &mut S {
+        &mut self.side
+    }
+
+    /// The finished side state, once the task's input is exhausted.
+    pub(crate) fn into_side(self) -> S {
+        self.side
+    }
 }
 
 /// A MapReduce job with a combiner.
@@ -78,6 +95,14 @@ impl<K, V> Emitter<K, V> {
 /// `observe` for each value the task emits for it, in emit order, and
 /// `finish` once the task's input is exhausted. `reduce` is invoked once
 /// per key with the finished values from every map task.
+///
+/// Besides its keyed output, a map task may fold its records into one
+/// *side* state (`Side`, reached through [`Emitter::side_mut`]) that
+/// never enters the shuffle: the engine starts it with `Default`, hands
+/// the finished states back in split order as
+/// [`JobOutput::sides`](crate::JobOutput::sides), and charges
+/// [`side_bytes`](CombineJob::side_bytes) of network time to the task.
+/// Jobs without one set `type Side = ();`.
 pub trait CombineJob: Send + Sync {
     /// Input record type.
     type Input: Send + Sync;
@@ -91,9 +116,16 @@ pub trait CombineJob: Send + Sync {
     type CombOut: Send;
     /// Final per-key result.
     type ReduceOut: Send;
+    /// Per-map-task side state (`()` for none).
+    type Side: Default + Send;
 
     /// Process one input record, emitting intermediate pairs.
-    fn map(&self, ctx: &TaskCtx, record: &Self::Input, out: &mut Emitter<Self::Key, Self::MapOut>);
+    fn map(
+        &self,
+        ctx: &TaskCtx,
+        record: &Self::Input,
+        out: &mut Emitter<Self::Key, Self::MapOut, Self::Side>,
+    );
 
     /// Fresh combiner state for a key the task has just emitted for the
     /// first time; `ctx.seed` is unique to the `(task, key)` pair.
@@ -118,6 +150,12 @@ pub trait CombineJob: Send + Sync {
     /// Simulated wire size of one combiner output pair (drives the cost
     /// model's shuffle time).
     fn comb_bytes(&self, _key: &Self::Key, _value: &Self::CombOut) -> u64 {
+        0
+    }
+
+    /// Simulated size of a finished side state on its way back to the caller
+    /// (charged to the producing task, outside the shuffle).
+    fn side_bytes(&self, _side: &Self::Side) -> u64 {
         0
     }
 
@@ -168,6 +206,7 @@ impl<J: Job> CombineJob for NoCombiner<'_, J> {
     type Acc = Vec<J::MapOut>;
     type CombOut = Vec<J::MapOut>;
     type ReduceOut = J::ReduceOut;
+    type Side = ();
 
     fn map(&self, ctx: &TaskCtx, record: &Self::Input, out: &mut Emitter<Self::Key, Self::MapOut>) {
         self.0.map(ctx, record, out);
@@ -209,16 +248,17 @@ impl<J: Job> CombineJob for NoCombiner<'_, J> {
 }
 
 /// Fx-style multiplicative hasher for the engine's key-grouping indexes
-/// (map-side accumulators, reduce-side groups).
+/// (map-side accumulators, reduce-side groups) and for jobs' own lookup
+/// tables.
 ///
 /// Fixed-keyed and cheap on small integer keys; the hash only locates a
 /// key's group and never reaches a result (reduce partitions are chosen
 /// by `partition_of`'s SipHash).
 #[derive(Default, Clone, Copy)]
-pub(crate) struct FxHasher(u64);
+pub struct FxHasher(u64);
 
 /// `BuildHasher` of [`FxHasher`].
-pub(crate) type FxBuild = BuildHasherDefault<FxHasher>;
+pub type FxBuild = BuildHasherDefault<FxHasher>;
 
 impl FxHasher {
     #[inline]
@@ -274,7 +314,7 @@ mod tests {
 
     #[test]
     fn emitter_collects_pairs_in_order() {
-        let mut e: Emitter<u32, &str> = Emitter::new();
+        let mut e: Emitter<u32, &str> = Emitter::new(());
         assert!(e.is_empty());
         e.emit(1, "a");
         e.emit(2, "b");

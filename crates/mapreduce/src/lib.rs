@@ -21,6 +21,7 @@
 //!     type Acc = u64;
 //!     type CombOut = u64;
 //!     type ReduceOut = u64;
+//!     type Side = ();
 //!     fn map(&self, _c: &TaskCtx, r: &i64, out: &mut Emitter<bool, u64>) {
 //!         out.emit(r % 2 == 0, 1);
 //!     }
@@ -54,6 +55,6 @@ pub use chaos::{FaultMix, FaultPlan, NodeFault};
 pub use cluster::{Cluster, JobError, JobOutput, JobStats};
 pub use cost::{CostConfig, SimTime};
 pub use driver::JobLog;
-pub use job::{CombineJob, Emitter, Job, TaskCtx};
+pub use job::{CombineJob, Emitter, FxBuild, FxHasher, Job, TaskCtx};
 pub use split::{make_splits, InputSplit};
 pub use stratmr_telemetry::{JobTrace, Registry, TraceEvent, TracePhase, TraceSink};

@@ -24,6 +24,7 @@ impl CombineJob for WordLen {
     type Acc = u64;
     type CombOut = u64;
     type ReduceOut = u64;
+    type Side = ();
     fn map(&self, _c: &TaskCtx, r: &String, out: &mut Emitter<usize, u64>) {
         out.emit(r.len(), 1);
     }

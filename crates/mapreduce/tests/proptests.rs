@@ -39,6 +39,7 @@ impl CombineJob for SumJobCombined {
     type Acc = i64;
     type CombOut = i64;
     type ReduceOut = i64;
+    type Side = ();
     fn map(&self, _c: &TaskCtx, r: &(u8, i64), out: &mut Emitter<u8, i64>) {
         out.emit(r.0, r.1);
     }

@@ -21,6 +21,7 @@ impl CombineJob for &CombinerContract {
     type Acc = (u64, u64);
     type CombOut = (u64, u64); // (sum, count)
     type ReduceOut = (u64, u64);
+    type Side = ();
 
     fn map(&self, _c: &TaskCtx, r: &(u8, u64), out: &mut Emitter<u8, u64>) {
         out.emit(r.0, r.1);

@@ -6,7 +6,14 @@
 //!
 //! 1. compute a representative (non-optimal) answer `A` with MR-MQE and
 //!    derive the stratum-selection frequencies `F(A_i, σ)`;
-//! 2. compute the limits `L(σ)` with the Figure 4 MapReduce job;
+//! 2. compute the limits `L(σ)`. The fused schedule (the default)
+//!    counts them inside step 1's scan, which already finds every
+//!    tuple's selection `σ(t)`: each map task interns `σ(t)` into a side
+//!    tally, and the run merges the tallies (see [`crate::tally`]).
+//!    The paper's schedule ([`CpsConfig::paper`]) runs the Figure 4
+//!    MapReduce job instead. Either way every row leaves the scan with
+//!    a dense selection id, which steps 4 and 5 look up instead of
+//!    matching the stratum formulas again;
 //! 3. solve the Figure 3 program for the optimal sharing counts
 //!    `X_τ(σ)` — exactly (IP, Algorithm CPS) or via the LP relaxation
 //!    with floor rounding (MR-CPS);
@@ -21,11 +28,12 @@
 //! single-program formulation is available for cross-checking
 //! (DESIGN.md, substitution 4).
 
-use crate::limits::try_stratum_selection_limits;
-use crate::mqe::try_mr_mqe_on_splits;
+use crate::limits::limits_tallied;
+use crate::mqe::{mr_mqe_tallied, try_mr_mqe_on_splits};
 use crate::obs::StratumCounters;
 use crate::reservoir::SeededReservoir;
 use crate::sst::{Sst, StratumSelection};
+use crate::tally::SelectionTable;
 use crate::unified::{unified_sampler, IntermediateSample};
 use rand::SeedableRng;
 use rand_chacha::ChaCha8Rng;
@@ -49,6 +57,14 @@ pub enum CpsError {
     Lp(LpError),
     /// A MapReduce phase failed (retry exhaustion / no healthy machines).
     Job(JobError),
+    /// A selection's block of the Figure 3 program would need more than
+    /// [`MAX_BLOCK_VARIABLES`] variables (`2^|I(σ)| − 1` survey sets).
+    ProgramTooLarge {
+        /// The selection, rendered as in the EXPLAIN.
+        selection: String,
+        /// Surveys that sampled the selection.
+        surveys: usize,
+    },
 }
 
 impl std::fmt::Display for CpsError {
@@ -56,6 +72,11 @@ impl std::fmt::Display for CpsError {
         match self {
             CpsError::Lp(e) => write!(f, "constraint program failed: {e}"),
             CpsError::Job(e) => write!(f, "mapreduce phase failed: {e}"),
+            CpsError::ProgramTooLarge { selection, surveys } => write!(
+                f,
+                "selection {selection} is sampled by {surveys} surveys: its program \
+                 would exceed {MAX_BLOCK_VARIABLES} variables"
+            ),
         }
     }
 }
@@ -83,6 +104,18 @@ pub enum SolverKind {
     Ip,
 }
 
+/// Which MapReduce jobs a CPS run makes.
+#[derive(Debug, Clone, Copy, PartialEq, Eq)]
+pub enum CpsSchedule {
+    /// Two jobs, plus residual rounds: the initial MR-MQE scan also
+    /// tallies `L(σ)` and every row's selection.
+    Fused,
+    /// The paper's three: the initial MR-MQE, the Figure 4 `L(σ)` job
+    /// and the combined MR-SQE, plus residual rounds. The reproduced
+    /// experiments (Figure 7's "CPS ≈ 3× MQE" above all) use it.
+    Paper,
+}
+
 /// Configuration of a CPS run.
 #[derive(Debug, Clone, Copy)]
 pub struct CpsConfig {
@@ -98,6 +131,9 @@ pub struct CpsConfig {
     /// changes no decision the pipeline makes: answers are byte-identical
     /// with and without it.
     pub explain: bool,
+    /// The job schedule. Answers, costs and plans are identical under
+    /// both; only the jobs run (and their statistics) differ.
+    pub schedule: CpsSchedule,
 }
 
 impl Default for CpsConfig {
@@ -106,6 +142,7 @@ impl Default for CpsConfig {
             solver: SolverKind::Lp,
             joint_formulation: false,
             explain: false,
+            schedule: CpsSchedule::Fused,
         }
     }
 }
@@ -118,10 +155,23 @@ const EPSILON: f64 = 1e-4;
 /// analytically; see the module docs).
 const MAX_RESIDUAL_ROUNDS: usize = 4;
 
+/// Largest program block one selection may ask for (16 sampling
+/// surveys); beyond it a run fails with [`CpsError::ProgramTooLarge`].
+pub const MAX_BLOCK_VARIABLES: usize = 1 << 16;
+
 impl CpsConfig {
-    /// MR-CPS: the paper's scalable LP-based variant.
+    /// MR-CPS: the paper's scalable LP-based variant, on the fused
+    /// schedule.
     pub fn mr_cps() -> Self {
         Self::default()
+    }
+
+    /// MR-CPS on the paper's three-job schedule.
+    pub fn paper() -> Self {
+        Self {
+            schedule: CpsSchedule::Paper,
+            ..Self::default()
+        }
     }
 
     /// CPS with the exact IP solver.
@@ -170,7 +220,8 @@ pub struct CpsRun {
 
 /// The solved allocation for one stratum selection.
 struct SigmaPlan {
-    sel: StratumSelection,
+    /// Position of the selection among the relevant ones.
+    r: usize,
     /// `(τ, ⌊X_τ(σ)⌋)` with positive counts, in ascending τ order.
     allocations: Vec<(SurveySet, u64)>,
     /// `f(σ) = Σ_τ ⌊X_τ(σ)⌋`.
@@ -557,21 +608,26 @@ pub fn try_mr_cps_on_splits(
     }
 
     // ---- step 1: representative first-phase answer (Line 1) ------------
-    let initial = {
+    let (initial, fused_tallies) = {
         let _s = tel.map(|t| t.span("initial_mqe"));
-        try_mr_mqe_on_splits(
-            &cluster.named("cps/initial-mqe"),
-            splits,
-            queries,
-            None,
-            seed.wrapping_add(1),
-        )?
+        let cluster = cluster.named("cps/initial-mqe");
+        match config.schedule {
+            CpsSchedule::Fused => {
+                let (run, tallies) =
+                    mr_mqe_tallied(&cluster, splits, queries, seed.wrapping_add(1))?;
+                (run, Some(tallies))
+            }
+            CpsSchedule::Paper => (
+                try_mr_mqe_on_splits(&cluster, splits, queries, None, seed.wrapping_add(1))?,
+                None,
+            ),
+        }
     };
     phase_stats.push(("initial MR-MQE".to_string(), initial.stats.clone()));
 
     // F(A_i, σ) via one SST per answer (§5.2.5.1)
     let matchers = StratumMatcher::all(queries);
-    let freq: Vec<HashMap<StratumSelection, u64>> = (0..n)
+    let sampled: Vec<Vec<(StratumSelection, u64)>> = (0..n)
         .map(|i| {
             Sst::from_tuples(initial.answer.answer(i).iter(), &matchers)
                 .iter()
@@ -579,42 +635,75 @@ pub fn try_mr_cps_on_splits(
         })
         .collect();
 
-    // [[Q]]* — the relevant selections
-    let mut relevant: Vec<StratumSelection> = freq
+    // [[Q]]* — the relevant selections, in `StratumSelection` order: the
+    // program's block order, Q′'s stratum order and the EXPLAIN's
+    let mut relevant: Vec<StratumSelection> = sampled
         .iter()
-        .flat_map(|f| f.keys().cloned())
-        .collect::<HashSet<_>>()
-        .into_iter()
+        .flatten()
+        .map(|(sel, _)| sel.clone())
         .collect();
-    relevant.sort(); // deterministic block order
-
-    // ---- step 2: limits L(σ) (Figure 4) --------------------------------
-    let relevant_set: HashSet<StratumSelection> = relevant.iter().cloned().collect();
-    let (limits, limit_stats) = {
-        let _s = tel.map(|t| t.span("limits"));
-        try_stratum_selection_limits(
-            &cluster.named("cps/limits"),
-            splits,
-            queries,
-            Some(&relevant_set),
-            seed.wrapping_add(2),
-        )?
+    relevant.sort();
+    relevant.dedup();
+    let position = |sel: &StratumSelection| {
+        relevant
+            .binary_search(sel)
+            .expect("sampled and deficit selections are relevant")
     };
-    phase_stats.push(("selection limits".to_string(), limit_stats));
+    // freq[i][r] = F(A_i, relevant[r])
+    let mut freq = vec![vec![0u64; relevant.len()]; n];
+    for (i, pairs) in sampled.iter().enumerate() {
+        for (sel, count) in pairs {
+            freq[i][position(sel)] = *count;
+        }
+    }
+
+    // ---- step 2: limits L(σ) and the rows' selection ids ---------------
+    let ((mut table, row_ids), keyed_limits) = match fused_tallies {
+        Some(tallies) => {
+            let _s = tel.map(|t| t.span("limits"));
+            (SelectionTable::merge(tallies), None)
+        }
+        None => {
+            let relevant_set: HashSet<StratumSelection> = relevant.iter().cloned().collect();
+            let _s = tel.map(|t| t.span("limits"));
+            let out = limits_tallied(
+                &cluster.named("cps/limits"),
+                splits,
+                queries,
+                Some(&relevant_set),
+                seed.wrapping_add(2),
+            )?;
+            phase_stats.push(("selection limits".to_string(), out.stats));
+            let keyed: HashMap<StratumSelection, u64> = out.results.into_iter().collect();
+            (SelectionTable::merge(out.sides), Some(keyed))
+        }
+    };
+    // the relevant selections' ids (a selection no row carries — which
+    // the data cannot produce — gets an id with L(σ) = 0)
+    let ids: Vec<u32> = relevant
+        .iter()
+        .map(|sel| table.intern(sel.clone()))
+        .collect();
+    let limits: Vec<u64> = match &keyed_limits {
+        Some(keyed) => relevant
+            .iter()
+            .map(|sel| keyed.get(sel).copied().unwrap_or(0))
+            .collect(),
+        None => ids.iter().map(|&id| table.count(id)).collect(),
+    };
 
     // EXPLAIN: the strata universe — every relevant σ with its limit and
     // per-survey selection frequencies
     let selections_explain: Vec<SelectionExplain> = if config.explain {
         relevant
             .iter()
-            .map(|sel| SelectionExplain {
+            .enumerate()
+            .map(|(r, sel)| SelectionExplain {
                 selection: sel.to_string(),
-                limit: limits.get(sel).copied().unwrap_or(0),
+                limit: limits[r],
                 frequencies: (0..n)
-                    .filter_map(|i| {
-                        let f = freq[i].get(sel).copied().unwrap_or(0);
-                        (f > 0).then_some((i, f))
-                    })
+                    .filter(|&i| freq[i][r] > 0)
+                    .map(|i| (i, freq[i][r]))
                     .collect(),
             })
             .collect()
@@ -631,13 +720,15 @@ pub fn try_mr_cps_on_splits(
     let plans: Vec<SigmaPlan> = {
         let _s = tel.map(|t| t.span("solve"));
         let explain = config.explain.then_some(&mut programs);
+        let program = Program {
+            relevant: &relevant,
+            freq: &freq,
+            limits: &limits,
+            mssd,
+            config,
+        };
         if config.joint_formulation {
-            solve_joint(
-                &relevant,
-                &freq,
-                &limits,
-                mssd,
-                config,
+            program.solve_joint(
                 tel,
                 &mut timings,
                 &mut variables,
@@ -646,12 +737,7 @@ pub fn try_mr_cps_on_splits(
                 explain,
             )?
         } else {
-            solve_blockwise(
-                &relevant,
-                &freq,
-                &limits,
-                mssd,
-                config,
+            program.solve_blockwise(
                 tel,
                 &mut timings,
                 &mut variables,
@@ -671,15 +757,15 @@ pub fn try_mr_cps_on_splits(
     // ---- step 4: combined query Q′ + distribution (Lines 4-15) ---------
     // Q′ has one stratum per relevant σ with a positive allocation; its
     // condition ϕ(σ) selects exactly the tuples with σ(t) = σ, so the
-    // job matches tuples by computing σ(t) once and indexing — the
+    // job matches a tuple by looking its row's selection id up — the
     // MapReduce program is MR-SQE on Q′, with the formula evaluation
-    // strength-reduced to a selection lookup.
+    // strength-reduced to an index read.
+    let rows = with_selection_ids(splits, row_ids);
     let active: Vec<&SigmaPlan> = plans.iter().filter(|p| p.total > 0).collect();
-    let sigma_index: HashMap<StratumSelection, usize> = active
-        .iter()
-        .enumerate()
-        .map(|(k, p)| (p.sel.clone(), k))
-        .collect();
+    let mut stratum_of_id = vec![NO_STRATUM; table.len()];
+    for (k, p) in active.iter().enumerate() {
+        stratum_of_id[ids[p.r] as usize] = k as u32;
+    }
     let combined_freqs: Vec<usize> = active.iter().map(|p| p.total as usize).collect();
     let combined_counters =
         tel.map(|t| StratumCounters::per_stratum(t, "cps.combined", active.len()));
@@ -689,8 +775,7 @@ pub fn try_mr_cps_on_splits(
         }
     }
     let combined_job = CombinedSqeJob {
-        matchers: &matchers,
-        index: &sigma_index,
+        stratum_of_id: &stratum_of_id,
         freqs: &combined_freqs,
         counters: combined_counters,
     };
@@ -698,7 +783,7 @@ pub fn try_mr_cps_on_splits(
         let _s = tel.map(|t| t.span("combined_sqe"));
         cluster.named("cps/combined-sqe").try_run_with_combiner(
             &combined_job,
-            splits,
+            &rows,
             seed.wrapping_add(3),
         )?
     };
@@ -709,16 +794,17 @@ pub fn try_mr_cps_on_splits(
     }
 
     let mut star: Vec<SsdAnswer> = queries.iter().map(|q| SsdAnswer::empty(q.len())).collect();
-    // per (i, σ): how many tuples A*_i already holds for σ
-    let mut assigned: Vec<HashMap<StratumSelection, u64>> = vec![HashMap::new(); n];
+    // assigned[i][r]: how many tuples A*_i already holds for relevant[r]
+    let mut assigned = vec![vec![0u64; relevant.len()]; n];
     for (plan, pool) in active.iter().zip(&mut pools) {
+        let sel = &relevant[plan.r];
         for &(tau, count) in &plan.allocations {
             for _ in 0..count {
                 let Some(t) = pool.pop() else { break };
                 for i in tau.iter() {
-                    let stratum = plan.sel.stratum_of(i).expect("τ ⊆ I(σ)");
+                    let stratum = sel.stratum_of(i).expect("τ ⊆ I(σ)");
                     star[i].stratum_mut(stratum).push(t.clone());
-                    *assigned[i].entry(plan.sel.clone()).or_default() += 1;
+                    assigned[i][plan.r] += 1;
                 }
             }
         }
@@ -728,18 +814,19 @@ pub fn try_mr_cps_on_splits(
     // Semantically another MSSD (MR-MQE) phase over the residual
     // frequencies, keyed by (query, σ) with already-selected individuals
     // excluded per query; like the combined job, tuples are matched by
-    // σ(t) lookup instead of re-evaluating ϕ(σ).
+    // their row's selection id instead of re-evaluating ϕ(σ).
     let mut residual_selections = 0usize;
     let mut residual_rounds: Vec<ResidualRoundExplain> = Vec::new();
     for round in 0..MAX_RESIDUAL_ROUNDS {
-        // deficits per (i, σ)
+        // deficits per (i, σ), and per selection id the surveys short of it
         let mut needed: HashMap<(usize, StratumSelection), usize> = HashMap::new();
+        let mut short = vec![SurveySet::EMPTY; table.len()];
         for i in 0..n {
-            for sel in &relevant {
-                let want = freq[i].get(sel).copied().unwrap_or(0);
-                let have = assigned[i].get(sel).copied().unwrap_or(0);
-                if want > have {
-                    needed.insert((i, sel.clone()), (want - have) as usize);
+            for (r, sel) in relevant.iter().enumerate() {
+                if freq[i][r] > assigned[i][r] {
+                    needed.insert((i, sel.clone()), (freq[i][r] - assigned[i][r]) as usize);
+                    let id = ids[r] as usize;
+                    short[id] = short[id].with(i);
                 }
             }
         }
@@ -757,7 +844,8 @@ pub fn try_mr_cps_on_splits(
             c.request(0, deficit);
         }
         let residual_job = ResidualMqeJob {
-            matchers: &matchers,
+            table: &table,
+            short: &short,
             needed: &needed,
             exclusions: &exclusions,
             counters: residual_counters,
@@ -766,7 +854,7 @@ pub fn try_mr_cps_on_splits(
             let _s = tel.map(|t| t.span("residual"));
             cluster
                 .named(&format!("cps/residual#{round}"))
-                .try_run_with_combiner(&residual_job, splits, seed.wrapping_add(4 + round as u64))?
+                .try_run_with_combiner(&residual_job, &rows, seed.wrapping_add(4 + round as u64))?
         };
         if let Some(t) = tel {
             t.counter("cps.residual.rounds").inc();
@@ -775,9 +863,10 @@ pub fn try_mr_cps_on_splits(
         let mut added_this_round = 0usize;
         for ((i, sel), tuples) in residual.results {
             let stratum = sel.stratum_of(i).expect("deficit implies i ∈ I(σ)");
+            let r = position(&sel);
             for t in tuples {
                 star[i].stratum_mut(stratum).push(t);
-                *assigned[i].entry(sel.clone()).or_default() += 1;
+                assigned[i][r] += 1;
                 added_this_round += 1;
             }
         }
@@ -880,27 +969,55 @@ pub fn try_mr_cps_on_splits(
     })
 }
 
+/// Q′ stratum of a selection id that is not in Q′.
+const NO_STRATUM: u32 = u32::MAX;
+
+/// Each input row paired with its selection id: the same splits (ids,
+/// home machines, row order), so task seeds and scan bytes are those of
+/// a scan over `splits` itself. Each split's id vector is freed as soon
+/// as its rows are paired.
+fn with_selection_ids(
+    splits: &[InputSplit<Individual>],
+    row_ids: Vec<Vec<u32>>,
+) -> Vec<InputSplit<(u32, &Individual)>> {
+    splits
+        .iter()
+        .zip(row_ids)
+        .map(|(split, ids)| {
+            let records = ids.into_iter().zip(&split.records).collect();
+            InputSplit::new(split.id, split.home_machine, records)
+        })
+        .collect()
+}
+
 /// MR-SQE on the combined query Q′, with stratum matching done by
-/// computing `σ(t)` and indexing into the relevant selections (each Q′
-/// stratum's condition `ϕ(σ)` holds exactly on tuples with `σ(t) = σ`).
+/// looking the row's selection id up (each Q′ stratum's condition
+/// `ϕ(σ)` holds exactly on tuples with `σ(t) = σ`).
 struct CombinedSqeJob<'a> {
-    matchers: &'a [StratumMatcher<'a>],
-    index: &'a HashMap<StratumSelection, usize>,
+    /// Q′ stratum per selection id, [`NO_STRATUM`] outside Q′.
+    stratum_of_id: &'a [u32],
     freqs: &'a [usize],
     counters: Option<StratumCounters>,
 }
 
-impl CombineJob for CombinedSqeJob<'_> {
-    type Input = Individual;
+impl<'a> CombineJob for CombinedSqeJob<'a> {
+    type Input = (u32, &'a Individual);
     type Key = usize;
     type MapOut = Individual;
     type Acc = SeededReservoir<Individual>;
     type CombOut = IntermediateSample<Individual>;
     type ReduceOut = Vec<Individual>;
+    type Side = ();
 
-    fn map(&self, _ctx: &TaskCtx, t: &Individual, out: &mut Emitter<usize, Individual>) {
-        let sel = StratumSelection::of(t, self.matchers);
-        if let Some(&k) = self.index.get(&sel) {
+    fn map(
+        &self,
+        _ctx: &TaskCtx,
+        &(id, t): &(u32, &'a Individual),
+        out: &mut Emitter<usize, Individual>,
+    ) {
+        let k = self.stratum_of_id[id as usize];
+        if k != NO_STRATUM {
+            let k = k as usize;
             if let Some(c) = &self.counters {
                 c.candidate(k);
             }
@@ -935,7 +1052,7 @@ impl CombineJob for CombinedSqeJob<'_> {
         sample
     }
 
-    fn input_bytes(&self, t: &Individual) -> u64 {
+    fn input_bytes(&self, &(_, t): &(u32, &'a Individual)) -> u64 {
         t.payload_bytes as u64
     }
 
@@ -947,7 +1064,9 @@ impl CombineJob for CombinedSqeJob<'_> {
 /// The residual MR-MQE phase, keyed by `(query, σ)` with per-query
 /// exclusion of already-selected individuals.
 struct ResidualMqeJob<'a> {
-    matchers: &'a [StratumMatcher<'a>],
+    table: &'a SelectionTable,
+    /// Per selection id, the surveys with a deficit on it.
+    short: &'a [SurveySet],
     needed: &'a HashMap<(usize, StratumSelection), usize>,
     exclusions: &'a [HashSet<u64>],
     /// Aggregate `cps.residual.*` counters — the key space is the
@@ -955,32 +1074,29 @@ struct ResidualMqeJob<'a> {
     counters: Option<StratumCounters>,
 }
 
-impl CombineJob for ResidualMqeJob<'_> {
-    type Input = Individual;
+impl<'a> CombineJob for ResidualMqeJob<'a> {
+    type Input = (u32, &'a Individual);
     type Key = (usize, StratumSelection);
     type MapOut = Individual;
     type Acc = SeededReservoir<Individual>;
     type CombOut = IntermediateSample<Individual>;
     type ReduceOut = Vec<Individual>;
+    type Side = ();
 
     fn map(
         &self,
         _ctx: &TaskCtx,
-        t: &Individual,
+        &(id, t): &(u32, &'a Individual),
         out: &mut Emitter<(usize, StratumSelection), Individual>,
     ) {
-        let sel = StratumSelection::of(t, self.matchers);
-        for i in sel.survey_indexes().iter() {
+        for i in self.short[id as usize].iter() {
             if self.exclusions[i].contains(&t.id) {
                 continue;
             }
-            let key = (i, sel.clone());
-            if self.needed.contains_key(&key) {
-                if let Some(c) = &self.counters {
-                    c.candidate(0);
-                }
-                out.emit(key, t.clone());
+            if let Some(c) = &self.counters {
+                c.candidate(0);
             }
+            out.emit((i, self.table.selection(id).clone()), t.clone());
         }
     }
 
@@ -1011,7 +1127,7 @@ impl CombineJob for ResidualMqeJob<'_> {
         sample
     }
 
-    fn input_bytes(&self, t: &Individual) -> u64 {
+    fn input_bytes(&self, &(_, t): &(u32, &'a Individual)) -> u64 {
         t.payload_bytes as u64
     }
 
@@ -1022,20 +1138,6 @@ impl CombineJob for ResidualMqeJob<'_> {
     ) -> u64 {
         s.sample.iter().map(crate::input::wire_bytes).sum::<u64>() + 16
     }
-}
-
-/// The queries that actually sampled σ: `{i ∈ I(σ) : F(A_i, σ) > 0}`.
-///
-/// For any `i` with `F(A_i, σ) = 0`, the equality constraint forces every
-/// `X_τ(σ)` with `i ∈ τ` to zero, so restricting the variables to subsets
-/// of this set leaves the optimum unchanged (the same reasoning the paper
-/// uses to prune redundant selections in §5.2.5.1, applied per variable).
-fn active_surveys(sel: &StratumSelection, freq: &[HashMap<StratumSelection, u64>]) -> SurveySet {
-    SurveySet::from_iter(
-        sel.survey_indexes()
-            .iter()
-            .filter(|&i| freq[i].get(sel).copied().unwrap_or(0) > 0),
-    )
 }
 
 /// Enumerate the non-empty subsets of a survey set in ascending bitmask
@@ -1049,6 +1151,15 @@ fn taus_of(active: SurveySet) -> Vec<SurveySet> {
 /// Floor with the paper's ε nudge.
 fn floor_eps(x: f64) -> u64 {
     (x + EPSILON).floor().max(0.0) as u64
+}
+
+/// A solver value rounded to the allocation step 4 samples: floor+ε on
+/// the LP path, round on IP.
+fn round(solver: SolverKind, x: f64) -> u64 {
+    match solver {
+        SolverKind::Lp => floor_eps(x),
+        SolverKind::Ip => x.round() as u64,
+    }
 }
 
 /// Search effort behind one solved (sub)program, normalized across the
@@ -1100,89 +1211,175 @@ fn solve_dispatch(
     }
 }
 
-#[allow(clippy::too_many_arguments)]
-fn solve_blockwise(
-    relevant: &[StratumSelection],
-    freq: &[HashMap<StratumSelection, u64>],
-    limits: &HashMap<StratumSelection, u64>,
-    mssd: &MssdQuery,
+/// The Figure 3 program over the relevant selections, indexed by their
+/// position `r` in `relevant`.
+struct Program<'a> {
+    relevant: &'a [StratumSelection],
+    /// `freq[i][r] = F(A_i, relevant[r])`.
+    freq: &'a [Vec<u64>],
+    /// `limits[r] = L(relevant[r])`.
+    limits: &'a [u64],
+    mssd: &'a MssdQuery,
     config: CpsConfig,
-    telemetry: Option<&Registry>,
-    timings: &mut CpsTimings,
-    variables: &mut usize,
-    constraints: &mut usize,
-    objective: &mut f64,
-    mut explain: Option<&mut Vec<ProgramExplain>>,
-) -> Result<Vec<SigmaPlan>, LpError> {
-    let mut plans = Vec::with_capacity(relevant.len());
-    for sel in relevant {
-        let t0 = Instant::now();
-        let taus = taus_of(active_surveys(sel, freq));
-        let mut problem = Problem::new();
+}
+
+impl Program<'_> {
+    /// The queries that actually sampled σ: `{i ∈ I(σ) : F(A_i, σ) > 0}`.
+    ///
+    /// For any `i` with `F(A_i, σ) = 0`, the equality constraint forces
+    /// every `X_τ(σ)` with `i ∈ τ` to zero, so restricting the variables
+    /// to subsets of this set leaves the optimum unchanged (the same
+    /// reasoning the paper uses to prune redundant selections in
+    /// §5.2.5.1, applied per variable).
+    fn active_surveys(&self, r: usize) -> SurveySet {
+        SurveySet::from_iter(
+            self.relevant[r]
+                .survey_indexes()
+                .iter()
+                .filter(|&i| self.freq[i][r] > 0),
+        )
+    }
+
+    /// Add selection `r`'s block to `problem`: one variable per τ, the
+    /// equivalence constraints `Σ_{τ∋i} X_τ = F(A_i, σ)` and the upper
+    /// bound `Σ_τ X_τ ≤ L(σ)`. Refuses a block over
+    /// [`MAX_BLOCK_VARIABLES`] before enumerating it.
+    fn add_block(
+        &self,
+        problem: &mut Problem,
+        r: usize,
+    ) -> Result<(Vec<SurveySet>, Vec<usize>), CpsError> {
+        let active = self.active_surveys(r);
+        if (1u64 << active.len()) - 1 > MAX_BLOCK_VARIABLES as u64 {
+            return Err(CpsError::ProgramTooLarge {
+                selection: self.relevant[r].to_string(),
+                surveys: active.len(),
+            });
+        }
+        let taus = taus_of(active);
+        let costs = self.mssd.costs();
         let vars: Vec<_> = taus
             .iter()
-            .map(|&tau| problem.add_var(mssd.costs().cost(tau)))
+            .map(|&tau| problem.add_var(costs.cost(tau)))
             .collect();
-        // equivalence constraints: Σ_{τ∋i} X_τ = F(A_i, σ)
-        for i in active_surveys(sel, freq).iter() {
+        for i in active.iter() {
             let coeffs: Vec<_> = taus
                 .iter()
                 .zip(&vars)
                 .filter(|(tau, _)| tau.contains(i))
                 .map(|(_, &v)| (v, 1.0))
                 .collect();
-            let f = freq[i].get(sel).copied().unwrap_or(0);
-            problem.add_constraint(coeffs, Relation::Eq, f as f64);
+            problem.add_constraint(coeffs, Relation::Eq, self.freq[i][r] as f64);
         }
-        // upper bound: Σ_τ X_τ ≤ L(σ)
-        let limit = limits.get(sel).copied().unwrap_or(0);
         problem.add_constraint(
             vars.iter().map(|&v| (v, 1.0)).collect(),
             Relation::Le,
-            limit as f64,
+            self.limits[r] as f64,
         );
-        *variables += problem.n_vars();
-        *constraints += problem.n_constraints();
-        timings.formulate_secs += t0.elapsed().as_secs_f64();
+        Ok((taus, vars))
+    }
 
-        let t1 = Instant::now();
-        let (solution, effort) = solve_dispatch(&problem, config.solver, telemetry)?;
-        timings.solve_secs += t1.elapsed().as_secs_f64();
-        *objective += solution.objective;
-
-        if let Some(out) = explain.as_deref_mut() {
-            out.push(program_explain(
-                sel.to_string(),
-                &problem,
-                &solution,
-                effort,
-                &taus,
-                &vars,
-                mssd,
-                config,
-            ));
-        }
+    /// Selection `r`'s integral allocation from a solved program.
+    fn plan(&self, r: usize, taus: &[SurveySet], vars: &[usize], solution: &Solution) -> SigmaPlan {
         let allocations: Vec<(SurveySet, u64)> = taus
             .iter()
-            .zip(&vars)
-            .map(|(&tau, &v)| {
-                let x = solution.values[v];
-                let count = match config.solver {
-                    SolverKind::Lp => floor_eps(x),
-                    SolverKind::Ip => x.round() as u64,
-                };
-                (tau, count)
-            })
+            .zip(vars)
+            .map(|(&tau, &v)| (tau, round(self.config.solver, solution.values[v])))
             .filter(|&(_, c)| c > 0)
             .collect();
         let total = allocations.iter().map(|&(_, c)| c).sum();
-        plans.push(SigmaPlan {
-            sel: sel.clone(),
+        SigmaPlan {
+            r,
             allocations,
             total,
-        });
+        }
     }
-    Ok(plans)
+
+    fn solve_blockwise(
+        &self,
+        telemetry: Option<&Registry>,
+        timings: &mut CpsTimings,
+        variables: &mut usize,
+        constraints: &mut usize,
+        objective: &mut f64,
+        mut explain: Option<&mut Vec<ProgramExplain>>,
+    ) -> Result<Vec<SigmaPlan>, CpsError> {
+        let mut plans = Vec::with_capacity(self.relevant.len());
+        for r in 0..self.relevant.len() {
+            let t0 = Instant::now();
+            let mut problem = Problem::new();
+            let (taus, vars) = self.add_block(&mut problem, r)?;
+            *variables += problem.n_vars();
+            *constraints += problem.n_constraints();
+            timings.formulate_secs += t0.elapsed().as_secs_f64();
+
+            let t1 = Instant::now();
+            let (solution, effort) = solve_dispatch(&problem, self.config.solver, telemetry)?;
+            timings.solve_secs += t1.elapsed().as_secs_f64();
+            *objective += solution.objective;
+
+            if let Some(out) = explain.as_deref_mut() {
+                out.push(program_explain(
+                    self.relevant[r].to_string(),
+                    &problem,
+                    &solution,
+                    effort,
+                    &taus,
+                    &vars,
+                    self.mssd,
+                    self.config,
+                ));
+            }
+            plans.push(self.plan(r, &taus, &vars, &solution));
+        }
+        Ok(plans)
+    }
+
+    fn solve_joint(
+        &self,
+        telemetry: Option<&Registry>,
+        timings: &mut CpsTimings,
+        variables: &mut usize,
+        constraints: &mut usize,
+        objective: &mut f64,
+        explain: Option<&mut Vec<ProgramExplain>>,
+    ) -> Result<Vec<SigmaPlan>, CpsError> {
+        let t0 = Instant::now();
+        let mut problem = Problem::new();
+        // var layout: per selection, its τ list
+        let layout = (0..self.relevant.len())
+            .map(|r| self.add_block(&mut problem, r))
+            .collect::<Result<Vec<_>, _>>()?;
+        *variables = problem.n_vars();
+        *constraints = problem.n_constraints();
+        timings.formulate_secs += t0.elapsed().as_secs_f64();
+
+        let t1 = Instant::now();
+        let (solution, effort) = solve_dispatch(&problem, self.config.solver, telemetry)?;
+        timings.solve_secs += t1.elapsed().as_secs_f64();
+        *objective = solution.objective;
+
+        if let Some(out) = explain {
+            let all_taus: Vec<SurveySet> =
+                layout.iter().flat_map(|(t, _)| t.iter().copied()).collect();
+            let all_vars: Vec<usize> = layout.iter().flat_map(|(_, v)| v.iter().copied()).collect();
+            out.push(program_explain(
+                "joint".to_string(),
+                &problem,
+                &solution,
+                effort,
+                &all_taus,
+                &all_vars,
+                self.mssd,
+                self.config,
+            ));
+        }
+        Ok(layout
+            .iter()
+            .enumerate()
+            .map(|(r, (taus, vars))| self.plan(r, taus, vars, &solution))
+            .collect())
+    }
 }
 
 /// Assemble one [`ProgramExplain`] from a solved (sub)program.
@@ -1212,106 +1409,10 @@ fn program_explain(
                 surveys: tau.iter().collect(),
                 cost: mssd.costs().cost(tau),
                 value: solution.values[v],
-                allocation: match config.solver {
-                    SolverKind::Lp => floor_eps(solution.values[v]),
-                    SolverKind::Ip => solution.values[v].round() as u64,
-                },
+                allocation: round(config.solver, solution.values[v]),
             })
             .collect(),
     }
-}
-
-#[allow(clippy::too_many_arguments)]
-fn solve_joint(
-    relevant: &[StratumSelection],
-    freq: &[HashMap<StratumSelection, u64>],
-    limits: &HashMap<StratumSelection, u64>,
-    mssd: &MssdQuery,
-    config: CpsConfig,
-    telemetry: Option<&Registry>,
-    timings: &mut CpsTimings,
-    variables: &mut usize,
-    constraints: &mut usize,
-    objective: &mut f64,
-    explain: Option<&mut Vec<ProgramExplain>>,
-) -> Result<Vec<SigmaPlan>, LpError> {
-    let t0 = Instant::now();
-    let mut problem = Problem::new();
-    // var layout: per selection, its τ list
-    let mut layout: Vec<(Vec<SurveySet>, Vec<usize>)> = Vec::with_capacity(relevant.len());
-    for sel in relevant {
-        let taus = taus_of(active_surveys(sel, freq));
-        let vars: Vec<_> = taus
-            .iter()
-            .map(|&tau| problem.add_var(mssd.costs().cost(tau)))
-            .collect();
-        for i in active_surveys(sel, freq).iter() {
-            let coeffs: Vec<_> = taus
-                .iter()
-                .zip(&vars)
-                .filter(|(tau, _)| tau.contains(i))
-                .map(|(_, &v)| (v, 1.0))
-                .collect();
-            let f = freq[i].get(sel).copied().unwrap_or(0);
-            problem.add_constraint(coeffs, Relation::Eq, f as f64);
-        }
-        let limit = limits.get(sel).copied().unwrap_or(0);
-        problem.add_constraint(
-            vars.iter().map(|&v| (v, 1.0)).collect(),
-            Relation::Le,
-            limit as f64,
-        );
-        layout.push((taus, vars));
-    }
-    *variables = problem.n_vars();
-    *constraints = problem.n_constraints();
-    timings.formulate_secs += t0.elapsed().as_secs_f64();
-
-    let t1 = Instant::now();
-    let (solution, effort) = solve_dispatch(&problem, config.solver, telemetry)?;
-    timings.solve_secs += t1.elapsed().as_secs_f64();
-    *objective = solution.objective;
-
-    if let Some(out) = explain {
-        let all_taus: Vec<SurveySet> = layout.iter().flat_map(|(t, _)| t.iter().copied()).collect();
-        let all_vars: Vec<usize> = layout.iter().flat_map(|(_, v)| v.iter().copied()).collect();
-        out.push(program_explain(
-            "joint".to_string(),
-            &problem,
-            &solution,
-            effort,
-            &all_taus,
-            &all_vars,
-            mssd,
-            config,
-        ));
-    }
-
-    Ok(relevant
-        .iter()
-        .zip(layout)
-        .map(|(sel, (taus, vars))| {
-            let allocations: Vec<(SurveySet, u64)> = taus
-                .iter()
-                .zip(&vars)
-                .map(|(&tau, &v)| {
-                    let x = solution.values[v];
-                    let count = match config.solver {
-                        SolverKind::Lp => floor_eps(x),
-                        SolverKind::Ip => x.round() as u64,
-                    };
-                    (tau, count)
-                })
-                .filter(|&(_, c)| c > 0)
-                .collect();
-            let total = allocations.iter().map(|&(_, c)| c).sum();
-            SigmaPlan {
-                sel: sel.clone(),
-                allocations,
-                total,
-            }
-        })
-        .collect())
 }
 
 #[cfg(test)]
@@ -1332,6 +1433,14 @@ mod tests {
             .map(|i| Individual::new(i, vec![(i % 100) as i64], 100))
             .collect();
         Dataset::new(schema, tuples)
+    }
+
+    /// `config` with the joint formulation switched on.
+    fn joint(config: CpsConfig) -> CpsConfig {
+        CpsConfig {
+            joint_formulation: true,
+            ..config
+        }
     }
 
     /// `config` with EXPLAIN capture switched on.
@@ -1360,20 +1469,29 @@ mod tests {
     fn traced_cps_names_each_phase() {
         use stratmr_mapreduce::TraceSink;
         let splits = to_input_splits(&dataset(1000).distribute(3, 6, Placement::RoundRobin));
-        let sink = TraceSink::new();
-        let cluster = Cluster::new(3).with_trace(sink.clone());
         let mssd = overlapping_mssd();
-        try_mr_cps_on_splits(&cluster, &splits, &mssd, CpsConfig::mr_cps(), 42).unwrap();
-        let names: Vec<String> = sink.jobs().into_iter().map(|j| j.name).collect();
-        assert_eq!(names[0], "cps/initial-mqe", "all: {names:?}");
-        assert_eq!(names[1], "cps/limits");
-        assert_eq!(names[2], "cps/combined-sqe");
+        let traced = |config| {
+            let sink = TraceSink::new();
+            let cluster = Cluster::new(3).with_trace(sink.clone());
+            try_mr_cps_on_splits(&cluster, &splits, &mssd, config, 42).unwrap();
+            // every job carries a non-empty event stream
+            assert!(sink.jobs().iter().all(|j| !j.events.is_empty()));
+            sink.jobs().into_iter().map(|j| j.name).collect::<Vec<_>>()
+        };
+        let paper = traced(CpsConfig::paper());
+        assert_eq!(
+            paper[..3],
+            ["cps/initial-mqe", "cps/limits", "cps/combined-sqe"],
+            "all: {paper:?}"
+        );
         // residual rounds (if any) are numbered
-        for (i, n) in names.iter().enumerate().skip(3) {
-            assert_eq!(n, &format!("cps/residual#{}", i - 3), "all: {names:?}");
+        for (i, n) in paper.iter().enumerate().skip(3) {
+            assert_eq!(n, &format!("cps/residual#{}", i - 3), "all: {paper:?}");
         }
-        // every job carries a non-empty event stream
-        assert!(sink.jobs().iter().all(|j| !j.events.is_empty()));
+        // the fused schedule drops exactly the L(σ) job
+        let fused = traced(CpsConfig::mr_cps());
+        let without_limits: Vec<String> = paper.into_iter().filter(|n| n != "cps/limits").collect();
+        assert_eq!(fused, without_limits);
     }
 
     #[test]
@@ -1827,10 +1945,62 @@ mod tests {
         let splits = to_input_splits(&dataset(800).distribute(2, 4, Placement::RoundRobin));
         let cluster = Cluster::new(2);
         let mssd = overlapping_mssd();
-        let run = try_mr_cps_on_splits(&cluster, &splits, &mssd, CpsConfig::mr_cps(), 2).unwrap();
-        let labels: Vec<&str> = run.phase_stats.iter().map(|(l, _)| l.as_str()).collect();
-        assert!(labels.contains(&"initial MR-MQE"));
-        assert!(labels.contains(&"selection limits"));
-        assert!(labels.contains(&"combined MR-SQE"));
+        for (config, limits_job) in [(CpsConfig::paper(), true), (CpsConfig::mr_cps(), false)] {
+            let run = try_mr_cps_on_splits(&cluster, &splits, &mssd, config, 2).unwrap();
+            let labels: Vec<&str> = run.phase_stats.iter().map(|(l, _)| l.as_str()).collect();
+            assert!(labels.contains(&"initial MR-MQE"));
+            assert_eq!(labels.contains(&"selection limits"), limits_job);
+            assert!(labels.contains(&"combined MR-SQE"));
+        }
+    }
+
+    /// The fused scan charges its σ tally as side bytes, outside the
+    /// shuffle, and scans the data one time fewer.
+    #[test]
+    fn fused_scan_reports_side_bytes_and_one_scan_less() {
+        let splits = to_input_splits(&dataset(800).distribute(2, 4, Placement::RoundRobin));
+        let cluster = Cluster::new(2);
+        let mssd = overlapping_mssd();
+        let run = |config| try_mr_cps_on_splits(&cluster, &splits, &mssd, config, 4).unwrap();
+        let (paper, fused) = (run(CpsConfig::paper()), run(CpsConfig::mr_cps()));
+        assert_eq!(paper.answer, fused.answer);
+        let scanned =
+            |r: &CpsRun| -> u64 { r.phase_stats.iter().map(|(_, s)| s.map_input_records).sum() };
+        assert_eq!(scanned(&paper) - scanned(&fused), 800);
+        let (p0, f0) = (&paper.phase_stats[0].1, &fused.phase_stats[0].1);
+        assert_eq!(p0.side_bytes, 0);
+        assert!(f0.side_bytes > 0);
+        assert_eq!(p0.shuffle_bytes, f0.shuffle_bytes);
+        assert!(
+            f0.sim.combine_us > p0.sim.combine_us,
+            "side bytes cost tail time"
+        );
+        // the paper's L(σ) job carries a tally too, but charges nothing
+        assert_eq!(paper.phase_stats[1].1.side_bytes, 0);
+    }
+
+    /// A selection sampled by 17 surveys would need 2^17 − 1 variables:
+    /// a typed error, returned before the block is enumerated.
+    #[test]
+    fn oversized_selection_blocks_are_refused() {
+        let splits = to_input_splits(&dataset(200).distribute(2, 4, Placement::RoundRobin));
+        let cluster = Cluster::new(2);
+        let q = SsdQuery::new(vec![StratumConstraint::new(Formula::lt(x(), 100), 2)]);
+        let mssd = MssdQuery::new(vec![q; 17], CostModel::paper_style(17, 1.0, &[], 0.0));
+        for config in [
+            CpsConfig::mr_cps(),
+            CpsConfig::exact(),
+            joint(CpsConfig::mr_cps()),
+        ] {
+            let err = try_mr_cps_on_splits(&cluster, &splits, &mssd, config, 1).unwrap_err();
+            assert_eq!(
+                err,
+                CpsError::ProgramTooLarge {
+                    selection: StratumSelection::from_choices(&[Some(0); 17]).to_string(),
+                    surveys: 17
+                }
+            );
+            assert!(err.to_string().contains("17 surveys"), "{err}");
+        }
     }
 }

@@ -10,6 +10,7 @@
 //! | [`mqe`] | **MR-MQE**, §5.1 |
 //! | [`sst`] | stratum selections and the SST trie, Figure 5, §5.2.5.1 |
 //! | [`limits`] | the `L(σ)` counting job, Figure 4 |
+//! | [`tally`] | `L(σ)` and per-row selection ids from a scan's side state |
 //! | [`cps`] | **CPS** (Algorithm 2, IP) and **MR-CPS** (LP), §5.2 |
 //! | [`stats`] | chi-square / hypergeometric verification helpers |
 //!
@@ -56,11 +57,13 @@ pub mod srs;
 pub mod sst;
 pub mod stats;
 pub mod stream;
+pub mod tally;
 pub mod unified;
 
 pub use audit::{summarize_mean, EstimateSummary, QualityReport, StratumTrail, BIAS_GATE_Z};
 pub use cps::{
-    try_mr_cps_on_splits, CpsConfig, CpsError, CpsRun, CpsTimings, PlanExplain, SolverKind,
+    try_mr_cps_on_splits, CpsConfig, CpsError, CpsRun, CpsSchedule, CpsTimings, PlanExplain,
+    SolverKind,
 };
 pub use estimate::{srs_mean, stratified_mean, stratified_proportion, stratified_total, Estimate};
 pub use input::{to_input_splits, wire_bytes};

@@ -6,13 +6,21 @@
 //! scalably: `map(null, t) → (σ(t), 1)`, reduce sums. We additionally
 //! let the map filter against the relevant set `[[Q]]*`, since only
 //! relevant selections appear in the program.
+//!
+//! The job also interns every tuple's `σ(t)` into a per-task
+//! [`SigmaTally`], so MR-CPS's later jobs can look selections up by row
+//! under the paper's three-job schedule too. The tally charges no side
+//! bytes: its counts already cross this job's shuffle.
 
 use std::collections::{HashMap, HashSet};
-use stratmr_mapreduce::{Cluster, CombineJob, Emitter, InputSplit, JobError, JobStats, TaskCtx};
+use stratmr_mapreduce::{
+    Cluster, CombineJob, Emitter, InputSplit, JobError, JobOutput, JobStats, TaskCtx,
+};
 use stratmr_population::Individual;
 use stratmr_query::{SsdQuery, StratumMatcher};
 
 use crate::sst::StratumSelection;
+use crate::tally::SigmaTally;
 
 /// The Figure 4 counting job.
 pub struct LimitsJob<'a> {
@@ -43,9 +51,16 @@ impl CombineJob for LimitsJob<'_> {
     type Acc = u64;
     type CombOut = u64;
     type ReduceOut = u64;
+    type Side = SigmaTally;
 
-    fn map(&self, _ctx: &TaskCtx, t: &Individual, out: &mut Emitter<StratumSelection, u64>) {
+    fn map(
+        &self,
+        _ctx: &TaskCtx,
+        t: &Individual,
+        out: &mut Emitter<StratumSelection, u64, SigmaTally>,
+    ) {
         let sel = StratumSelection::of(t, &self.matchers);
+        out.side_mut().record(&sel);
         if let Some(filter) = self.filter {
             if !filter.contains(&sel) {
                 return;
@@ -89,14 +104,26 @@ pub fn try_stratum_selection_limits(
     filter: Option<&HashSet<StratumSelection>>,
     seed: u64,
 ) -> Result<(HashMap<StratumSelection, u64>, JobStats), JobError> {
+    let out = limits_tallied(cluster, splits, queries, filter, seed)?;
+    Ok((out.results.into_iter().collect(), out.stats))
+}
+
+/// The Figure 4 job's output, including every map task's σ tally in
+/// split order.
+pub(crate) fn limits_tallied(
+    cluster: &Cluster,
+    splits: &[InputSplit<Individual>],
+    queries: &[SsdQuery],
+    filter: Option<&HashSet<StratumSelection>>,
+    seed: u64,
+) -> Result<JobOutput<StratumSelection, u64, SigmaTally>, JobError> {
     let mut job = LimitsJob::new(queries);
     if let Some(f) = filter {
         job = job.with_filter(f);
     }
-    let out = cluster
+    cluster
         .named_or("limits")
-        .try_run_with_combiner(&job, splits, seed)?;
-    Ok((out.results.into_iter().collect(), out.stats))
+        .try_run_with_combiner(&job, splits, seed)
 }
 
 #[cfg(test)]

@@ -11,10 +11,12 @@
 
 use crate::obs::StratumCounters;
 use crate::reservoir::SeededReservoir;
+use crate::tally::{SelectionSink, SigmaTally};
 use crate::unified::{unified_sampler, IntermediateSample};
 use rand::SeedableRng;
 use rand_chacha::ChaCha8Rng;
 use std::collections::HashSet;
+use std::marker::PhantomData;
 use stratmr_mapreduce::{Cluster, CombineJob, Emitter, InputSplit, JobError, JobStats, TaskCtx};
 use stratmr_population::Individual;
 use stratmr_query::{MssdAnswer, SsdAnswer, SsdQuery, StratumId, StratumMatcher};
@@ -26,25 +28,25 @@ pub type QueryStratum = (usize, StratumId);
 /// The MR-MQE job over a set of SSD queries.
 ///
 /// `exclusions[i]` (optional) is a set of individual ids that must not be
-/// sampled for query `i` — used by MR-CPS's residual phase to top up
-/// answers without duplicating already-selected individuals.
-pub struct MqeJob<'a> {
+/// sampled for query `i`.
+///
+/// `S` is the map task's [`SelectionSink`]: every tuple's per-query
+/// strata (its selection `σ(t)`) are handed to it as the scan finds
+/// them. The plain job (`S = ()`) drops them at compile time;
+/// [`MqeJob::tallying`] interns them into a [`SigmaTally`] for MR-CPS.
+pub struct MqeJob<'a, S = ()> {
     queries: &'a [SsdQuery],
     matchers: Vec<StratumMatcher<'a>>,
     exclusions: Option<&'a [HashSet<u64>]>,
     counters: Option<Vec<StratumCounters>>,
+    sink: PhantomData<fn() -> S>,
 }
 
 impl<'a> MqeJob<'a> {
     /// Build the job for a set of SSD queries, compiling their stratum
     /// matchers.
     pub fn new(queries: &'a [SsdQuery]) -> Self {
-        Self {
-            queries,
-            matchers: StratumMatcher::all(queries),
-            exclusions: None,
-            counters: None,
-        }
+        Self::build(queries)
     }
 
     /// Exclude, per query, individuals that must not be selected.
@@ -55,6 +57,27 @@ impl<'a> MqeJob<'a> {
         assert_eq!(exclusions.len(), self.queries.len());
         self.exclusions = Some(exclusions);
         self
+    }
+}
+
+impl<'a> MqeJob<'a, SigmaTally> {
+    /// The same scan, also tallying every tuple's selection `σ(t)` (one
+    /// [`SigmaTally`] per map task; its count table is charged as side
+    /// bytes). Emits exactly the plain job's keys, in the same order.
+    pub fn tallying(queries: &'a [SsdQuery]) -> Self {
+        Self::build(queries)
+    }
+}
+
+impl<'a, S> MqeJob<'a, S> {
+    fn build(queries: &'a [SsdQuery]) -> Self {
+        Self {
+            queries,
+            matchers: StratumMatcher::all(queries),
+            exclusions: None,
+            counters: None,
+            sink: PhantomData,
+        }
     }
 
     /// Emit `mqe.q<i>.s<k>.{requested,candidates,sampled,rejected}`
@@ -79,28 +102,33 @@ impl<'a> MqeJob<'a> {
     }
 }
 
-impl CombineJob for MqeJob<'_> {
+impl<S: SelectionSink> CombineJob for MqeJob<'_, S> {
     type Input = Individual;
     type Key = QueryStratum;
     type MapOut = Individual;
     type Acc = SeededReservoir<Individual>;
     type CombOut = IntermediateSample<Individual>;
     type ReduceOut = Vec<Individual>;
+    type Side = S;
 
-    fn map(&self, _ctx: &TaskCtx, t: &Individual, out: &mut Emitter<QueryStratum, Individual>) {
+    fn map(&self, _ctx: &TaskCtx, t: &Individual, out: &mut Emitter<QueryStratum, Individual, S>) {
+        // only the plain job takes exclusions, so a sink sees every query
         for (i, m) in self.matchers.iter().enumerate() {
             if let Some(ex) = self.exclusions {
                 if ex[i].contains(&t.id) {
                     continue;
                 }
             }
-            if let Some(k) = m.matching_stratum(t) {
+            let k = m.matching_stratum(t);
+            out.side_mut().note(i, k);
+            if let Some(k) = k {
                 if let Some(c) = &self.counters {
                     c[i].candidate(k);
                 }
                 out.emit((i, k), t.clone());
             }
         }
+        out.side_mut().end_row(self.matchers.len());
     }
 
     fn start(&self, ctx: &TaskCtx, key: &QueryStratum) -> Self::Acc {
@@ -138,6 +166,10 @@ impl CombineJob for MqeJob<'_> {
     fn comb_bytes(&self, _key: &QueryStratum, s: &IntermediateSample<Individual>) -> u64 {
         s.sample.iter().map(crate::input::wire_bytes).sum::<u64>() + 16
     }
+
+    fn side_bytes(&self, side: &S) -> u64 {
+        side.side_bytes()
+    }
 }
 
 /// Result of an MR-MQE run.
@@ -158,24 +190,50 @@ pub fn try_mr_mqe_on_splits(
     exclusions: Option<&[HashSet<u64>]>,
     seed: u64,
 ) -> Result<MqeRun, JobError> {
-    let cluster = cluster.named_or("mqe");
-    let _span = cluster.telemetry().map(|t| t.span("mqe.run"));
     let mut job = MqeJob::new(queries);
     if let Some(ex) = exclusions {
         job = job.with_exclusions(ex);
     }
+    run_job(cluster, job, splits, seed).map(|(run, _)| run)
+}
+
+/// MR-MQE that also tallies every tuple's selection `σ(t)`: the answer
+/// and statistics of [`try_mr_mqe_on_splits`] (same keys, seeds and
+/// shuffle bytes), plus one [`SigmaTally`] per split in split order.
+pub(crate) fn mr_mqe_tallied(
+    cluster: &Cluster,
+    splits: &[InputSplit<Individual>],
+    queries: &[SsdQuery],
+    seed: u64,
+) -> Result<(MqeRun, Vec<SigmaTally>), JobError> {
+    run_job(cluster, MqeJob::tallying(queries), splits, seed)
+}
+
+fn run_job<S: SelectionSink>(
+    cluster: &Cluster,
+    mut job: MqeJob<'_, S>,
+    splits: &[InputSplit<Individual>],
+    seed: u64,
+) -> Result<(MqeRun, Vec<S>), JobError> {
+    let cluster = cluster.named_or("mqe");
+    let _span = cluster.telemetry().map(|t| t.span("mqe.run"));
     if let Some(registry) = cluster.telemetry() {
         job = job.with_telemetry(registry);
     }
     let out = cluster.try_run_with_combiner(&job, splits, seed)?;
-    let mut answers: Vec<SsdAnswer> = queries.iter().map(|q| SsdAnswer::empty(q.len())).collect();
+    let mut answers: Vec<SsdAnswer> = job
+        .queries
+        .iter()
+        .map(|q| SsdAnswer::empty(q.len()))
+        .collect();
     for ((i, k), sample) in out.results {
         *answers[i].stratum_mut(k) = sample;
     }
-    Ok(MqeRun {
+    let run = MqeRun {
         answer: MssdAnswer::new(answers),
         stats: out.stats,
-    })
+    };
+    Ok((run, out.sides))
 }
 
 #[cfg(test)]

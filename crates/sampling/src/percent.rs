@@ -63,6 +63,7 @@ impl CombineJob for CountJob<'_> {
     type Acc = u64;
     type CombOut = u64;
     type ReduceOut = u64;
+    type Side = ();
 
     fn map(&self, _ctx: &TaskCtx, t: &Individual, out: &mut Emitter<StratumId, u64>) {
         if let Some(k) = self.strata.iter().position(|s| s.formula.eval(t)) {

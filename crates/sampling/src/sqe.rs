@@ -59,6 +59,7 @@ impl CombineJob for SqeJob<'_> {
     type Acc = SeededReservoir<Individual>;
     type CombOut = IntermediateSample<Individual>;
     type ReduceOut = Vec<Individual>;
+    type Side = ();
 
     fn map(&self, _ctx: &TaskCtx, t: &Individual, out: &mut Emitter<StratumId, Individual>) {
         if let Some(k) = self.matcher.matching_stratum(t) {

@@ -14,7 +14,7 @@ use stratmr_population::Individual;
 use stratmr_query::{Formula, SsdQuery, StratumId, StratumMatcher, SurveySet};
 
 /// Sentinel for "no stratum of this query" in the packed representation.
-const NONE: i32 = -1;
+pub(crate) const NONE: i32 = -1;
 
 /// A stratum selection σ over `n` queries: for each query, an optional
 /// stratum constraint index.
@@ -44,6 +44,17 @@ impl StratumSelection {
                 .map(|m| m.matching_stratum(t).map_or(NONE, |k| k as i32))
                 .collect(),
         )
+    }
+
+    /// Build from the packed form: one stratum index per query, [`NONE`]
+    /// for none.
+    pub(crate) fn from_packed(packed: &[i32]) -> Self {
+        Self(packed.into())
+    }
+
+    /// The packed form (see [`StratumSelection::from_packed`]).
+    pub(crate) fn packed(&self) -> &[i32] {
+        &self.0
     }
 
     /// Number of queries the selection spans.

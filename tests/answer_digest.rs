@@ -6,11 +6,14 @@
 //! The pinned digests were produced by the engine before the fold
 //! combiner and the compiled stratum matcher; a changed digest means a
 //! change to the samples themselves, not just to how fast they are drawn.
+//! The CPS digest covers the paper's three-job schedule; the fused
+//! schedule is held to it answer by answer and job by job.
 
 use stratmr::mapreduce::{Cluster, InputSplit, JobStats};
 use stratmr::population::dblp::{DblpConfig, DblpGenerator};
 use stratmr::population::{Individual, Placement};
 use stratmr::query::{GroupSpec, MssdAnswer, MssdQuery, QueryGenerator, SsdAnswer};
+use stratmr::sampling::CpsRun;
 use stratmr::sampling::{
     to_input_splits, try_mr_cps_on_splits, try_mr_mqe_on_splits, try_mr_sqe_on_splits, CpsConfig,
 };
@@ -64,6 +67,34 @@ fn fixture() -> (Vec<InputSplit<Individual>>, MssdQuery, MssdQuery) {
     (splits, large, medium)
 }
 
+/// Every selected id of every survey, in order.
+fn answer_ids(run: &CpsRun) -> Vec<u64> {
+    run.answer
+        .answers()
+        .iter()
+        .flat_map(|a| a.iter().map(|t| t.id))
+        .collect()
+}
+
+/// The fused schedule answers exactly as the paper's, and its jobs are
+/// the paper's minus the L(σ) job, with the same shuffles.
+fn fused_matches_paper(fused: &CpsRun, paper: &CpsRun, seed: u64) {
+    assert_eq!(answer_ids(fused), answer_ids(paper), "seed {seed}: answers");
+    let labels =
+        |run: &CpsRun| -> Vec<String> { run.phase_stats.iter().map(|(l, _)| l.clone()).collect() };
+    let mut paper_labels = labels(paper);
+    paper_labels.retain(|l| l != "selection limits");
+    assert_eq!(labels(fused), paper_labels, "seed {seed}: phases");
+    let shuffles = |run: &CpsRun| -> Vec<(u64, u64)> {
+        run.phase_stats
+            .iter()
+            .filter(|(l, _)| l != "selection limits")
+            .map(|(_, s)| (s.shuffle_bytes, s.combine_output_pairs))
+            .collect()
+    };
+    assert_eq!(shuffles(fused), shuffles(paper), "seed {seed}: shuffles");
+}
+
 #[test]
 fn sampling_answers_match_their_pinned_digests() {
     let (splits, large, medium) = fixture();
@@ -85,12 +116,15 @@ fn sampling_answers_match_their_pinned_digests() {
         mqe.mssd(&run.answer);
         mqe.stats(&run.stats);
 
-        let run = try_mr_cps_on_splits(&cluster, &splits, &medium, CpsConfig::mr_cps(), seed)
+        let run = try_mr_cps_on_splits(&cluster, &splits, &medium, CpsConfig::paper(), seed)
             .expect("the Medium group is solvable");
         cps.mssd(&run.answer);
         for (_, stats) in &run.phase_stats {
             cps.stats(stats);
         }
+        let fused = try_mr_cps_on_splits(&cluster, &splits, &medium, CpsConfig::mr_cps(), seed)
+            .expect("the Medium group is solvable");
+        fused_matches_paper(&fused, &run, seed);
     }
 
     let got = [sqe.0, mqe.0, cps.0];

@@ -293,7 +293,7 @@ fn cps_pipeline_survives_chaos_bit_identically() {
                     JobError::RetriesExhausted { .. } | JobError::NoHealthyMachines { .. }
                 ));
             }
-            Err(CpsError::Lp(e)) => panic!("scenario #{}: solver failed: {e:?}", sc.id),
+            Err(e) => panic!("scenario #{}: planning failed: {e:?}", sc.id),
         }
     }
     assert!(completed > 0, "no CPS scenario completed");

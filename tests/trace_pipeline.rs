@@ -11,7 +11,7 @@ use stratmr::sampling::cps::{try_mr_cps_on_splits, CpsConfig};
 use stratmr::sampling::mqe::try_mr_mqe_on_splits;
 use stratmr::sampling::to_input_splits;
 
-fn traced_fig7_export() -> (Vec<String>, String) {
+fn traced_fig7_export(config: CpsConfig) -> (Vec<String>, String) {
     let data = DblpGenerator::new(DblpConfig::default()).generate(5_000, 3);
     let dist = data.distribute(5, 10, Placement::RoundRobin);
     let splits = to_input_splits(&dist);
@@ -21,7 +21,7 @@ fn traced_fig7_export() -> (Vec<String>, String) {
     let mssd = qgen.generate_paper_group_on(&GroupSpec::SMALL, 100, data.tuples(), 17);
 
     try_mr_mqe_on_splits(&cluster, &splits, mssd.queries(), None, 5).unwrap();
-    try_mr_cps_on_splits(&cluster, &splits, &mssd, CpsConfig::mr_cps(), 5).unwrap();
+    try_mr_cps_on_splits(&cluster, &splits, &mssd, config, 5).unwrap();
 
     let names = sink.jobs().into_iter().map(|j| j.name).collect();
     (names, sink.chrome_trace_json())
@@ -29,22 +29,30 @@ fn traced_fig7_export() -> (Vec<String>, String) {
 
 #[test]
 fn fixed_seed_trace_export_is_byte_identical_and_named() {
-    let (names_a, json_a) = traced_fig7_export();
-    let (names_b, json_b) = traced_fig7_export();
+    let (names_a, json_a) = traced_fig7_export(CpsConfig::paper());
+    let (names_b, json_b) = traced_fig7_export(CpsConfig::paper());
     assert_eq!(json_a, json_b, "trace export must be byte-identical");
 
-    // each sampling phase appears as its own named track
+    // each sampling phase appears as its own named track: the paper's
+    // three CPS jobs, and the fused schedule's two
     assert_eq!(names_a, names_b);
     assert_eq!(names_a[0], "mqe");
-    assert!(
-        names_a.contains(&"cps/initial-mqe".to_string())
-            && names_a.contains(&"cps/limits".to_string())
-            && names_a.contains(&"cps/combined-sqe".to_string()),
+    assert_eq!(
+        names_a[1..4],
+        ["cps/initial-mqe", "cps/limits", "cps/combined-sqe"],
         "missing CPS phase tracks: {names_a:?}"
     );
     for name in &names_a {
         assert!(json_a.contains(&format!("{name}\"")), "{name} not exported");
     }
+    let (fused, fused_json) = traced_fig7_export(CpsConfig::mr_cps());
+    let paper_without_limits: Vec<String> = names_a
+        .iter()
+        .filter(|n| *n != "cps/limits")
+        .cloned()
+        .collect();
+    assert_eq!(fused, paper_without_limits);
+    assert!(!fused_json.contains("cps/limits"));
 
     // minimal structural validity of the trace-event format (full JSON
     // parsing is covered by the CI smoke step with python3)
