@@ -8,7 +8,8 @@ use stratmr_lp::{solve_ip, solve_lp, Problem, Relation};
 use stratmr_population::dblp::{DblpConfig, DblpGenerator};
 use stratmr_query::{Formula, SsdQuery, StratumConstraint, StratumMatcher};
 use stratmr_sampling::reservoir::{Reservoir, SkipReservoir, ZReservoir};
-use stratmr_sampling::sst::{Sst, StratumSelection};
+use stratmr_sampling::sst::StratumSelection;
+use stratmr_sampling::tally::SigmaTally;
 use stratmr_sampling::unified::{unified_sampler, IntermediateSample};
 
 fn bench_reservoir(c: &mut Criterion) {
@@ -104,7 +105,7 @@ fn bench_formula_eval(c: &mut Criterion) {
     group.finish();
 }
 
-fn bench_sst(c: &mut Criterion) {
+fn bench_sigma_tally(c: &mut Criterion) {
     let data = DblpGenerator::new(DblpConfig::default()).generate(5_000, 4);
     let schema = DblpGenerator::schema();
     let nop = schema.attr_id("nop").unwrap();
@@ -117,15 +118,15 @@ fn bench_sst(c: &mut Criterion) {
             ])
         })
         .collect();
-    let mut group = c.benchmark_group("sst");
+    let mut group = c.benchmark_group("sigma_tally");
     group.throughput(Throughput::Elements(data.len() as u64));
     let matchers = StratumMatcher::all(&queries);
     group.bench_function("build_6_queries", |b| {
-        b.iter(|| black_box(Sst::from_tuples(data.tuples().iter(), &matchers)))
+        b.iter(|| black_box(SigmaTally::of_tuples(data.tuples().iter(), &matchers)))
     });
-    let sst = Sst::from_tuples(data.tuples().iter(), &matchers);
+    let tally = SigmaTally::of_tuples(data.tuples().iter(), &matchers);
     let probe = StratumSelection::of(&data.tuples()[0], &matchers);
-    group.bench_function("lookup", |b| b.iter(|| black_box(sst.count(&probe))));
+    group.bench_function("lookup", |b| b.iter(|| black_box(tally.count(&probe))));
     group.finish();
 }
 
@@ -170,7 +171,7 @@ criterion_group!(
     bench_reservoir,
     bench_unified_sampler,
     bench_formula_eval,
-    bench_sst,
+    bench_sigma_tally,
     bench_lp
 );
 criterion_main!(benches);

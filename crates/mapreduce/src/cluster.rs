@@ -1364,6 +1364,24 @@ mod tests {
     }
 
     #[test]
+    fn an_always_flaky_node_wastes_work_the_job_survives() {
+        let splits = make_splits(corpus(), 4, 2);
+        let out = Cluster::new(2)
+            .with_fault_plan(FaultPlan::new().flaky(1, 1.0))
+            .with_blacklist_after(3)
+            .try_run(&WordCount, &splits, 5)
+            .unwrap();
+        let clean = Cluster::new(2).try_run(&WordCount, &splits, 5).unwrap();
+        assert_eq!(counts_of(&clean.results), counts_of(&out.results));
+        assert!(
+            out.stats.wasted_us > 0.0,
+            "an always-flaky node must waste work: {:?}",
+            out.stats
+        );
+        assert_eq!(clean.stats.wasted_us, 0.0);
+    }
+
+    #[test]
     fn backoff_extends_the_makespan_without_changing_retries() {
         let splits = make_splits(corpus(), 4, 2);
         let base = Cluster::new(2).with_failures(0.4);

@@ -46,7 +46,6 @@ pub mod analysis;
 pub mod chaos;
 pub mod cluster;
 pub mod cost;
-pub mod driver;
 pub mod job;
 mod sched;
 pub mod split;
@@ -54,7 +53,6 @@ pub mod split;
 pub use chaos::{FaultMix, FaultPlan, NodeFault};
 pub use cluster::{Cluster, JobError, JobOutput, JobStats};
 pub use cost::{CostConfig, SimTime};
-pub use driver::JobLog;
 pub use job::{CombineJob, Emitter, FxBuild, FxHasher, Job, TaskCtx};
 pub use split::{make_splits, InputSplit};
 pub use stratmr_telemetry::{JobTrace, Registry, TraceEvent, TracePhase, TraceSink};

@@ -5,15 +5,18 @@
 //! sample:
 //!
 //! 1. compute a representative (non-optimal) answer `A` with MR-MQE and
-//!    derive the stratum-selection frequencies `F(A_i, σ)`;
+//!    derive the stratum-selection frequencies `F(A_i, σ)`: each answer's
+//!    tuples go through the σ interner the scan uses (see
+//!    [`crate::tally`]), which stands in for the paper's SST trie;
 //! 2. compute the limits `L(σ)`. The fused schedule (the default)
 //!    counts them inside step 1's scan, which already finds every
 //!    tuple's selection `σ(t)`: each map task interns `σ(t)` into a side
-//!    tally, and the run merges the tallies (see [`crate::tally`]).
-//!    The paper's schedule ([`CpsConfig::paper`]) runs the Figure 4
-//!    MapReduce job instead. Either way every row leaves the scan with
-//!    a dense selection id, which steps 4 and 5 look up instead of
-//!    matching the stratum formulas again;
+//!    tally, and the run merges the tallies. The paper's schedule
+//!    ([`CpsConfig::paper`]) runs the Figure 4 MapReduce job instead,
+//!    which keeps the same side tallies; `L(σ)` is read from the merged
+//!    tallies either way. Every row also leaves the scan with a dense
+//!    selection id, which steps 4 and 5 look up instead of matching the
+//!    stratum formulas again;
 //! 3. solve the Figure 3 program for the optimal sharing counts
 //!    `X_τ(σ)` — exactly (IP, Algorithm CPS) or via the LP relaxation
 //!    with floor rounding (MR-CPS);
@@ -32,8 +35,8 @@ use crate::limits::limits_tallied;
 use crate::mqe::{mr_mqe_tallied, try_mr_mqe_on_splits};
 use crate::obs::StratumCounters;
 use crate::reservoir::SeededReservoir;
-use crate::sst::{Sst, StratumSelection};
-use crate::tally::SelectionTable;
+use crate::sst::StratumSelection;
+use crate::tally::{SelectionTable, SigmaTally};
 use crate::unified::{unified_sampler, IntermediateSample};
 use rand::SeedableRng;
 use rand_chacha::ChaCha8Rng;
@@ -625,22 +628,19 @@ pub fn try_mr_cps_on_splits(
     };
     phase_stats.push(("initial MR-MQE".to_string(), initial.stats.clone()));
 
-    // F(A_i, σ) via one SST per answer (§5.2.5.1)
+    // F(A_i, σ): each answer's tuples through the scan's σ interner
+    // (§5.2.5.1)
     let matchers = StratumMatcher::all(queries);
-    let sampled: Vec<Vec<(StratumSelection, u64)>> = (0..n)
-        .map(|i| {
-            Sst::from_tuples(initial.answer.answer(i).iter(), &matchers)
-                .iter()
-                .collect()
-        })
+    let sampled: Vec<SigmaTally> = (0..n)
+        .map(|i| SigmaTally::of_tuples(initial.answer.answer(i).iter(), &matchers))
         .collect();
 
     // [[Q]]* — the relevant selections, in `StratumSelection` order: the
     // program's block order, Q′'s stratum order and the EXPLAIN's
     let mut relevant: Vec<StratumSelection> = sampled
         .iter()
-        .flatten()
-        .map(|(sel, _)| sel.clone())
+        .flat_map(SigmaTally::selections)
+        .cloned()
         .collect();
     relevant.sort();
     relevant.dedup();
@@ -650,33 +650,33 @@ pub fn try_mr_cps_on_splits(
             .expect("sampled and deficit selections are relevant")
     };
     // freq[i][r] = F(A_i, relevant[r])
-    let mut freq = vec![vec![0u64; relevant.len()]; n];
-    for (i, pairs) in sampled.iter().enumerate() {
-        for (sel, count) in pairs {
-            freq[i][position(sel)] = *count;
-        }
-    }
+    let freq: Vec<Vec<u64>> = sampled
+        .iter()
+        .map(|tally| relevant.iter().map(|sel| tally.count(sel)).collect())
+        .collect();
 
     // ---- step 2: limits L(σ) and the rows' selection ids ---------------
-    let ((mut table, row_ids), keyed_limits) = match fused_tallies {
-        Some(tallies) => {
-            let _s = tel.map(|t| t.span("limits"));
-            (SelectionTable::merge(tallies), None)
-        }
-        None => {
-            let relevant_set: HashSet<StratumSelection> = relevant.iter().cloned().collect();
-            let _s = tel.map(|t| t.span("limits"));
-            let out = limits_tallied(
-                &cluster.named("cps/limits"),
-                splits,
-                queries,
-                Some(&relevant_set),
-                seed.wrapping_add(2),
-            )?;
-            phase_stats.push(("selection limits".to_string(), out.stats));
-            let keyed: HashMap<StratumSelection, u64> = out.results.into_iter().collect();
-            (SelectionTable::merge(out.sides), Some(keyed))
-        }
+    // Both schedules' scans tally every row's σ(t), so L(σ) comes from
+    // the merged tallies; the Figure 4 job's keyed counts equal them on
+    // the relevant selections
+    let (mut table, row_ids) = {
+        let _s = tel.map(|t| t.span("limits"));
+        let tallies = match fused_tallies {
+            Some(tallies) => tallies,
+            None => {
+                let relevant_set: HashSet<StratumSelection> = relevant.iter().cloned().collect();
+                let out = limits_tallied(
+                    &cluster.named("cps/limits"),
+                    splits,
+                    queries,
+                    Some(&relevant_set),
+                    seed.wrapping_add(2),
+                )?;
+                phase_stats.push(("selection limits".to_string(), out.stats));
+                out.sides
+            }
+        };
+        SelectionTable::merge(tallies)
     };
     // the relevant selections' ids (a selection no row carries — which
     // the data cannot produce — gets an id with L(σ) = 0)
@@ -684,13 +684,7 @@ pub fn try_mr_cps_on_splits(
         .iter()
         .map(|sel| table.intern(sel.clone()))
         .collect();
-    let limits: Vec<u64> = match &keyed_limits {
-        Some(keyed) => relevant
-            .iter()
-            .map(|sel| keyed.get(sel).copied().unwrap_or(0))
-            .collect(),
-        None => ids.iter().map(|&id| table.count(id)).collect(),
-    };
+    let limits: Vec<u64> = ids.iter().map(|&id| table.count(id)).collect();
 
     // EXPLAIN: the strata universe — every relevant σ with its limit and
     // per-survey selection frequencies

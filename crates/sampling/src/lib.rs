@@ -8,9 +8,9 @@
 //! | [`naive`] | the combiner-less baseline of Figure 1, §4.2.1 |
 //! | [`sqe`] | **MR-SQE**, Figure 2, §4.2.2 |
 //! | [`mqe`] | **MR-MQE**, §5.1 |
-//! | [`sst`] | stratum selections and the SST trie, Figure 5, §5.2.5.1 |
+//! | [`sst`] | stratum selections σ and `σ(t)`, §5.2.2 |
 //! | [`limits`] | the `L(σ)` counting job, Figure 4 |
-//! | [`tally`] | `L(σ)` and per-row selection ids from a scan's side state |
+//! | [`tally`] | the σ interner: `F(A_i, σ)` in place of Figure 5's SST,, `L(σ)` and per-row selection ids |
 //! | [`cps`] | **CPS** (Algorithm 2, IP) and **MR-CPS** (LP), §5.2 |
 //! | [`stats`] | chi-square / hypergeometric verification helpers |
 //!
@@ -77,6 +77,6 @@ pub use reservoir::{reservoir_sample, Reservoir, SkipReservoir, ZReservoir};
 pub use sequential::sequential_ssd;
 pub use sqe::{try_mr_sqe_on_splits, SqeJob};
 pub use srs::mr_srs_on_splits;
-pub use sst::{Sst, StratumSelection};
+pub use sst::StratumSelection;
 pub use stream::{merge_streams, StreamingSampler};
 pub use unified::{unified_sampler, IntermediateSample};

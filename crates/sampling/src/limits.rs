@@ -130,6 +130,7 @@ pub(crate) fn limits_tallied(
 mod tests {
     use super::*;
     use crate::input::to_input_splits;
+    use crate::tally::SelectionTable;
     use stratmr_population::{AttrDef, AttrId, Dataset, Placement, Schema};
     use stratmr_query::{Formula, StratumConstraint};
 
@@ -183,6 +184,26 @@ mod tests {
         );
         // filtering happens map-side: fewer intermediate pairs
         assert_eq!(stats.map_output_records, 50);
+    }
+
+    #[test]
+    fn side_tallies_hold_the_keyed_counts() {
+        let (splits, queries) = setup();
+        let want: HashSet<StratumSelection> =
+            [StratumSelection::from_choices(&[Some(0), None])].into();
+        for filter in [None, Some(&want)] {
+            let out = limits_tallied(&Cluster::new(3), &splits, &queries, filter, 4).unwrap();
+            assert_eq!(out.sides.len(), splits.len());
+            let (mut table, rows) = SelectionTable::merge(out.sides);
+            // the tallies see every row, filtered or not
+            assert_eq!(table.len(), 3);
+            assert_eq!(rows.iter().map(Vec::len).sum::<usize>(), 100);
+            assert_eq!(out.results.len(), if filter.is_some() { 1 } else { 3 });
+            for (sel, count) in out.results {
+                let id = table.intern(sel);
+                assert_eq!(table.count(id), count);
+            }
+        }
     }
 
     #[test]

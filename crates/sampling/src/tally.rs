@@ -1,13 +1,17 @@
-//! The σ tally: `L(σ)` for every occurring selection, and every row's
-//! selection id, as a by-product of a scan that computes `σ(t)` anyway.
+//! The σ interner: `F(A_i, σ)`, `L(σ)` and every row's selection id,
+//! all counted by the one code path that turns `σ(t)` into counts.
 //!
-//! MR-CPS needs each tuple's selection `σ(t)` in three places: the
-//! Figure 4 counts `L(σ)`, the combined MR-SQE job (whose Q′ strata are
-//! selections) and the residual rounds. The initial MR-MQE scan already
-//! finds, for every query, the stratum a tuple falls in — that vector
-//! *is* `σ(t)`. L(σ) is the full-order marginal of the stratum-id cube
-//! (Afrati, Sharma, Ullman and Ullman, "Computing Marginals Using
-//! MapReduce"), so it can come from the same round over the data.
+//! MR-CPS needs each tuple's selection `σ(t)` for the answer
+//! frequencies `F(A_i, σ)` of the first phase (§5.2.5.1), for the
+//! Figure 4 limits `L(σ)`, and for the combined MR-SQE job and the
+//! residual rounds (whose keys are selections). The initial MR-MQE scan
+//! already finds, for every query, the stratum a tuple falls in — that
+//! vector *is* `σ(t)`. `L(σ)` and `F(A_i, ·)` are the same full-order
+//! marginal of the stratum-id cube over two inputs, the dataset and an
+//! answer (Afrati, Sharma, Ullman and Ullman, "Computing Marginals Using
+//! MapReduce"), so one [`SigmaTally`] counts both: the packed `[i32]`
+//! row is looked up in an Fx-hashed table, and only an unseen selection
+//! allocates.
 //!
 //! Each map task interns `σ(t)` into a [`SigmaTally`] — its map task's
 //! side state ([`CombineJob::Side`](stratmr_mapreduce::CombineJob::Side)),
@@ -16,14 +20,16 @@
 //! tallies in split order into one selection table: dense global ids
 //! (identical at every thread count), the counts `L(σ)`, and one id per
 //! input row, which the later jobs look up instead of matching the
-//! stratum formulas again.
+//! stratum formulas again. [`SigmaTally::of_tuples`] runs an answer's
+//! tuples through the same interner for `F(A_i, σ)`.
 
 use crate::sst::{StratumSelection, NONE};
 use std::borrow::Borrow;
 use std::collections::HashMap;
 use std::hash::{Hash, Hasher};
 use stratmr_mapreduce::FxBuild;
-use stratmr_query::{StratumId, MAX_SURVEYS};
+use stratmr_population::Individual;
+use stratmr_query::{StratumId, StratumMatcher, MAX_SURVEYS};
 
 /// What a scan does with each tuple's `σ(t)` besides emitting its keys.
 ///
@@ -115,6 +121,37 @@ pub struct SigmaTally {
 }
 
 impl SigmaTally {
+    /// The tally of `tuples`, each matched against `matchers` (one per
+    /// query) exactly as the MR-MQE scan matches a row. Over a
+    /// first-phase answer `A_i` its counts are `F(A_i, σ)`.
+    pub fn of_tuples<'t>(
+        tuples: impl IntoIterator<Item = &'t Individual>,
+        matchers: &[StratumMatcher<'_>],
+    ) -> Self {
+        let mut tally = Self::default();
+        for t in tuples {
+            for (i, m) in matchers.iter().enumerate() {
+                tally.note(i, m.matching_stratum(t));
+            }
+            tally.end_row(matchers.len());
+        }
+        tally
+    }
+
+    /// The tallied selections, in first-occurrence order.
+    pub(crate) fn selections(&self) -> &[StratumSelection] {
+        &self.table.sels
+    }
+
+    /// How many tallied rows carry `sel` (0 when none does).
+    pub fn count(&self, sel: &StratumSelection) -> u64 {
+        let table = &self.table;
+        table
+            .index
+            .get(sel.packed())
+            .map_or(0, |&id| table.counts[id as usize])
+    }
+
     /// Record one row whose selection is `sel`.
     pub fn record(&mut self, sel: &StratumSelection) {
         let id = self.table.id_of(sel.packed(), || sel.clone());
@@ -210,9 +247,22 @@ impl SelectionTable {
 #[cfg(test)]
 mod tests {
     use super::*;
+    use rand::{Rng, SeedableRng};
+    use rand_chacha::ChaCha8Rng;
+    use stratmr_population::AttrId;
+    use stratmr_query::{Formula, SsdQuery, StratumConstraint};
 
     fn sel(choices: &[Option<usize>]) -> StratumSelection {
         StratumSelection::from_choices(choices)
+    }
+
+    fn query(formulas: Vec<Formula>) -> SsdQuery {
+        SsdQuery::new(
+            formulas
+                .into_iter()
+                .map(|f| StratumConstraint::new(f, 1))
+                .collect(),
+        )
     }
 
     fn tally_of(rows: &[&[Option<usize>]]) -> SigmaTally {
@@ -274,5 +324,88 @@ mod tests {
         assert_eq!(id, 1);
         assert_eq!(table.count(id), 0);
         assert_eq!(table.len(), 2);
+    }
+
+    #[test]
+    fn answer_tally_counts_each_selection() {
+        let x = AttrId(0);
+        // Q1 splits at 50; Q2's two bands leave x ≥ 80 out
+        let qs = vec![
+            query(vec![Formula::lt(x, 50), Formula::ge(x, 50)]),
+            query(vec![Formula::lt(x, 20), Formula::between(x, 20, 79)]),
+        ];
+        let ms = StratumMatcher::all(&qs);
+        let answer: Vec<Individual> = [10, 10, 60, 90]
+            .into_iter()
+            .enumerate()
+            .map(|(id, v)| Individual::new(id as u64, vec![v], 0))
+            .collect();
+        let tally = SigmaTally::of_tuples(&answer, &ms);
+        // distinct selections in first-occurrence order
+        assert_eq!(
+            tally.selections(),
+            [
+                sel(&[Some(0), Some(0)]),
+                sel(&[Some(1), Some(1)]),
+                sel(&[Some(1), None])
+            ]
+        );
+        assert_eq!(tally.count(&sel(&[Some(0), Some(0)])), 2);
+        assert_eq!(tally.count(&sel(&[Some(1), Some(1)])), 1);
+        assert_eq!(tally.count(&sel(&[Some(1), None])), 1);
+        let total: u64 = tally.selections().iter().map(|s| tally.count(s)).sum();
+        assert_eq!(total, answer.len() as u64);
+        // absent selections read 0
+        assert_eq!(tally.count(&sel(&[None, None])), 0);
+        assert_eq!(tally.count(&sel(&[Some(0), Some(1)])), 0);
+        // a second pass gives the same ids, rows and counts
+        let again = SigmaTally::of_tuples(&answer, &ms);
+        assert_eq!(again.selections(), tally.selections());
+        assert_eq!(again.rows, tally.rows);
+        assert_eq!(again.table.counts, tally.table.counts);
+        assert!(SigmaTally::of_tuples(&[], &ms).selections().is_empty());
+    }
+
+    #[test]
+    fn answer_tally_matches_a_brute_force_count() {
+        let (x, y) = (AttrId(0), AttrId(1));
+        // four surveys whose strata cut across each other and leave gaps
+        let qs = vec![
+            query(vec![Formula::lt(x, 30), Formula::between(x, 30, 69)]),
+            query(vec![Formula::lt(y, 50), Formula::ge(y, 50)]),
+            query(vec![
+                Formula::lt(x, 50).and(Formula::ge(y, 25)),
+                Formula::ge(x, 50).and(Formula::lt(y, 75)),
+            ]),
+            query(vec![
+                Formula::between(x, 10, 19),
+                Formula::between(y, 40, 59),
+                Formula::ge(x, 90),
+            ]),
+        ];
+        let ms = StratumMatcher::all(&qs);
+        for seed in 0..3 {
+            let mut rng = ChaCha8Rng::seed_from_u64(seed);
+            let population: Vec<Individual> = (0..600)
+                .map(|id| {
+                    Individual::new(id, vec![rng.gen_range(0..100), rng.gen_range(0..100)], 0)
+                })
+                .collect();
+            // an answer-like subset of about a third of the population
+            let answer: Vec<&Individual> =
+                population.iter().filter(|_| rng.gen_bool(0.35)).collect();
+            let tally = SigmaTally::of_tuples(answer.iter().copied(), &ms);
+            let mut brute: HashMap<StratumSelection, u64> = HashMap::new();
+            for t in &answer {
+                *brute.entry(StratumSelection::of(t, &ms)).or_default() += 1;
+            }
+            assert!(brute.len() > 10, "seed {seed}: too few selections to test");
+            assert_eq!(tally.selections().len(), brute.len(), "seed {seed}");
+            for (s, &count) in &brute {
+                assert_eq!(tally.count(s), count, "seed {seed}: F(A, {s})");
+            }
+            let total: u64 = tally.selections().iter().map(|s| tally.count(s)).sum();
+            assert_eq!(total, answer.len() as u64, "seed {seed}");
+        }
     }
 }

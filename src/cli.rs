@@ -31,6 +31,7 @@ use stratmr_population::uniform::generate_uniform;
 use stratmr_population::{Dataset, Placement, Schema};
 use stratmr_query::{
     parse_formula, CostModel, MssdQuery, SharingBase, SsdAnswer, SsdQuery, StratumConstraint,
+    MAX_SURVEYS,
 };
 use stratmr_sampling::cps::{try_mr_cps_on_splits, CpsConfig};
 use stratmr_sampling::mqe::try_mr_mqe_on_splits;
@@ -244,6 +245,13 @@ pub fn build_ssd(spec: &SsdSpec, schema: &Schema) -> Result<SsdQuery, Box<dyn Er
 
 /// Build an [`MssdQuery`] from a JSON design against a schema.
 pub fn build_mssd(spec: &MssdSpec, schema: &Schema) -> Result<MssdQuery, Box<dyn Error>> {
+    if spec.surveys.len() > MAX_SURVEYS {
+        return Err(format!(
+            "surveys: {} surveys given, at most {MAX_SURVEYS} are supported",
+            spec.surveys.len()
+        )
+        .into());
+    }
     let queries: Vec<SsdQuery> = spec
         .surveys
         .iter()
@@ -255,8 +263,20 @@ pub fn build_mssd(spec: &MssdSpec, schema: &Schema) -> Result<MssdQuery, Box<dyn
         other => return Err(format!("unknown sharing rule {other:?} (use max|sum)").into()),
     };
     let mut costs = CostModel::new(vec![spec.interview_cost; queries.len()], base);
-    for p in &spec.penalties {
-        costs = costs.with_penalty(p.pair.0, p.pair.1, p.cost);
+    for (k, p) in spec.penalties.iter().enumerate() {
+        let (i, j) = p.pair;
+        if i == j {
+            return Err(format!("penalties[{k}].pair: names survey {i} twice").into());
+        }
+        if i.max(j) >= queries.len() {
+            return Err(format!(
+                "penalties[{k}].pair: survey {} out of range ({} surveys)",
+                i.max(j),
+                queries.len()
+            )
+            .into());
+        }
+        costs = costs.with_penalty(i, j, p.cost);
     }
     Ok(MssdQuery::new(queries, costs))
 }
@@ -556,6 +576,44 @@ mod tests {
         let spec: MssdSpec =
             serde_json::from_str(r#"{ "surveys": [], "sharing": "mystery" }"#).unwrap();
         assert!(build_mssd(&spec, &schema).is_err());
+    }
+
+    /// An MSSD spec with `surveys` one-stratum surveys and the given
+    /// `penalties` JSON array.
+    fn mssd_spec(surveys: usize, penalties: &str) -> MssdSpec {
+        let survey = r#"{ "strata": [ { "where": "fy < 1990", "take": 1 } ] }"#;
+        let surveys = vec![survey; surveys].join(", ");
+        serde_json::from_str(&format!(
+            r#"{{ "surveys": [{surveys}], "penalties": {penalties} }}"#
+        ))
+        .unwrap()
+    }
+
+    #[test]
+    fn too_many_surveys_rejected() {
+        let schema = DblpGenerator::schema();
+        assert!(build_mssd(&mssd_spec(MAX_SURVEYS, "[]"), &schema).is_ok());
+        let err = build_mssd(&mssd_spec(MAX_SURVEYS + 1, "[]"), &schema).unwrap_err();
+        assert!(err.to_string().starts_with("surveys:"), "{err}");
+    }
+
+    #[test]
+    fn penalty_naming_one_survey_twice_rejected() {
+        let schema = DblpGenerator::schema();
+        let spec = mssd_spec(2, r#"[ { "pair": [1, 1], "cost": 3.0 } ]"#);
+        let err = build_mssd(&spec, &schema).unwrap_err();
+        assert!(err.to_string().starts_with("penalties[0].pair:"), "{err}");
+    }
+
+    #[test]
+    fn penalty_outside_the_surveys_rejected() {
+        let schema = DblpGenerator::schema();
+        let spec = mssd_spec(
+            2,
+            r#"[ { "pair": [0, 1], "cost": 3.0 }, { "pair": [0, 2], "cost": 3.0 } ]"#,
+        );
+        let err = build_mssd(&spec, &schema).unwrap_err();
+        assert!(err.to_string().starts_with("penalties[1].pair:"), "{err}");
     }
 
     #[test]

@@ -12,7 +12,8 @@
 //!   shuffle and a simulated multi-node cluster cost model.
 //! * [`lp`] — two-phase simplex and branch-and-bound integer programming.
 //! * [`sampling`] — the paper's algorithms: Algorithm R, the unified
-//!   sampler (Algorithm 1), MR-SQE, MR-MQE, the SST, CPS and MR-CPS.
+//!   sampler (Algorithm 1), MR-SQE, MR-MQE, stratum selections, CPS and
+//!   MR-CPS.
 //!
 //! ## Quickstart
 //!

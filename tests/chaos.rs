@@ -252,51 +252,55 @@ fn seeded_sweep_is_bit_identical_or_typed_error() {
 }
 
 /// MR-CPS under chaos: the full multi-phase pipeline (MQE → limits →
-/// solver → combined SQE → residual) either completes bit-identically
+/// solver → combined SQE → residual), on the fused schedule and on the
+/// paper's three-job one (whose `L(σ)` comes from the Figure 4 job's side
+/// tallies, re-executed tasks included), either completes bit-identically
 /// to the fault-free run or fails with a typed error.
 #[test]
 fn cps_pipeline_survives_chaos_bit_identically() {
     let mssd = mssd();
     let all: Vec<Scenario> = scenarios().into_iter().filter(|s| s.id % 8 == 0).collect();
-    let mut completed = 0usize;
-    for sc in &all {
-        let job_seed = 0xCB5 ^ sc.id as u64;
-        let splits = splits_for(sc.machines);
-        let clean = try_mr_cps_on_splits(
-            &Cluster::new(sc.machines),
-            &splits,
-            &mssd,
-            CpsConfig::mr_cps(),
-            job_seed,
-        )
-        .expect("fault-free CPS cannot fail");
-        let registry = Registry::new();
-        let sink = TraceSink::new();
-        let cluster = chaotic_cluster(sc, &registry, &sink);
-        match try_mr_cps_on_splits(&cluster, &splits, &mssd, CpsConfig::mr_cps(), job_seed) {
-            Ok(run) => {
-                if run.answer != clean.answer {
-                    let dir = dump_artifacts(&format!("cps-{}", sc.id), &sink, &registry);
-                    panic!(
-                        "scenario #{} ({} machines, {}): CPS answer diverged; artifacts in {}",
-                        sc.id,
-                        sc.machines,
-                        sc.mix_name,
-                        dir.display()
-                    );
+    for (schedule, config) in [
+        ("mr_cps", CpsConfig::mr_cps()),
+        ("paper", CpsConfig::paper()),
+    ] {
+        let mut completed = 0usize;
+        for sc in &all {
+            let job_seed = 0xCB5 ^ sc.id as u64;
+            let splits = splits_for(sc.machines);
+            let clean =
+                try_mr_cps_on_splits(&Cluster::new(sc.machines), &splits, &mssd, config, job_seed)
+                    .expect("fault-free CPS cannot fail");
+            let registry = Registry::new();
+            let sink = TraceSink::new();
+            let cluster = chaotic_cluster(sc, &registry, &sink);
+            match try_mr_cps_on_splits(&cluster, &splits, &mssd, config, job_seed) {
+                Ok(run) => {
+                    if run.answer != clean.answer {
+                        let dir =
+                            dump_artifacts(&format!("cps-{schedule}-{}", sc.id), &sink, &registry);
+                        panic!(
+                            "{schedule} scenario #{} ({} machines, {}): CPS answer diverged; \
+                             artifacts in {}",
+                            sc.id,
+                            sc.machines,
+                            sc.mix_name,
+                            dir.display()
+                        );
+                    }
+                    completed += 1;
                 }
-                completed += 1;
+                Err(CpsError::Job(e)) => {
+                    assert!(matches!(
+                        e,
+                        JobError::RetriesExhausted { .. } | JobError::NoHealthyMachines { .. }
+                    ));
+                }
+                Err(e) => panic!("{schedule} scenario #{}: planning failed: {e:?}", sc.id),
             }
-            Err(CpsError::Job(e)) => {
-                assert!(matches!(
-                    e,
-                    JobError::RetriesExhausted { .. } | JobError::NoHealthyMachines { .. }
-                ));
-            }
-            Err(e) => panic!("scenario #{}: planning failed: {e:?}", sc.id),
         }
+        assert!(completed > 0, "no {schedule} CPS scenario completed");
     }
-    assert!(completed > 0, "no CPS scenario completed");
 }
 
 /// A plan that crashes every node before any work finishes cannot
