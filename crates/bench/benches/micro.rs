@@ -152,11 +152,11 @@ fn bench_lp(c: &mut Criterion) {
     let mut group = c.benchmark_group("lp");
     group.bench_function("simplex_cps_block", |b| {
         let p = build();
-        b.iter(|| black_box(solve_lp(&p).unwrap()))
+        b.iter(|| black_box(solve_lp(&p, None).unwrap()))
     });
     group.bench_function("branch_bound_cps_block", |b| {
         let p = build();
-        b.iter(|| black_box(solve_ip(&p).unwrap()))
+        b.iter(|| black_box(solve_ip(&p, None).unwrap()))
     });
     group.finish();
 }

@@ -18,16 +18,16 @@
 //! Everything in the artifact is a pure function of the code, the seed
 //! and the configuration: simulated times are charged from record and
 //! byte counts, so they carry no host noise and two runs at one commit
-//! produce byte-identical files. Rendering is deterministic by construction — `BTreeMap`
-//! metric order, fixed key order inside objects, fixed six-digit float
-//! precision — so artifact diffs are clean line diffs.
+//! produce byte-identical files. Rendering is deterministic by
+//! construction — `BTreeMap` metric order, fixed key order inside
+//! objects, and the six-digit floats of [`stratmr_telemetry::json`] — so
+//! artifact diffs are clean line diffs.
 
 use crate::meta::{as_f64, ArtifactMeta};
 use std::collections::BTreeMap;
-use std::fmt::Write as _;
 use std::path::{Path, PathBuf};
 use stratmr_mapreduce::analysis;
-use stratmr_telemetry::{escape_json, write_json_f64, JobTrace, Snapshot};
+use stratmr_telemetry::{json, JobTrace, Layout, Snapshot};
 
 /// A named sample set with its unit.
 #[derive(Clone, Debug, PartialEq)]
@@ -229,81 +229,46 @@ impl BenchArtifact {
 
     /// Render deterministically (see module docs).
     pub fn to_json(&self) -> String {
-        let mut out = String::from("{\n");
-        let _ = writeln!(out, "  \"meta\": {},", self.meta.to_json());
-        out.push_str("  \"stages\": {");
-        let mut first = true;
-        for (name, us) in self.stages.named() {
-            let _ = write!(
-                out,
-                "{}\"{name}_us\": {us:.6}",
-                if first { "" } else { ", " }
-            );
-            first = false;
-        }
-        out.push_str("},\n  \"metrics\": {");
-        if self.metrics.is_empty() {
-            out.push_str("},\n");
-        } else {
-            let mut first = true;
-            for (name, series) in &self.metrics {
-                out.push_str(if first { "\n" } else { ",\n" });
-                first = false;
-                let _ = write!(
-                    out,
-                    "    \"{}\": {{\"unit\": \"{}\", \"mean\": {:.6}, \"p50\": {:.6}, \
-                     \"p95\": {:.6}, \"min\": {:.6}, \"max\": {:.6}, \"samples\": [",
-                    escape_json(name),
-                    escape_json(&series.unit),
-                    series.mean(),
-                    series.quantile(0.50),
-                    series.quantile(0.95),
-                    series.min(),
-                    series.max(),
-                );
-                for (i, s) in series.samples.iter().enumerate() {
-                    let _ = write!(out, "{}{s:.6}", if i > 0 { ", " } else { "" });
+        json::document(json::INDENT, |w| {
+            self.meta.write_field(w);
+            let stages = self
+                .stages
+                .named()
+                .map(|(name, us)| (format!("{name}_us"), us));
+            w.key("stages").map(Layout::Inline, stages);
+            w.key("metrics").object(Layout::Lines, |w| {
+                for (name, series) in &self.metrics {
+                    w.key(name).object(Layout::Inline, |w| {
+                        w.field("unit", &series.unit)
+                            .field("mean", series.mean())
+                            .field("p50", series.quantile(0.50))
+                            .field("p95", series.quantile(0.95))
+                            .field("min", series.min())
+                            .field("max", series.max())
+                            .key("samples")
+                            .list(&series.samples);
+                    });
                 }
-                out.push_str("]}");
-            }
-            out.push_str("\n  },\n");
-        }
-        let q = &self.quality;
-        let _ = write!(
-            out,
-            "  \"quality\": {{\n    \"max_abs_bias_z\": {:.6},\n    \"optimality_gap\": ",
-            q.max_abs_bias_z
-        );
-        match q.optimality_gap {
-            Some(g) => write_json_f64(&mut out, g),
-            None => out.push_str("null"),
-        }
-        let _ = write!(
-            out,
-            ",\n    \"starved_strata\": {},\n    \"strata\": [",
-            q.starved_strata
-        );
-        for (i, s) in q.strata.iter().enumerate() {
-            out.push_str(if i == 0 { "\n" } else { ",\n" });
-            let _ = write!(
-                out,
-                "      {{\"bias_z\": {:.6}, \"candidates\": {}, \"key\": \"{}\", \
-                 \"requested\": {}, \"sampled\": {}}}",
-                s.bias_z,
-                s.candidates,
-                escape_json(&s.key),
-                s.requested,
-                s.sampled
-            );
-        }
-        if !q.strata.is_empty() {
-            out.push_str("\n    ");
-        }
-        out.push_str("]\n  },\n");
-        out.push_str("  \"records\": ");
-        out.push_str(&indent_after_first_line(&self.records_json, "  "));
-        out.push_str("\n}\n");
-        out
+            });
+            let q = &self.quality;
+            w.key("quality").object(Layout::Lines, |w| {
+                w.field("max_abs_bias_z", q.max_abs_bias_z)
+                    .field("optimality_gap", q.optimality_gap)
+                    .field("starved_strata", q.starved_strata);
+                w.key("strata").array(Layout::Lines, |w| {
+                    for s in &q.strata {
+                        w.object(Layout::Inline, |w| {
+                            w.field("bias_z", s.bias_z)
+                                .field("candidates", s.candidates)
+                                .field("key", &s.key)
+                                .field("requested", s.requested)
+                                .field("sampled", s.sampled);
+                        });
+                    }
+                });
+            });
+            w.key("records").embed(&self.records_json);
+        })
     }
 
     /// Parse an artifact back from its JSON rendering.
@@ -438,19 +403,6 @@ fn parse_quality(v: &serde::Value) -> Result<QualityBlock, String> {
         starved_strata: crate::meta::as_u64(get("starved_strata")?)?,
         optimality_gap,
     })
-}
-
-/// Indent every line of `block` after the first by `indent`, so a
-/// pretty-printed subdocument embeds cleanly at depth 1.
-pub(crate) fn indent_after_first_line(block: &str, indent: &str) -> String {
-    let mut lines = block.trim_end().lines();
-    let mut out = lines.next().unwrap_or("[]").to_string();
-    for line in lines {
-        out.push('\n');
-        out.push_str(indent);
-        out.push_str(line);
-    }
-    out
 }
 
 #[cfg(test)]

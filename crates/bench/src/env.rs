@@ -271,7 +271,7 @@ impl CliArgs {
     /// and telemetry JSON if requested — each stamped with the common
     /// meta header.
     pub fn finish(self, out: &ExpOutput, config: &BenchConfig) {
-        let meta = ArtifactMeta::capture(out.name, DATA_SEED, config).to_json();
+        let meta = ArtifactMeta::capture(out.name, DATA_SEED, config);
         match report::write_record_json(&out.record_name, &meta, &out.records_json) {
             Ok(path) => println!("record: {}", path.display()),
             Err(e) => {
@@ -279,8 +279,8 @@ impl CliArgs {
                 std::process::exit(1);
             }
         }
-        telemetry::finish_trace(self.trace, Some(&meta));
-        telemetry::finish(self.telemetry, Some(&meta));
+        telemetry::finish_trace(self.trace, &meta);
+        telemetry::finish(self.telemetry, &meta);
     }
 }
 

@@ -19,7 +19,6 @@
 //! only counter-derived statistics — so two runs at one commit are
 //! byte-identical (the `meta.host` subobject excepted, as everywhere).
 
-use crate::artifact::indent_after_first_line;
 use crate::env::BenchEnv;
 use crate::meta::ArtifactMeta;
 use std::path::PathBuf;
@@ -27,7 +26,7 @@ use stratmr_mapreduce::Cluster;
 use stratmr_query::GroupSpec;
 use stratmr_sampling::cps::CpsConfig;
 use stratmr_sampling::{try_mr_cps_on_splits, PlanExplain, QualityReport};
-use stratmr_telemetry::Registry;
+use stratmr_telemetry::{json, Layout, Registry};
 
 /// Seed of the explained query group — the first run of the optimality
 /// experiment, so the EXPLAIN output describes a plan the experiment
@@ -78,21 +77,14 @@ pub fn run_explain(env: &BenchEnv, config: CpsConfig, meta: &ArtifactMeta) -> Ex
         .explain
         .expect("explain capture was requested");
     let report = QualityReport::from_snapshot(&registry.snapshot());
-    let json = render_explain_json(&meta.to_json(), &plan, &report);
+    let json = json::document(json::INDENT, |w| {
+        meta.write_field(w);
+        w.key("plan")
+            .object(Layout::Lines, |w| plan.write_fields(w));
+        w.key("quality")
+            .object(Layout::Lines, |w| report.write_fields(w));
+    });
     ExplainOutput { plan, report, json }
-}
-
-/// Assemble the `{meta, plan, quality}` artifact from its pieces.
-pub fn render_explain_json(meta_line: &str, plan: &PlanExplain, report: &QualityReport) -> String {
-    let mut out = String::from("{\n");
-    out.push_str("  \"meta\": ");
-    out.push_str(meta_line);
-    out.push_str(",\n  \"plan\": ");
-    out.push_str(&indent_after_first_line(&plan.to_json(), "  "));
-    out.push_str(",\n  \"quality\": ");
-    out.push_str(&indent_after_first_line(&report.to_json(None), "  "));
-    out.push_str("\n}\n");
-    out
 }
 
 /// Write the artifact to the requested path (no-op without a file).

@@ -10,8 +10,7 @@
 //! comparable exactly when their non-`host` meta matches.
 
 use crate::env::BenchConfig;
-use std::fmt::Write as _;
-use stratmr_telemetry::escape_json;
+use stratmr_telemetry::{Layout, Writer};
 
 /// Version of the benchmark artifact schema. Bump on any change to the
 /// key layout of `BENCH_*.json` (see DESIGN.md, "Schema versioning");
@@ -98,44 +97,34 @@ impl ArtifactMeta {
         }
     }
 
-    /// Render as a single-line JSON object with a fixed key order, for
-    /// embedding as the `meta` header of any artifact.
-    pub fn to_json(&self) -> String {
+    /// Write the header as the `meta` field of the open object of `w`:
+    /// one line, fixed key order. Every artifact writes it first.
+    pub fn write_field(&self, w: &mut Writer) {
         let c = &self.config;
-        let scales = c
-            .scales
-            .iter()
-            .map(|s| s.to_string())
-            .collect::<Vec<_>>()
-            .join(", ");
-        let mut out = String::new();
-        let _ = write!(
-            out,
-            "{{\"schema_version\": {}, \"experiment\": \"{}\", \"seed\": {}, \
-             \"crate_version\": \"{}\", \"git_sha\": \"{}\", \
-             \"config\": {{\"fault_seed\": {}, \"machines\": {}, \"population\": {}, \
-             \"runs\": {}, \"scales\": [{}], \"splits\": {}, \"uniform\": {}}}, \
-             \"host\": {{\"cargo_profile\": \"{}\", \"os\": \"{}\"}}}}",
-            self.schema_version,
-            escape_json(&self.experiment),
-            self.seed,
-            escape_json(&self.crate_version),
-            escape_json(&self.git_sha),
-            c.fault_seed
-                .map_or_else(|| "null".to_string(), |s| s.to_string()),
-            c.machines,
-            c.population,
-            c.runs,
-            scales,
-            c.splits,
-            c.uniform,
-            escape_json(&self.host.cargo_profile),
-            escape_json(&self.host.os),
-        );
-        out
+        w.key("meta").object(Layout::Inline, |w| {
+            w.field("schema_version", self.schema_version)
+                .field("experiment", &self.experiment)
+                .field("seed", self.seed)
+                .field("crate_version", &self.crate_version)
+                .field("git_sha", &self.git_sha);
+            w.key("config").object(Layout::Inline, |w| {
+                w.field("fault_seed", c.fault_seed)
+                    .field("machines", c.machines)
+                    .field("population", c.population)
+                    .field("runs", c.runs)
+                    .key("scales")
+                    .list(&c.scales)
+                    .field("splits", c.splits)
+                    .field("uniform", c.uniform);
+            });
+            w.key("host").object(Layout::Inline, |w| {
+                w.field("cargo_profile", &self.host.cargo_profile)
+                    .field("os", &self.host.os);
+            });
+        });
     }
 
-    /// The non-`host` part of the header rendered as JSON — two
+    /// The non-`host` part of the header as one key string — two
     /// artifacts are comparable when these strings agree on
     /// `schema_version`, `experiment` and `config` (the git SHA is the
     /// thing being compared, so it may differ).
@@ -155,8 +144,8 @@ impl ArtifactMeta {
         )
     }
 
-    /// Parse the header back out of a JSON `meta` value (as produced by
-    /// [`ArtifactMeta::to_json`]).
+    /// Parse the header back out of a JSON `meta` value (as written by
+    /// [`ArtifactMeta::write_field`]).
     pub fn from_value(v: &serde::Value) -> Result<Self, String> {
         let fields = v.as_object().ok_or("meta is not an object")?;
         let get = |key: &str| {
@@ -266,14 +255,18 @@ mod tests {
     #[test]
     fn meta_json_round_trips_through_the_parser() {
         let meta = ArtifactMeta::fixed_for_tests("fig7", 0xDB1F, &BenchConfig::default());
-        let json = meta.to_json();
+        let json = stratmr_telemetry::json::document("  ", |w| meta.write_field(w));
         assert!(
-            json.starts_with(&format!("{{\"schema_version\": {SCHEMA_VERSION}")),
+            json.starts_with(&format!(
+                "{{\n  \"meta\": {{\"schema_version\": {SCHEMA_VERSION}"
+            )),
             "{json}"
         );
-        assert!(!json.contains('\n'), "meta must be single-line: {json}");
+        assert_eq!(json.lines().count(), 3, "meta must be single-line: {json}");
         let value = serde_json::parse_value_str(&json).expect("meta parses");
-        let back = ArtifactMeta::from_value(&value).expect("meta round-trips");
+        let fields = value.as_object().expect("an object");
+        let back = ArtifactMeta::from_value(serde::find_field(fields, "meta").unwrap())
+            .expect("meta round-trips");
         assert_eq!(back, meta);
     }
 

@@ -1,9 +1,11 @@
 //! Plain-text table rendering, JSON experiment records and per-job
 //! trace summaries.
 
+use crate::meta::ArtifactMeta;
 use std::fmt::Write as _;
 use std::path::PathBuf;
 use stratmr_mapreduce::{analysis, JobTrace};
+use stratmr_telemetry::json;
 
 /// A simple fixed-width text table.
 #[derive(Debug, Clone, Default)]
@@ -85,7 +87,7 @@ pub fn fmt_duration_s(secs: f64) -> String {
 /// binary goes through.
 pub fn write_record_json(
     name: &str,
-    meta_json: &str,
+    meta: &ArtifactMeta,
     records_json: &str,
 ) -> std::io::Result<PathBuf> {
     let dir =
@@ -93,14 +95,10 @@ pub fn write_record_json(
             .join("experiments");
     std::fs::create_dir_all(&dir)?;
     let path = dir.join(format!("{name}.json"));
-    let mut body = String::from("{\n");
-    let _ = writeln!(body, "  \"meta\": {meta_json},");
-    body.push_str("  \"records\": ");
-    body.push_str(&crate::artifact::indent_after_first_line(
-        records_json,
-        "  ",
-    ));
-    body.push_str("\n}\n");
+    let body = json::document(json::INDENT, |w| {
+        meta.write_field(w);
+        w.key("records").embed(records_json);
+    });
     std::fs::write(&path, body)?;
     Ok(path)
 }
@@ -188,19 +186,18 @@ mod tests {
 
     #[test]
     fn record_write_embeds_meta_then_records() {
-        let path = write_record_json(
-            "unit-test-record",
-            r#"{"schema_version": 1}"#,
-            "[\n  {\n    \"x\": 7\n  }\n]",
-        )
-        .unwrap();
+        let meta = ArtifactMeta::fixed_for_tests("unit", 1, &crate::BenchConfig::default());
+        let path =
+            write_record_json("unit-test-record", &meta, "[\n  {\n    \"x\": 7\n  }\n]").unwrap();
         let body = std::fs::read_to_string(path).unwrap();
         assert!(
-            body.starts_with("{\n  \"meta\": {\"schema_version\": 1},\n"),
+            body.starts_with("{\n  \"meta\": {\"schema_version\": "),
             "{body}"
         );
-        assert!(body.contains("\"records\": ["), "{body}");
-        assert!(body.contains("\"x\": 7"), "{body}");
+        assert!(
+            body.ends_with("\n  \"records\": [\n    {\n      \"x\": 7\n    }\n  ]\n}\n"),
+            "{body}"
+        );
         let parsed = serde_json::parse_value_str(&body).expect("valid JSON");
         assert!(parsed.as_object().is_some());
     }

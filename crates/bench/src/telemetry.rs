@@ -19,8 +19,9 @@
 //! are byte-identical across runs. The flags are parsed by
 //! [`crate::CliArgs`].
 
+use crate::meta::ArtifactMeta;
 use std::path::PathBuf;
-use stratmr_telemetry::{Registry, TraceSink};
+use stratmr_telemetry::{json, Registry, TraceSink};
 
 /// A telemetry sink requested on the command line.
 pub struct TelemetrySink {
@@ -31,9 +32,14 @@ pub struct TelemetrySink {
 
 impl TelemetrySink {
     /// Write the registry snapshot as JSON to the requested path,
-    /// stamped with the given single-line `meta` header if any.
-    pub fn write(&self, meta: Option<&str>) -> std::io::Result<&std::path::Path> {
-        std::fs::write(&self.path, self.registry.snapshot().to_json_with_meta(meta))?;
+    /// stamped with the `meta` header.
+    pub fn write(&self, meta: &ArtifactMeta) -> std::io::Result<&std::path::Path> {
+        let snapshot = self.registry.snapshot();
+        let body = json::document(json::INDENT, |w| {
+            meta.write_field(w);
+            snapshot.write_fields(w);
+        });
+        std::fs::write(&self.path, body)?;
         Ok(&self.path)
     }
 }
@@ -42,7 +48,7 @@ impl TelemetrySink {
 /// stamping the given `meta` header. An unwritable path is reported on
 /// stderr and exits with status 1 so a scripted run notices the missing
 /// dump.
-pub fn finish(sink: Option<TelemetrySink>, meta: Option<&str>) {
+pub fn finish(sink: Option<TelemetrySink>, meta: &ArtifactMeta) {
     if let Some(s) = sink {
         match s.write(meta) {
             Ok(path) => println!("telemetry: {}", path.display()),
@@ -66,11 +72,15 @@ pub struct TraceFile {
 /// critical-path/skew summary, and report the path, stamping the given
 /// `meta` header. Exits with status 1 on an unwritable path, like
 /// [`finish`].
-pub fn finish_trace(trace: Option<TraceFile>, meta: Option<&str>) {
+pub fn finish_trace(trace: Option<TraceFile>, meta: &ArtifactMeta) {
     if let Some(t) = trace {
         let jobs = t.sink.jobs();
         print!("{}", crate::report::render_trace_summary(&jobs));
-        match std::fs::write(&t.path, t.sink.chrome_trace_json_with_meta(meta)) {
+        let body = json::document(TraceSink::JSON_INDENT, |w| {
+            meta.write_field(w);
+            t.sink.write_fields(w);
+        });
+        match std::fs::write(&t.path, body) {
             Ok(()) => println!("trace: {} ({} jobs)", t.path.display(), jobs.len()),
             Err(e) => {
                 eprintln!("error: cannot write trace to {}: {e}", t.path.display());

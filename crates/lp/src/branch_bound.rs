@@ -6,7 +6,7 @@
 //! This module provides the exact IP solve used for that comparison.
 
 use crate::problem::{LpError, Problem, Relation, Solution};
-use crate::simplex::solve_lp_counted;
+use crate::simplex::solve_lp;
 use stratmr_telemetry::Registry;
 
 /// How close to an integer a relaxation value must be to count as
@@ -35,44 +35,33 @@ pub struct BranchBoundStats {
 
 /// Solve `problem` with **all** variables restricted to non-negative
 /// integers, by LP-based branch and bound (best-first on the relaxation
-/// bound, branching on the most fractional variable).
-pub fn solve_ip(problem: &Problem) -> Result<Solution, LpError> {
-    solve_ip_counted(problem).map(|(s, _)| s)
-}
-
-/// [`solve_ip`] with telemetry: records the `ip.solves`, `ip.nodes`,
-/// `ip.lp_relaxations`, `ip.pivots` and `ip.errors` counters and times
-/// the solve under an `ip.solve` span.
-pub fn solve_ip_traced(problem: &Problem, registry: &Registry) -> Result<Solution, LpError> {
-    solve_ip_traced_counted(problem, registry).map(|(s, _)| s)
-}
-
-/// [`solve_ip_traced`], also returning the search-effort counts — one
-/// call that feeds both the telemetry registry and an explain capture.
-pub fn solve_ip_traced_counted(
+/// bound, branching on the most fractional variable), also reporting how
+/// much search effort was spent.
+///
+/// With a `registry`, the solve runs under an `ip.solve` span and
+/// records the `ip.solves`, `ip.nodes`, `ip.lp_relaxations`, `ip.pivots`
+/// and `ip.errors` counters. The relaxations inside the search are not
+/// counted as `lp.*` solves.
+pub fn solve_ip(
     problem: &Problem,
-    registry: &Registry,
+    registry: Option<&Registry>,
 ) -> Result<(Solution, BranchBoundStats), LpError> {
-    let _span = registry.span("ip.solve");
-    match solve_ip_counted(problem) {
-        Ok((solution, stats)) => {
-            registry.counter("ip.solves").inc();
-            registry.counter("ip.nodes").add(stats.nodes);
-            registry
-                .counter("ip.lp_relaxations")
-                .add(stats.lp_relaxations);
-            registry.counter("ip.pivots").add(stats.pivots);
-            Ok((solution, stats))
+    let _span = registry.map(|r| r.span("ip.solve"));
+    let result = branch_and_bound(problem);
+    match (registry, &result) {
+        (Some(r), Ok((_, stats))) => {
+            r.add("ip.solves", 1);
+            r.add("ip.nodes", stats.nodes);
+            r.add("ip.lp_relaxations", stats.lp_relaxations);
+            r.add("ip.pivots", stats.pivots);
         }
-        Err(e) => {
-            registry.counter("ip.errors").inc();
-            Err(e)
-        }
+        (Some(r), Err(_)) => r.add("ip.errors", 1),
+        (None, _) => {}
     }
+    result
 }
 
-/// [`solve_ip`], also reporting how much search effort was spent.
-pub fn solve_ip_counted(problem: &Problem) -> Result<(Solution, BranchBoundStats), LpError> {
+fn branch_and_bound(problem: &Problem) -> Result<(Solution, BranchBoundStats), LpError> {
     // Each node is the base problem plus a set of variable bounds,
     // represented as extra constraints.
     struct Node {
@@ -82,7 +71,7 @@ pub fn solve_ip_counted(problem: &Problem) -> Result<(Solution, BranchBoundStats
     }
 
     let mut stats = BranchBoundStats::default();
-    let (root_relax, root_pivots) = solve_lp_counted(problem)?;
+    let (root_relax, root_pivots) = solve_lp(problem, None)?;
     stats.lp_relaxations = 1;
     stats.pivots = root_pivots.pivots();
     stats.root_relaxation = root_relax.objective;
@@ -137,7 +126,7 @@ pub fn solve_ip_counted(problem: &Problem) -> Result<(Solution, BranchBoundStats
                         sub.add_constraint(vec![(xv, 1.0)], xrel, xb);
                     }
                     stats.lp_relaxations += 1;
-                    match solve_lp_counted(&sub) {
+                    match solve_lp(&sub, None) {
                         Ok((relax, pivots)) => {
                             stats.pivots += pivots.pivots();
                             let prune = incumbent
@@ -187,7 +176,7 @@ mod tests {
         let mut p = Problem::new();
         let x = p.add_var(1.0);
         p.add_constraint(vec![(x, 1.0)], Relation::Ge, 3.0);
-        let s = solve_ip(&p).unwrap();
+        let s = solve_ip(&p, None).unwrap().0;
         assert_close(s.values[x], 3.0);
     }
 
@@ -198,9 +187,9 @@ mod tests {
         let x = p.add_var(1.0);
         let y = p.add_var(1.0);
         p.add_constraint(vec![(x, 2.0), (y, 2.0)], Relation::Ge, 3.0);
-        let lp = solve_lp(&p).unwrap();
+        let lp = solve_lp(&p, None).unwrap().0;
         assert_close(lp.objective, 1.5);
-        let ip = solve_ip(&p).unwrap();
+        let ip = solve_ip(&p, None).unwrap().0;
         assert_close(ip.objective, 2.0);
         // IP solution must be integral and feasible
         assert!(ip.values.iter().all(|v| (v - v.round()).abs() < 1e-9));
@@ -216,7 +205,7 @@ mod tests {
         let a = p.add_var(-5.0);
         let b = p.add_var(-4.0);
         p.add_constraint(vec![(a, 6.0), (b, 5.0)], Relation::Le, 10.0);
-        let ip = solve_ip(&p).unwrap();
+        let ip = solve_ip(&p, None).unwrap().0;
         assert_close(ip.objective, -8.0);
         assert_close(ip.values[a], 0.0);
         assert_close(ip.values[b], 2.0);
@@ -230,8 +219,8 @@ mod tests {
         let z = p.add_var(4.0);
         p.add_constraint(vec![(x, 2.0), (y, 1.0), (z, 3.0)], Relation::Ge, 7.0);
         p.add_constraint(vec![(x, 1.0), (y, 3.0)], Relation::Ge, 5.0);
-        let lp = solve_lp(&p).unwrap();
-        let ip = solve_ip(&p).unwrap();
+        let lp = solve_lp(&p, None).unwrap().0;
+        let ip = solve_ip(&p, None).unwrap().0;
         assert!(ip.objective >= lp.objective - 1e-9);
         assert!(p.is_feasible(&ip.values, 1e-6));
     }
@@ -245,7 +234,7 @@ mod tests {
         let x = p.add_var(1.0);
         p.add_constraint(vec![(x, 1.0)], Relation::Le, 0.5);
         p.add_constraint(vec![(x, 1.0)], Relation::Ge, 0.2);
-        assert_eq!(solve_ip(&p), Err(LpError::Infeasible));
+        assert_eq!(solve_ip(&p, None).unwrap_err(), LpError::Infeasible);
     }
 
     #[test]
@@ -259,21 +248,9 @@ mod tests {
             p.add_constraint(vec![(v[i], 1.0), (v[j], 1.0)], Relation::Ge, 1.0);
         }
         // LP optimum is 1.5 (all halves); IP optimum is 2.
-        let lp = solve_lp(&p).unwrap();
+        let lp = solve_lp(&p, None).unwrap().0;
         assert_close(lp.objective, 1.5);
-        let ip = solve_ip(&p).unwrap();
-        assert_close(ip.objective, 2.0);
-    }
-
-    #[test]
-    fn counted_solve_reports_search_effort() {
-        // the triangle vertex-cover instance needs real branching
-        let mut p = Problem::new();
-        let v: Vec<_> = (0..3).map(|_| p.add_var(1.0)).collect();
-        for (i, j) in [(0, 1), (1, 2), (0, 2)] {
-            p.add_constraint(vec![(v[i], 1.0), (v[j], 1.0)], Relation::Ge, 1.0);
-        }
-        let (s, stats) = solve_ip_counted(&p).unwrap();
+        let (s, stats) = solve_ip(&p, None).unwrap();
         assert_close(s.objective, 2.0);
         assert!(stats.nodes >= 2, "fractional root must branch: {stats:?}");
         assert!(stats.lp_relaxations > stats.nodes / 2);
@@ -292,10 +269,11 @@ mod tests {
         let x = p.add_var(1.0);
         let y = p.add_var(1.0);
         p.add_constraint(vec![(x, 2.0), (y, 2.0)], Relation::Ge, 3.0);
-        let s = solve_ip_traced(&p, &registry).unwrap();
+        let s = solve_ip(&p, Some(&registry)).unwrap().0;
         assert_close(s.objective, 2.0);
         let snap = registry.snapshot();
         assert_eq!(snap.counter("ip.solves"), 1);
+        assert_eq!(snap.counter("lp.solves"), 0, "relaxations are uncounted");
         assert!(snap.counter("ip.nodes") >= 1);
         assert!(snap.counter("ip.lp_relaxations") >= 1);
         assert_eq!(snap.span_calls("ip.solve"), 1);
@@ -313,7 +291,7 @@ mod tests {
         p.add_constraint(vec![(x1, 1.0), (x12, 1.0)], Relation::Eq, 2.0);
         p.add_constraint(vec![(x2, 1.0), (x12, 1.0)], Relation::Eq, 2.0);
         p.add_constraint(vec![(x1, 1.0), (x2, 1.0), (x12, 1.0)], Relation::Le, 4.0);
-        let ip = solve_ip(&p).unwrap();
+        let ip = solve_ip(&p, None).unwrap().0;
         assert_close(ip.objective, 16.0);
         assert_close(ip.values[x12], 0.0);
     }

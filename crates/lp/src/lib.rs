@@ -19,8 +19,8 @@
 //! p.add_constraint(vec![(x2, 1.0), (x12, 1.0)], Relation::Eq, 2.0);
 //! p.add_constraint(vec![(x1, 1.0), (x2, 1.0), (x12, 1.0)], Relation::Le, 4.0);
 //!
-//! let lp = solve_lp(&p).unwrap();
-//! let ip = solve_ip(&p).unwrap();
+//! let (lp, _pivots) = solve_lp(&p, None).unwrap();
+//! let (ip, _search) = solve_ip(&p, None).unwrap();
 //! assert!((lp.objective - 12.0).abs() < 1e-6);
 //! assert!(ip.objective >= lp.objective - 1e-9); // C_LP ≤ C_IP
 //! ```
@@ -31,10 +31,6 @@ pub mod branch_bound;
 pub mod problem;
 pub mod simplex;
 
-pub use branch_bound::{
-    solve_ip, solve_ip_counted, solve_ip_traced, solve_ip_traced_counted, BranchBoundStats,
-};
+pub use branch_bound::{solve_ip, BranchBoundStats};
 pub use problem::{Constraint, LpError, Problem, Relation, Solution, VarId};
-pub use simplex::{
-    solve_lp, solve_lp_counted, solve_lp_traced, solve_lp_traced_counted, SimplexStats,
-};
+pub use simplex::{solve_lp, SimplexStats};

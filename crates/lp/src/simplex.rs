@@ -33,48 +33,30 @@ impl SimplexStats {
 }
 
 /// Solve the linear relaxation of `problem` (all variables continuous,
-/// non-negative). Returns the optimal solution, or why none exists.
-pub fn solve_lp(problem: &Problem) -> Result<Solution, LpError> {
-    solve_lp_counted(problem).map(|(s, _)| s)
-}
-
-/// [`solve_lp`], also reporting how many pivots each phase performed.
-pub fn solve_lp_counted(problem: &Problem) -> Result<(Solution, SimplexStats), LpError> {
-    Tableau::build(problem)?.solve(problem)
-}
-
-/// [`solve_lp`] with telemetry: records the `lp.solves`, `lp.pivots`,
-/// `lp.pivots.phase1`, `lp.pivots.phase2` and `lp.errors` counters and
-/// times the solve under an `lp.solve` span (nested under whatever span
-/// the caller holds open).
-pub fn solve_lp_traced(problem: &Problem, registry: &Registry) -> Result<Solution, LpError> {
-    solve_lp_traced_counted(problem, registry).map(|(s, _)| s)
-}
-
-/// [`solve_lp_traced`], also returning the pivot counts — one call that
-/// feeds both the telemetry registry and an explain capture.
-pub fn solve_lp_traced_counted(
+/// non-negative), also reporting how many pivots each phase performed.
+/// Returns the optimal solution, or why none exists.
+///
+/// With a `registry`, the solve runs under an `lp.solve` span (nested
+/// under whatever span the caller holds open) and records the
+/// `lp.solves`, `lp.pivots`, `lp.pivots.phase1`, `lp.pivots.phase2` and
+/// `lp.errors` counters.
+pub fn solve_lp(
     problem: &Problem,
-    registry: &Registry,
+    registry: Option<&Registry>,
 ) -> Result<(Solution, SimplexStats), LpError> {
-    let _span = registry.span("lp.solve");
-    match solve_lp_counted(problem) {
-        Ok((solution, stats)) => {
-            registry.counter("lp.solves").inc();
-            registry.counter("lp.pivots").add(stats.pivots());
-            registry
-                .counter("lp.pivots.phase1")
-                .add(stats.phase1_pivots);
-            registry
-                .counter("lp.pivots.phase2")
-                .add(stats.phase2_pivots);
-            Ok((solution, stats))
+    let _span = registry.map(|r| r.span("lp.solve"));
+    let result = Tableau::build(problem).and_then(|t| t.solve(problem));
+    match (registry, &result) {
+        (Some(r), Ok((_, stats))) => {
+            r.add("lp.solves", 1);
+            r.add("lp.pivots", stats.pivots());
+            r.add("lp.pivots.phase1", stats.phase1_pivots);
+            r.add("lp.pivots.phase2", stats.phase2_pivots);
         }
-        Err(e) => {
-            registry.counter("lp.errors").inc();
-            Err(e)
-        }
+        (Some(r), Err(_)) => r.add("lp.errors", 1),
+        (None, _) => {}
     }
+    result
 }
 
 /// Dense simplex tableau.
@@ -360,10 +342,12 @@ mod tests {
         let y = p.add_var(2.0);
         p.add_constraint(vec![(x, 1.0), (y, 1.0)], Relation::Ge, 3.0);
         p.add_constraint(vec![(x, 1.0)], Relation::Le, 2.0);
-        let s = solve_lp(&p).unwrap();
+        let (s, stats) = solve_lp(&p, None).unwrap();
         assert_close(s.objective, 4.0);
         assert_close(s.values[x], 2.0);
         assert_close(s.values[y], 1.0);
+        assert!(stats.pivots() > 0, "a ≥-constraint forces phase-1 pivots");
+        assert_eq!(stats.pivots(), stats.phase1_pivots + stats.phase2_pivots);
     }
 
     #[test]
@@ -376,7 +360,7 @@ mod tests {
         p.add_constraint(vec![(x, 1.0)], Relation::Le, 4.0);
         p.add_constraint(vec![(y, 2.0)], Relation::Le, 12.0);
         p.add_constraint(vec![(x, 3.0), (y, 2.0)], Relation::Le, 18.0);
-        let s = solve_lp(&p).unwrap();
+        let s = solve_lp(&p, None).unwrap().0;
         assert_close(s.objective, -36.0);
         assert_close(s.values[x], 2.0);
         assert_close(s.values[y], 6.0);
@@ -390,7 +374,7 @@ mod tests {
         let y = p.add_var(1.0);
         p.add_constraint(vec![(x, 1.0), (y, 2.0)], Relation::Eq, 4.0);
         p.add_constraint(vec![(x, 1.0), (y, -1.0)], Relation::Eq, 1.0);
-        let s = solve_lp(&p).unwrap();
+        let s = solve_lp(&p, None).unwrap().0;
         assert_close(s.values[x], 2.0);
         assert_close(s.values[y], 1.0);
         assert_close(s.objective, 3.0);
@@ -403,7 +387,7 @@ mod tests {
         let x = p.add_var(1.0);
         p.add_constraint(vec![(x, 1.0)], Relation::Ge, 5.0);
         p.add_constraint(vec![(x, 1.0)], Relation::Le, 2.0);
-        assert_eq!(solve_lp(&p), Err(LpError::Infeasible));
+        assert_eq!(solve_lp(&p, None).unwrap_err(), LpError::Infeasible);
     }
 
     #[test]
@@ -412,7 +396,7 @@ mod tests {
         let mut p = Problem::new();
         let x = p.add_var(-1.0);
         p.add_constraint(vec![(x, 1.0)], Relation::Ge, 1.0);
-        assert_eq!(solve_lp(&p), Err(LpError::Unbounded));
+        assert_eq!(solve_lp(&p, None).unwrap_err(), LpError::Unbounded);
     }
 
     #[test]
@@ -421,7 +405,7 @@ mod tests {
         let mut p = Problem::new();
         let x = p.add_var(1.0);
         p.add_constraint(vec![(x, -1.0)], Relation::Le, -3.0);
-        let s = solve_lp(&p).unwrap();
+        let s = solve_lp(&p, None).unwrap().0;
         assert_close(s.values[x], 3.0);
     }
 
@@ -434,7 +418,7 @@ mod tests {
         p.add_constraint(vec![(x, 1.0), (y, 1.0)], Relation::Ge, 2.0);
         p.add_constraint(vec![(x, 2.0), (y, 2.0)], Relation::Ge, 4.0);
         p.add_constraint(vec![(x, 1.0), (y, 1.0)], Relation::Le, 2.0);
-        let s = solve_lp(&p).unwrap();
+        let s = solve_lp(&p, None).unwrap().0;
         assert_close(s.objective, 2.0);
     }
 
@@ -446,7 +430,7 @@ mod tests {
         let y = p.add_var(3.0);
         p.add_constraint(vec![(x, 1.0), (y, 1.0)], Relation::Eq, 2.0);
         p.add_constraint(vec![(x, 1.0), (y, 1.0)], Relation::Eq, 2.0);
-        let s = solve_lp(&p).unwrap();
+        let s = solve_lp(&p, None).unwrap().0;
         assert_close(s.values[x], 2.0);
         assert_close(s.values[y], 0.0);
     }
@@ -454,7 +438,7 @@ mod tests {
     #[test]
     fn zero_variable_problem() {
         let p = Problem::new();
-        let s = solve_lp(&p).unwrap();
+        let s = solve_lp(&p, None).unwrap().0;
         assert_eq!(s.values.len(), 0);
         assert_close(s.objective, 0.0);
     }
@@ -473,24 +457,11 @@ mod tests {
         p.add_constraint(vec![(x1, 1.0), (x12, 1.0)], Relation::Eq, 3.0);
         p.add_constraint(vec![(x2, 1.0), (x12, 1.0)], Relation::Eq, 2.0);
         p.add_constraint(vec![(x1, 1.0), (x2, 1.0), (x12, 1.0)], Relation::Le, 4.0);
-        let s = solve_lp(&p).unwrap();
+        let s = solve_lp(&p, None).unwrap().0;
         assert_close(s.objective, 12.0);
         assert_close(s.values[x12], 2.0);
         assert_close(s.values[x1], 1.0);
         assert_close(s.values[x2], 0.0);
-    }
-
-    #[test]
-    fn counted_solve_reports_pivots() {
-        let mut p = Problem::new();
-        let x = p.add_var(1.0);
-        let y = p.add_var(2.0);
-        p.add_constraint(vec![(x, 1.0), (y, 1.0)], Relation::Ge, 3.0);
-        p.add_constraint(vec![(x, 1.0)], Relation::Le, 2.0);
-        let (s, stats) = solve_lp_counted(&p).unwrap();
-        assert_close(s.objective, 4.0);
-        assert!(stats.pivots() > 0, "a ≥-constraint forces phase-1 pivots");
-        assert_eq!(stats.pivots(), stats.phase1_pivots + stats.phase2_pivots);
     }
 
     #[test]
@@ -500,7 +471,7 @@ mod tests {
         let mut p = Problem::new();
         let x = p.add_var(1.0);
         p.add_constraint(vec![(x, 1.0)], Relation::Ge, 5.0);
-        let s = solve_lp_traced(&p, &registry).unwrap();
+        let s = solve_lp(&p, Some(&registry)).unwrap().0;
         assert_close(s.values[x], 5.0);
         let snap = registry.snapshot();
         assert_eq!(snap.counter("lp.solves"), 1);
@@ -512,7 +483,10 @@ mod tests {
 
         // infeasible problems land in lp.errors, not lp.solves
         p.add_constraint(vec![(x, 1.0)], Relation::Le, 2.0);
-        assert_eq!(solve_lp_traced(&p, &registry), Err(LpError::Infeasible));
+        assert_eq!(
+            solve_lp(&p, Some(&registry)).unwrap_err(),
+            LpError::Infeasible
+        );
         assert_eq!(registry.snapshot().counter("lp.errors"), 1);
         assert_eq!(registry.snapshot().counter("lp.solves"), 1);
     }
@@ -526,7 +500,7 @@ mod tests {
         p.add_constraint(vec![(x, 1.0), (y, 2.0), (z, 1.0)], Relation::Ge, 10.0);
         p.add_constraint(vec![(x, 1.0), (z, -1.0)], Relation::Le, 5.0);
         p.add_constraint(vec![(y, 1.0)], Relation::Le, 3.0);
-        let s = solve_lp(&p).unwrap();
+        let s = solve_lp(&p, None).unwrap().0;
         assert!(p.is_feasible(&s.values, 1e-6));
     }
 }

@@ -58,7 +58,7 @@ proptest! {
             .collect();
         let p = problem_around(&x0, &rows, costs);
         // costs are non-negative over x ≥ 0, so the LP is bounded below
-        let solution = solve_lp(&p).expect("feasible by construction");
+        let solution = solve_lp(&p, None).expect("feasible by construction").0;
         prop_assert!(p.is_feasible(&solution.values, 1e-6),
             "infeasible solver output {:?}", solution.values);
         let seed_obj = p.objective_value(&x0);
@@ -101,8 +101,8 @@ proptest! {
             max_f + limit_extra as f64 + f.iter().map(|&x| x as f64).sum::<f64>(),
         );
 
-        let lp = solve_lp(&p).expect("feasible");
-        let ip = solve_ip(&p).expect("feasible");
+        let lp = solve_lp(&p, None).expect("feasible").0;
+        let ip = solve_ip(&p, None).expect("feasible").0;
         prop_assert!(lp.objective <= ip.objective + 1e-6,
             "LP {} > IP {}", lp.objective, ip.objective);
         prop_assert!(p.is_feasible(&ip.values, 1e-6));
@@ -119,7 +119,7 @@ proptest! {
         let x = p.add_var(1.0);
         p.add_constraint(vec![(x, 1.0)], Relation::Ge, lo + gap);
         p.add_constraint(vec![(x, 1.0)], Relation::Le, lo);
-        prop_assert_eq!(solve_lp(&p), Err(LpError::Infeasible));
-        prop_assert_eq!(solve_ip(&p), Err(LpError::Infeasible));
+        prop_assert_eq!(solve_lp(&p, None).unwrap_err(), LpError::Infeasible);
+        prop_assert_eq!(solve_ip(&p, None).unwrap_err(), LpError::Infeasible);
     }
 }

@@ -301,7 +301,7 @@ impl Hasher for FxHasher {
 /// Deterministic 64-bit mixer (splitmix64 finalizer) used to derive
 /// per-task and per-group seeds from the job seed.
 #[inline]
-pub(crate) fn mix_seed(a: u64, b: u64) -> u64 {
+pub fn mix_seed(a: u64, b: u64) -> u64 {
     let mut z = a ^ b.wrapping_mul(0x9E37_79B9_7F4A_7C15);
     z = (z ^ (z >> 30)).wrapping_mul(0xBF58_476D_1CE4_E5B9);
     z = (z ^ (z >> 27)).wrapping_mul(0x94D0_49BB_1331_11EB);

@@ -53,6 +53,6 @@ pub mod split;
 pub use chaos::{FaultMix, FaultPlan, NodeFault};
 pub use cluster::{Cluster, JobError, JobOutput, JobStats};
 pub use cost::{CostConfig, SimTime};
-pub use job::{CombineJob, Emitter, FxBuild, FxHasher, Job, TaskCtx};
+pub use job::{mix_seed, CombineJob, Emitter, FxBuild, FxHasher, Job, TaskCtx};
 pub use split::{make_splits, InputSplit};
 pub use stratmr_telemetry::{JobTrace, Registry, TraceEvent, TracePhase, TraceSink};

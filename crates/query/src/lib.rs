@@ -42,4 +42,4 @@ pub use mssd::{MssdAnswer, MssdQuery};
 pub use parser::{parse_formula, ParseError};
 pub use ssd::{SsdAnswer, SsdError, SsdQuery, StratumConstraint, StratumId};
 pub use survey_set::{SurveySet, MAX_SURVEYS};
-pub use validity::{check_disjoint_static, mentioned_attributes, StaticCheck};
+pub use validity::{check_disjoint_static, StaticCheck};

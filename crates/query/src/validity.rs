@@ -11,7 +11,7 @@
 
 use crate::formula::Formula;
 use crate::ssd::SsdQuery;
-use stratmr_population::{AttrId, Individual, Schema};
+use stratmr_population::{Individual, Schema};
 
 /// Outcome of a static check.
 #[derive(Debug, Clone, PartialEq, Eq)]
@@ -150,20 +150,6 @@ fn collect_cuts(f: &Formula, cuts: &mut [Vec<i64>], mentioned: &mut [bool]) {
     }
 }
 
-/// Convenience: the attributes a query's formulas mention.
-pub fn mentioned_attributes(query: &SsdQuery, schema: &Schema) -> Vec<AttrId> {
-    let mut cuts: Vec<Vec<i64>> = vec![Vec::new(); schema.len()];
-    let mut mentioned = vec![false; schema.len()];
-    for s in query.constraints() {
-        collect_cuts(&s.formula, &mut cuts, &mut mentioned);
-    }
-    schema
-        .iter()
-        .filter(|(aid, _)| mentioned[aid.index()])
-        .map(|(aid, _)| aid)
-        .collect()
-}
-
 #[cfg(test)]
 mod tests {
     use super::*;
@@ -172,7 +158,7 @@ mod tests {
     use rand::SeedableRng;
     use rand_chacha::ChaCha8Rng;
     use stratmr_population::dblp::DblpGenerator;
-    use stratmr_population::AttrDef;
+    use stratmr_population::{AttrDef, AttrId};
 
     fn schema() -> Schema {
         Schema::new(vec![
@@ -300,16 +286,5 @@ mod tests {
             StaticCheck::TooLarge { points } => assert!(points > 10),
             other => panic!("expected TooLarge, got {other:?}"),
         }
-    }
-
-    #[test]
-    fn mentioned_attributes_listed() {
-        let q = SsdQuery::new(vec![StratumConstraint::new(
-            Formula::lt(x(), 5).and(Formula::gt(y(), 3).not()),
-            1,
-        )]);
-        assert_eq!(mentioned_attributes(&q, &schema()), vec![x(), y()]);
-        let empty = SsdQuery::new(vec![]);
-        assert!(mentioned_attributes(&empty, &schema()).is_empty());
     }
 }

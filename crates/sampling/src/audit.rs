@@ -21,7 +21,7 @@ use crate::estimate::{srs_mean, stratified_mean, Estimate};
 use crate::stats::binomial_within_bound;
 use stratmr_population::{AttrId, Individual};
 use stratmr_query::SsdAnswer;
-use stratmr_telemetry::{escape_json, write_json_f64, Snapshot};
+use stratmr_telemetry::{json, Layout, Snapshot, Writer};
 
 /// z-score of a two-sided 95% confidence interval.
 pub const Z_95: f64 = 1.96;
@@ -234,79 +234,49 @@ impl QualityReport {
     }
 
     /// Render as deterministic JSON: sorted keys, fixed six-decimal
-    /// floats, optional caller-supplied `meta` object first (the same
-    /// header convention as `Snapshot::to_json_with_meta`).
-    pub fn to_json(&self, meta: Option<&str>) -> String {
-        let mut out = String::new();
-        out.push_str("{\n");
-        if let Some(m) = meta {
-            let _ = writeln!(out, "  \"meta\": {m},");
-        }
-        out.push_str("  \"estimates\": [");
-        for (i, e) in self.estimates.iter().enumerate() {
-            out.push_str(if i == 0 { "\n" } else { ",\n" });
-            out.push_str("    {\"ci_high\": ");
-            write_json_f64(&mut out, e.ci.1);
-            out.push_str(", \"ci_low\": ");
-            write_json_f64(&mut out, e.ci.0);
-            let _ = write!(
-                out,
-                ", \"degenerate\": {}, \"design_effect\": ",
-                e.estimate.degenerate
-            );
-            write_json_f64(&mut out, e.design_effect);
-            out.push_str(", \"effective_sample_size\": ");
-            write_json_f64(&mut out, e.effective_sample_size);
-            let _ = write!(
-                out,
-                ", \"label\": \"{}\", \"sample_size\": {}, \"std_error\": ",
-                escape_json(&e.label),
-                e.sample_size
-            );
-            write_json_f64(&mut out, e.estimate.std_error);
-            out.push_str(", \"value\": ");
-            write_json_f64(&mut out, e.estimate.value);
-            out.push('}');
-        }
-        if !self.estimates.is_empty() {
-            out.push_str("\n  ");
-        }
-        out.push_str("],\n");
-        let _ = write!(
-            out,
-            "  \"summary\": {{\"degenerate_estimates\": {}, \"max_abs_bias_z\": ",
-            self.degenerate_estimates()
-        );
-        write_json_f64(&mut out, self.max_abs_bias_z());
-        let _ = writeln!(
-            out,
-            ", \"starved_strata\": {}, \"strata\": {}}},",
-            self.starved_strata(),
-            self.trails.len()
-        );
-        out.push_str("  \"trails\": [");
-        for (i, t) in self.trails.iter().enumerate() {
-            out.push_str(if i == 0 { "\n" } else { ",\n" });
-            out.push_str("    {\"acceptance_probability\": ");
-            write_json_f64(&mut out, t.acceptance_probability());
-            out.push_str(", \"bias_z\": ");
-            write_json_f64(&mut out, t.bias_z());
-            let _ = write!(out, ", \"candidates\": {}, \"ht_weight\": ", t.candidates);
-            write_json_f64(&mut out, t.ht_weight());
-            let _ = write!(
-                out,
-                ", \"key\": \"{}\", \"rejected\": {}, \"requested\": {}, \"sampled\": {}}}",
-                escape_json(&t.key),
-                t.rejected,
-                t.requested,
-                t.sampled
-            );
-        }
-        if !self.trails.is_empty() {
-            out.push_str("\n  ");
-        }
-        out.push_str("]\n}\n");
-        out
+    /// floats.
+    pub fn to_json(&self) -> String {
+        json::document(json::INDENT, |w| self.write_fields(w))
+    }
+
+    /// Write the fields of [`QualityReport::to_json`] into the open
+    /// object of `w`, so a document can lead with its own header.
+    pub fn write_fields(&self, w: &mut Writer) {
+        w.key("estimates").array(Layout::Lines, |w| {
+            for e in &self.estimates {
+                w.object(Layout::Inline, |w| {
+                    w.field("ci_high", e.ci.1)
+                        .field("ci_low", e.ci.0)
+                        .field("degenerate", e.estimate.degenerate)
+                        .field("design_effect", e.design_effect)
+                        .field("effective_sample_size", e.effective_sample_size)
+                        .field("label", &e.label)
+                        .field("sample_size", e.sample_size)
+                        .field("std_error", e.estimate.std_error)
+                        .field("value", e.estimate.value);
+                });
+            }
+        });
+        w.key("summary").object(Layout::Inline, |w| {
+            w.field("degenerate_estimates", self.degenerate_estimates())
+                .field("max_abs_bias_z", self.max_abs_bias_z())
+                .field("starved_strata", self.starved_strata())
+                .field("strata", self.trails.len());
+        });
+        w.key("trails").array(Layout::Lines, |w| {
+            for t in &self.trails {
+                w.object(Layout::Inline, |w| {
+                    w.field("acceptance_probability", t.acceptance_probability())
+                        .field("bias_z", t.bias_z())
+                        .field("candidates", t.candidates)
+                        .field("ht_weight", t.ht_weight())
+                        .field("key", &t.key)
+                        .field("rejected", t.rejected)
+                        .field("requested", t.requested)
+                        .field("sampled", t.sampled);
+                });
+            }
+        });
     }
 
     /// Render as an aligned text table (same conventions as
@@ -480,10 +450,13 @@ mod tests {
             effective_sample_size: 32.5,
             sample_size: 13,
         });
-        let a = report.to_json(Some("{\"seed\": 42}"));
-        let b = report.to_json(Some("{\"seed\": 42}"));
+        let a = report.to_json();
+        let b = report.to_json();
         assert_eq!(a, b, "rendering must be deterministic");
-        assert!(a.starts_with("{\n  \"meta\": {\"seed\": 42},\n"));
+        assert!(
+            a.starts_with("{\n  \"estimates\": [\n    {\"ci_high\": "),
+            "{a}"
+        );
         assert!(a.contains("\"ht_weight\": 50.000000"));
         assert!(a.contains("\"label\": \"age\""));
         assert!(a.contains("\"max_abs_bias_z\": "));
@@ -546,6 +519,6 @@ mod tests {
         let mut report = QualityReport::default();
         report.push_estimate(summarize_mean("age", &degenerate, &[900, 100], AttrId(0)));
         assert_eq!(report.degenerate_estimates(), 1);
-        assert!(report.to_json(None).contains("\"degenerate\": true"));
+        assert!(report.to_json().contains("\"degenerate\": true"));
     }
 }

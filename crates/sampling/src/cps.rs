@@ -22,7 +22,8 @@
 //!    with floor rounding (MR-CPS);
 //! 4. run MR-SQE on the *combined query* `Q′` (one stratum per relevant
 //!    selection, frequency `f(σ) = Σ_τ X_τ(σ)`) and distribute the
-//!    sampled tuples to the answers according to the `X_τ(σ)`;
+//!    sampled tuples, in a seeded uniformly random order, to the answers
+//!    according to the `X_τ(σ)`;
 //! 5. top up the rounding deficit with a *residual* MR-MQE phase that
 //!    excludes already-selected individuals per query (§5.2.5.2).
 //!
@@ -38,19 +39,19 @@ use crate::reservoir::SeededReservoir;
 use crate::sst::StratumSelection;
 use crate::tally::{SelectionTable, SigmaTally};
 use crate::unified::{unified_sampler, IntermediateSample};
+use rand::seq::SliceRandom;
 use rand::SeedableRng;
 use rand_chacha::ChaCha8Rng;
 use std::collections::{HashMap, HashSet};
 use std::fmt::Write as _;
 use std::time::Instant;
-use stratmr_lp::{
-    solve_ip_counted, solve_ip_traced_counted, solve_lp_counted, solve_lp_traced_counted,
-    BranchBoundStats, LpError, Problem, Relation, SimplexStats, Solution,
+use stratmr_lp::{solve_ip, solve_lp, LpError, Problem, Relation, Solution};
+use stratmr_mapreduce::{
+    mix_seed, Cluster, CombineJob, Emitter, InputSplit, JobError, JobStats, TaskCtx,
 };
-use stratmr_mapreduce::{Cluster, CombineJob, Emitter, InputSplit, JobError, JobStats, TaskCtx};
 use stratmr_population::Individual;
 use stratmr_query::{MssdAnswer, MssdQuery, SsdAnswer, StratumMatcher, SurveySet};
-use stratmr_telemetry::{escape_json, write_json_f64, Registry};
+use stratmr_telemetry::{json, Layout, Registry, Writer};
 
 /// Why a CPS run failed: the constraint program was unsolvable, or one
 /// of the MapReduce phases could not complete under the fault model.
@@ -157,6 +158,10 @@ const EPSILON: f64 = 1e-4;
 /// Safety bound on residual top-up rounds (one round suffices
 /// analytically; see the module docs).
 const MAX_RESIDUAL_ROUNDS: usize = 4;
+
+/// Tag that derives step 4's assignment seeds from the query seed (the
+/// MapReduce phases use `seed + 1` … `seed + 4 + round`).
+const ASSIGN_SEED_TAG: u64 = 0xA551_6000_0000_0000;
 
 /// Largest program block one selection may ask for (16 sampling
 /// surveys); beyond it a run fails with [`CpsError::ProgramTooLarge`].
@@ -372,122 +377,86 @@ impl PlanExplain {
     /// fixed six-decimal floats (`null` when non-finite) — byte-identical
     /// across runs at a fixed seed.
     pub fn to_json(&self) -> String {
-        let mut out = String::new();
-        out.push_str("{\n");
-        let _ = write!(
-            out,
-            "  \"constraints\": {},\n  \"joint\": {},\n  \"optimality_gap\": ",
-            self.constraints, self.joint
-        );
-        write_json_f64(&mut out, self.optimality_gap());
-        out.push_str(",\n  \"programs\": [");
-        for (i, p) in self.programs.iter().enumerate() {
-            out.push_str(if i == 0 { "\n" } else { ",\n" });
-            let binding: Vec<String> = p.binding_constraints.iter().map(usize::to_string).collect();
-            let _ = write!(
-                out,
-                "    {{\"binding_constraints\": [{}], \"lp_relaxations\": {}, \"nodes\": {}, \"objective\": ",
-                binding.join(", "),
-                p.lp_relaxations,
-                p.nodes
-            );
-            write_json_f64(&mut out, p.objective);
-            let _ = write!(out, ", \"pivots\": {}, \"root_relaxation\": ", p.pivots);
-            write_json_f64(&mut out, p.root_relaxation);
-            let _ = write!(
-                out,
-                ", \"selection\": \"{}\", \"variables\": [",
-                escape_json(&p.selection)
-            );
-            for (j, v) in p.variables.iter().enumerate() {
-                if j > 0 {
-                    out.push_str(", ");
-                }
-                let _ = write!(out, "{{\"allocation\": {}, \"cost\": ", v.allocation);
-                write_json_f64(&mut out, v.cost);
-                let surveys: Vec<String> = v.surveys.iter().map(usize::to_string).collect();
-                let _ = write!(out, ", \"surveys\": [{}], \"value\": ", surveys.join(", "));
-                write_json_f64(&mut out, v.value);
-                out.push('}');
+        json::document(json::INDENT, |w| self.write_fields(w))
+    }
+
+    /// Write the fields of [`PlanExplain::to_json`] into the open object
+    /// of `w`.
+    pub fn write_fields(&self, w: &mut Writer) {
+        w.field("constraints", self.constraints)
+            .field("joint", self.joint)
+            .field("optimality_gap", self.optimality_gap());
+        w.key("programs").array(Layout::Lines, |w| {
+            for p in &self.programs {
+                w.object(Layout::Inline, |w| {
+                    w.key("binding_constraints")
+                        .list(&p.binding_constraints)
+                        .field("lp_relaxations", p.lp_relaxations)
+                        .field("nodes", p.nodes)
+                        .field("objective", p.objective)
+                        .field("pivots", p.pivots)
+                        .field("root_relaxation", p.root_relaxation)
+                        .field("selection", &p.selection);
+                    w.key("variables").array(Layout::Inline, |w| {
+                        for v in &p.variables {
+                            w.object(Layout::Inline, |w| {
+                                w.field("allocation", v.allocation)
+                                    .field("cost", v.cost)
+                                    .key("surveys")
+                                    .list(&v.surveys)
+                                    .field("value", v.value);
+                            });
+                        }
+                    });
+                });
             }
-            out.push_str("]}");
-        }
-        if !self.programs.is_empty() {
-            out.push_str("\n  ");
-        }
-        out.push_str("],\n  \"realized_cost\": ");
-        write_json_f64(&mut out, self.realized_cost);
-        out.push_str(",\n  \"residual_rounds\": [");
-        for (i, r) in self.residual_rounds.iter().enumerate() {
-            if i > 0 {
-                out.push_str(", ");
+        });
+        w.field("realized_cost", self.realized_cost);
+        w.key("residual_rounds").array(Layout::Inline, |w| {
+            for r in &self.residual_rounds {
+                w.object(Layout::Inline, |w| {
+                    w.field("added", r.added)
+                        .field("deficit", r.deficit)
+                        .field("round", r.round);
+                });
             }
-            let _ = write!(
-                out,
-                "{{\"added\": {}, \"deficit\": {}, \"round\": {}}}",
-                r.added, r.deficit, r.round
-            );
-        }
-        let _ = write!(
-            out,
-            "],\n  \"residual_selections\": {},\n  \"selections\": [",
-            self.residual_selections
-        );
-        for (i, s) in self.selections.iter().enumerate() {
-            out.push_str(if i == 0 { "\n" } else { ",\n" });
-            let freqs: Vec<String> = s
-                .frequencies
-                .iter()
-                .map(|&(q, f)| format!("[{q}, {f}]"))
-                .collect();
-            let _ = write!(
-                out,
-                "    {{\"frequencies\": [{}], \"limit\": {}, \"selection\": \"{}\"}}",
-                freqs.join(", "),
-                s.limit,
-                escape_json(&s.selection)
-            );
-        }
-        if !self.selections.is_empty() {
-            out.push_str("\n  ");
-        }
-        out.push_str("],\n  \"sharing\": [");
-        for (i, e) in self.sharing.iter().enumerate() {
-            out.push_str(if i == 0 { "\n" } else { ",\n" });
-            out.push_str("    {\"pair_cost\": ");
-            write_json_f64(&mut out, e.pair_cost);
-            out.push_str(", \"savings\": ");
-            write_json_f64(&mut out, e.savings);
-            let _ = write!(
-                out,
-                ", \"shared\": {}, \"surveys\": [{}, {}]}}",
-                e.shared, e.surveys.0, e.surveys.1
-            );
-        }
-        if !self.sharing.is_empty() {
-            out.push_str("\n  ");
-        }
-        let _ = write!(
-            out,
-            "],\n  \"solver\": \"{}\",\n  \"solver_objective\": ",
-            escape_json(&self.solver)
-        );
-        write_json_f64(&mut out, self.solver_objective);
-        out.push_str(",\n  \"survey_costs\": [");
-        for (i, c) in self.survey_costs.iter().enumerate() {
-            if i > 0 {
-                out.push_str(", ");
+        });
+        w.field("residual_selections", self.residual_selections);
+        w.key("selections").array(Layout::Lines, |w| {
+            for s in &self.selections {
+                w.object(Layout::Inline, |w| {
+                    w.key("frequencies").array(Layout::Inline, |w| {
+                        for &(q, f) in &s.frequencies {
+                            w.list([q as u64, f]);
+                        }
+                    });
+                    w.field("limit", s.limit).field("selection", &s.selection);
+                });
             }
-            out.push_str("{\"attributed_cost\": ");
-            write_json_f64(&mut out, c.attributed_cost);
-            let _ = write!(
-                out,
-                ", \"individuals\": {}, \"survey\": {}}}",
-                c.individuals, c.survey
-            );
-        }
-        let _ = write!(out, "],\n  \"variables\": {}\n}}\n", self.variables);
-        out
+        });
+        w.key("sharing").array(Layout::Lines, |w| {
+            for e in &self.sharing {
+                w.object(Layout::Inline, |w| {
+                    w.field("pair_cost", e.pair_cost)
+                        .field("savings", e.savings)
+                        .field("shared", e.shared)
+                        .key("surveys")
+                        .list([e.surveys.0, e.surveys.1]);
+                });
+            }
+        });
+        w.field("solver", &self.solver)
+            .field("solver_objective", self.solver_objective);
+        w.key("survey_costs").array(Layout::Inline, |w| {
+            for c in &self.survey_costs {
+                w.object(Layout::Inline, |w| {
+                    w.field("attributed_cost", c.attributed_cost)
+                        .field("individuals", c.individuals)
+                        .field("survey", c.survey);
+                });
+            }
+        });
+        w.field("variables", self.variables);
     }
 
     /// Render as an aligned text report (headline numbers, then one
@@ -790,8 +759,17 @@ pub fn try_mr_cps_on_splits(
     let mut star: Vec<SsdAnswer> = queries.iter().map(|q| SsdAnswer::empty(q.len())).collect();
     // assigned[i][r]: how many tuples A*_i already holds for relevant[r]
     let mut assigned = vec![vec![0u64; relevant.len()]; n];
+    let assign_seed = mix_seed(seed, ASSIGN_SEED_TAG);
     for (plan, pool) in active.iter().zip(&mut pools) {
         let sel = &relevant[plan.r];
+        // The pool lists each split's picks after the previous split's,
+        // so handing it out in order would tie an individual's survey set
+        // τ to the split that holds it. A uniform permutation makes every
+        // split of the allocation equally likely for every pick. Its seed
+        // depends on the query seed and σ's position only, never on task
+        // or thread order, so both schedules deal identical answers.
+        let order_seed = mix_seed(assign_seed, plan.r as u64);
+        pool.shuffle(&mut ChaCha8Rng::seed_from_u64(order_seed));
         for &(tau, count) in &plan.allocations {
             for _ in 0..count {
                 let Some(t) = pool.pop() else { break };
@@ -1168,40 +1146,34 @@ struct SolveEffort {
     root_relaxation: f64,
 }
 
-fn lp_effort((solution, stats): (Solution, SimplexStats)) -> (Solution, SolveEffort) {
-    let effort = SolveEffort {
-        pivots: stats.pivots(),
-        nodes: 0,
-        lp_relaxations: 1,
-        root_relaxation: solution.objective,
-    };
-    (solution, effort)
-}
-
-fn ip_effort((solution, stats): (Solution, BranchBoundStats)) -> (Solution, SolveEffort) {
-    let effort = SolveEffort {
-        pivots: stats.pivots,
-        nodes: stats.nodes,
-        lp_relaxations: stats.lp_relaxations,
-        root_relaxation: stats.root_relaxation,
-    };
-    (solution, effort)
-}
-
-/// One Figure 3 (sub)program solve, routed through the traced solver
-/// variants when the cluster carries a telemetry registry (pivot, node
-/// and relaxation counters land under `lp.*` / `ip.*`). Always returns
+/// One Figure 3 (sub)program solve, recording the solver's counters
+/// when the cluster carries a telemetry registry (pivot, node and
+/// relaxation counters land under `lp.*` / `ip.*`). Always returns
 /// the search effort so EXPLAIN capture costs nothing extra.
 fn solve_dispatch(
     problem: &Problem,
     solver: SolverKind,
     telemetry: Option<&Registry>,
 ) -> Result<(Solution, SolveEffort), LpError> {
-    match (solver, telemetry) {
-        (SolverKind::Lp, Some(reg)) => solve_lp_traced_counted(problem, reg).map(lp_effort),
-        (SolverKind::Lp, None) => solve_lp_counted(problem).map(lp_effort),
-        (SolverKind::Ip, Some(reg)) => solve_ip_traced_counted(problem, reg).map(ip_effort),
-        (SolverKind::Ip, None) => solve_ip_counted(problem).map(ip_effort),
+    match solver {
+        SolverKind::Lp => solve_lp(problem, telemetry).map(|(solution, stats)| {
+            let effort = SolveEffort {
+                pivots: stats.pivots(),
+                nodes: 0,
+                lp_relaxations: 1,
+                root_relaxation: solution.objective,
+            };
+            (solution, effort)
+        }),
+        SolverKind::Ip => solve_ip(problem, telemetry).map(|(solution, stats)| {
+            let effort = SolveEffort {
+                pivots: stats.pivots,
+                nodes: stats.nodes,
+                lp_relaxations: stats.lp_relaxations,
+                root_relaxation: stats.root_relaxation,
+            };
+            (solution, effort)
+        }),
     }
 }
 

@@ -10,7 +10,7 @@
 //! | [`mqe`] | **MR-MQE**, §5.1 |
 //! | [`sst`] | stratum selections σ and `σ(t)`, §5.2.2 |
 //! | [`limits`] | the `L(σ)` counting job, Figure 4 |
-//! | [`tally`] | the σ interner: `F(A_i, σ)` in place of Figure 5's SST,, `L(σ)` and per-row selection ids |
+//! | [`tally`] | the σ interner: `F(A_i, σ)` in place of Figure 5's SST, `L(σ)` and per-row selection ids |
 //! | [`cps`] | **CPS** (Algorithm 2, IP) and **MR-CPS** (LP), §5.2 |
 //! | [`stats`] | chi-square / hypergeometric verification helpers |
 //!
@@ -51,7 +51,6 @@ pub mod naive;
 mod obs;
 pub mod percent;
 pub mod reservoir;
-pub mod sequential;
 pub mod sqe;
 pub mod srs;
 pub mod sst;
@@ -74,7 +73,6 @@ pub use percent::{
     mr_sqe_percent, resolve_percentages, PercentRun, PercentSsdQuery, PercentStratum,
 };
 pub use reservoir::{reservoir_sample, Reservoir, SkipReservoir, ZReservoir};
-pub use sequential::sequential_ssd;
 pub use sqe::{try_mr_sqe_on_splits, SqeJob};
 pub use srs::mr_srs_on_splits;
 pub use sst::StratumSelection;

@@ -122,8 +122,8 @@ pub fn merge_streams(
 #[cfg(test)]
 mod tests {
     use super::*;
-    use crate::stats::{chi2_critical_999, chi2_uniform};
-    use stratmr_population::{AttrDef, AttrId, Schema};
+    use crate::stats::{chi2_critical_999, chi2_statistic, chi2_uniform};
+    use stratmr_population::AttrId;
     use stratmr_query::{Formula, StratumConstraint};
 
     fn x() -> AttrId {
@@ -131,7 +131,6 @@ mod tests {
     }
 
     fn query(f1: usize, f2: usize) -> SsdQuery {
-        let _ = Schema::new(vec![AttrDef::numeric("x", 0, 99)]);
         SsdQuery::new(vec![
             StratumConstraint::new(Formula::lt(x(), 50), f1),
             StratumConstraint::new(Formula::ge(x(), 50), f2),
@@ -140,6 +139,40 @@ mod tests {
 
     fn ind(id: u64, v: i64) -> Individual {
         Individual::new(id, vec![v], 0)
+    }
+
+    /// One sampler fed `n` tuples with `x = id % 100`, finished.
+    fn single_pass(q: &SsdQuery, n: u64, seed: u64) -> SsdAnswer {
+        let mut sampler = StreamingSampler::new(q.clone(), seed);
+        for i in 0..n {
+            sampler.observe(&ind(i, (i % 100) as i64));
+        }
+        sampler.finish()
+    }
+
+    #[test]
+    fn single_pass_satisfies_query_deterministically_in_seed() {
+        let q = query(4, 6);
+        assert!(single_pass(&q, 1000, 9).satisfies(&q));
+        assert_eq!(single_pass(&q, 300, 1), single_pass(&q, 300, 1));
+        assert_ne!(single_pass(&q, 300, 1), single_pass(&q, 300, 2));
+    }
+
+    /// The §4.1 baseline, which MR-SQE is held to (`tests/bias.rs`):
+    /// one stream picks each of 12 individuals with probability `f/N`.
+    #[test]
+    fn single_stream_is_uniform() {
+        let q = SsdQuery::new(vec![StratumConstraint::new(Formula::lt(x(), 12), 3)]);
+        let trials = 12_000u64;
+        let mut counts = vec![0u64; 12];
+        for s in 0..trials {
+            for t in single_pass(&q, 12, s).stratum(0) {
+                counts[t.id as usize] += 1;
+            }
+        }
+        let expected = vec![trials as f64 * 3.0 / 12.0; 12];
+        let chi2 = chi2_statistic(&counts, &expected);
+        assert!(chi2 < chi2_critical_999(11), "single stream biased: {chi2}");
     }
 
     #[test]

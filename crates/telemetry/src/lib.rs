@@ -30,11 +30,22 @@
 //! on the *same thread* is alive becomes its child (its path is
 //! `parent/child`). Spans opened on rayon workers start a fresh root on
 //! that thread.
+//!
+//! # JSON
+//!
+//! The [`json`] module owns the JSON format of every deterministic
+//! export in the workspace, these and the ones other crates build
+//! (EXPLAIN, audit report, `BENCH_*.json`): escaping, six-decimal
+//! floats, `null` for non-finite values, indentation and embedding.
+//! Exports that carry a header write it first and then call the inner
+//! type's `write_fields` into the same object.
 
 #![warn(missing_docs)]
 
+pub mod json;
 mod trace;
 
+pub use json::{Layout, Writer};
 pub use trace::{JobTrace, TraceEvent, TracePhase, TraceSink};
 
 use std::cell::RefCell;
@@ -462,11 +473,6 @@ impl Snapshot {
         self.counters.keys().map(String::as_str)
     }
 
-    /// All span paths, in sorted order.
-    pub fn span_paths(&self) -> impl Iterator<Item = &str> {
-        self.spans.keys().map(String::as_str)
-    }
-
     /// Drop every host-dependent field (wall-clock durations), keeping
     /// only data that is a pure function of the computation.
     pub fn without_host(mut self) -> Snapshot {
@@ -494,56 +500,36 @@ impl Snapshot {
     /// alphabetical, and every float prints with exactly six fractional
     /// digits, so equal values always serialise to identical lines.
     pub fn to_json(&self) -> String {
-        self.to_json_with_meta(None)
+        json::document(json::INDENT, |w| self.write_fields(w))
     }
 
-    /// Render as JSON with a caller-supplied `meta` header as the first
-    /// key (see [`Snapshot::to_json`] for the layout of the rest).
-    ///
-    /// `meta_json` must be a pre-rendered, single-line JSON value; it is
-    /// embedded verbatim so the telemetry crate stays agnostic of what
-    /// the header contains (git SHA, config, seed, …).
-    pub fn to_json_with_meta(&self, meta_json: Option<&str>) -> String {
-        let mut out = String::from("{\n");
-        if let Some(meta) = meta_json {
-            let _ = writeln!(out, "  \"meta\": {meta},");
-        }
-        out.push_str("  \"counters\": {");
-        write_map(&mut out, self.counters.iter(), |out, v| {
-            let _ = write!(out, "{v}");
+    /// Write the fields of [`Snapshot::to_json`] into the open object of
+    /// `w`, so a document can lead with its own fields (such as a `meta`
+    /// header) and then embed the snapshot's.
+    pub fn write_fields(&self, w: &mut Writer) {
+        w.key("counters").map(Layout::Lines, &self.counters);
+        w.key("gauges").map(Layout::Lines, &self.gauges);
+        w.key("histograms").object(Layout::Lines, |w| {
+            for (name, h) in &self.histograms {
+                // alphabetical keys, fixed-precision mean: clean line diffs
+                w.key(name).object(Layout::Inline, |w| {
+                    w.field("count", h.count)
+                        .field("max", h.max)
+                        .field("mean", h.mean())
+                        .field("min", h.min)
+                        .field("p50", h.p50())
+                        .field("p95", h.p95())
+                        .field("sum", h.sum);
+                });
+            }
         });
-        out.push_str(",\n  \"gauges\": {");
-        write_map(&mut out, self.gauges.iter(), |out, v| {
-            write_json_f64(out, *v);
+        let spans = || self.spans.iter();
+        w.key("spans")
+            .map(Layout::Lines, spans().map(|(path, s)| (path, s.calls)));
+        w.key("host").object(Layout::Lines, |w| {
+            w.key("span_wall_secs")
+                .map(Layout::Lines, spans().map(|(path, s)| (path, s.wall_secs)));
         });
-        out.push_str(",\n  \"histograms\": {");
-        write_map(&mut out, self.histograms.iter(), |out, h| {
-            // alphabetical keys, fixed-precision mean: clean line diffs
-            let _ = write!(
-                out,
-                "{{\"count\": {}, \"max\": {}, \"mean\": ",
-                h.count, h.max
-            );
-            write_json_f64(out, h.mean());
-            let _ = write!(
-                out,
-                ", \"min\": {}, \"p50\": {}, \"p95\": {}, \"sum\": {}}}",
-                h.min,
-                h.p50(),
-                h.p95(),
-                h.sum
-            );
-        });
-        out.push_str(",\n  \"spans\": {");
-        write_map(&mut out, self.spans.iter(), |out, s| {
-            let _ = write!(out, "{}", s.calls);
-        });
-        out.push_str(",\n  \"host\": {\n    \"span_wall_secs\": {");
-        write_map_indented(&mut out, self.spans.iter(), "      ", |out, s| {
-            write_json_f64(out, s.wall_secs);
-        });
-        out.push_str("\n  }\n}\n");
-        out
     }
 
     /// Render as an aligned human-readable report.
@@ -599,80 +585,6 @@ impl Snapshot {
         }
         out
     }
-}
-
-fn write_map<'a, V: 'a>(
-    out: &mut String,
-    entries: impl ExactSizeIterator<Item = (&'a String, V)>,
-    mut write_value: impl FnMut(&mut String, V),
-) {
-    if entries.len() == 0 {
-        out.push('}');
-        return;
-    }
-    let mut first = true;
-    for (key, value) in entries {
-        out.push_str(if first { "\n" } else { ",\n" });
-        first = false;
-        let _ = write!(out, "    \"{}\": ", escape_json(key));
-        write_value(out, value);
-    }
-    out.push_str("\n  }");
-}
-
-fn write_map_indented<'a, V: 'a>(
-    out: &mut String,
-    entries: impl ExactSizeIterator<Item = (&'a String, V)>,
-    indent: &str,
-    mut write_value: impl FnMut(&mut String, V),
-) {
-    if entries.len() == 0 {
-        out.push('}');
-        return;
-    }
-    let mut first = true;
-    for (key, value) in entries {
-        out.push_str(if first { "\n" } else { ",\n" });
-        first = false;
-        let _ = write!(out, "{indent}\"{}\": ", escape_json(key));
-        write_value(out, value);
-    }
-    let closing_indent = &indent[..indent.len().saturating_sub(2)];
-    let _ = write!(out, "\n{closing_indent}}}");
-}
-
-/// Write a float with exactly six fractional digits (or `null` for
-/// non-finite values). Fixed precision keeps exports line-diffable:
-/// equal values always render to identical bytes, and a value that
-/// moves changes exactly one line. Every deterministic JSON export in
-/// the workspace writes its floats through this function.
-pub fn write_json_f64(out: &mut String, v: f64) {
-    if v.is_finite() {
-        let _ = write!(out, "{v:.6}");
-    } else {
-        out.push_str("null");
-    }
-}
-
-/// Escape a string for embedding between the quotes of a JSON string
-/// literal: quotes, backslashes and control characters are escaped,
-/// everything else (including non-ASCII) is written as is.
-pub fn escape_json(s: &str) -> String {
-    let mut out = String::with_capacity(s.len());
-    for c in s.chars() {
-        match c {
-            '"' => out.push_str("\\\""),
-            '\\' => out.push_str("\\\\"),
-            '\n' => out.push_str("\\n"),
-            '\t' => out.push_str("\\t"),
-            '\r' => out.push_str("\\r"),
-            c if (c as u32) < 0x20 => {
-                let _ = write!(out, "\\u{:04x}", c as u32);
-            }
-            c => out.push(c),
-        }
-    }
-    out
 }
 
 #[cfg(test)]
@@ -790,17 +702,16 @@ mod tests {
     }
 
     #[test]
-    fn json_meta_header_is_embedded_first() {
+    fn json_fields_follow_a_leading_header() {
         let reg = Registry::new();
         reg.add("jobs", 1);
         let snap = reg.snapshot();
-        let json = snap.to_json_with_meta(Some("{\"git_sha\": \"abc\"}"));
-        let meta_at = json.find("\"meta\"").expect("meta key present");
-        let counters_at = json.find("\"counters\"").unwrap();
-        assert!(meta_at < counters_at, "meta must lead: {json}");
-        assert!(json.contains("{\"git_sha\": \"abc\"}"));
-        // without meta the layout is unchanged
-        assert!(snap.to_json().starts_with("{\n  \"counters\""));
+        let json = json::document(json::INDENT, |w| {
+            w.key("meta").map(Layout::Inline, [("git_sha", "abc")]);
+            snap.write_fields(w);
+        });
+        let meta = "{\n  \"meta\": {\"git_sha\": \"abc\"},\n";
+        assert_eq!(json, snap.to_json().replacen("{\n", meta, 1));
     }
 
     #[test]

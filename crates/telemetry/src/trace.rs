@@ -29,8 +29,7 @@
 //! simulated machine as a thread track, with a `driver` row carrying the
 //! per-job setup overhead. The clock is simulated microseconds.
 
-use crate::escape_json;
-use std::fmt::Write as _;
+use crate::json::{self, Layout, Shortest, Writer};
 use std::sync::{Arc, Mutex};
 
 /// The phase a traced task belongs to.
@@ -192,15 +191,9 @@ impl TraceSink {
         self.len() == 0
     }
 
-    /// End-to-end simulated time of the recorded series, µs.
-    pub fn total_makespan_us(&self) -> f64 {
-        self.inner
-            .lock()
-            .unwrap()
-            .iter()
-            .map(|j| j.makespan_us)
-            .sum()
-    }
+    /// Indent unit of the Chrome-trace document: none, so every trace
+    /// event is one unindented line.
+    pub const JSON_INDENT: &'static str = "";
 
     /// Render the whole sink in the Chrome trace-event JSON format
     /// (loadable in Perfetto / `chrome://tracing`).
@@ -212,122 +205,86 @@ impl TraceSink {
     /// byte-reproducible whenever the event durations are (see the
     /// module docs).
     pub fn chrome_trace_json(&self) -> String {
-        self.chrome_trace_json_with_meta(None)
+        json::document(Self::JSON_INDENT, |w| self.write_fields(w))
     }
 
-    /// [`TraceSink::chrome_trace_json`] with a caller-supplied `meta`
-    /// header as the first top-level key. The trace-event format
-    /// tolerates extra top-level keys, so the file stays
-    /// Perfetto-loadable. `meta_json` must be a pre-rendered,
-    /// single-line JSON value; it is embedded verbatim.
-    pub fn chrome_trace_json_with_meta(&self, meta_json: Option<&str>) -> String {
+    /// Write the fields of [`TraceSink::chrome_trace_json`] into the open
+    /// object of `w` (a document indented by [`TraceSink::JSON_INDENT`]).
+    /// The trace-event format tolerates extra top-level keys, so a
+    /// document may lead with its own header and stay Perfetto-loadable.
+    pub fn write_fields(&self, w: &mut Writer) {
         let jobs = self.inner.lock().unwrap();
-        let mut out = String::from("{\n");
-        if let Some(meta) = meta_json {
-            let _ = writeln!(out, "\"meta\": {meta},");
-        }
-        out.push_str("\"displayTimeUnit\": \"ms\",\n\"traceEvents\": [\n");
-        let mut first = true;
-        let push = |out: &mut String, line: &str, first: &mut bool| {
-            if !*first {
-                out.push_str(",\n");
+        w.field("displayTimeUnit", "ms");
+        w.key("traceEvents").array(Layout::Lines, |w| {
+            for job in jobs.iter() {
+                write_job_events(w, job);
             }
-            *first = false;
-            out.push_str(line);
-        };
-        for job in jobs.iter() {
-            let pid = job.seq;
-            push(
-                &mut out,
-                &format!(
-                    "{{\"ph\": \"M\", \"pid\": {pid}, \"name\": \"process_name\", \
-                     \"args\": {{\"name\": \"#{pid} {}\"}}}}",
-                    escape_json(&job.name)
-                ),
-                &mut first,
-            );
-            for m in 0..job.machines {
-                push(
-                    &mut out,
-                    &format!(
-                        "{{\"ph\": \"M\", \"pid\": {pid}, \"tid\": {m}, \
-                         \"name\": \"thread_name\", \"args\": {{\"name\": \"machine {m}\"}}}}",
-                    ),
-                    &mut first,
-                );
-            }
-            let driver_tid = job.machines;
-            push(
-                &mut out,
-                &format!(
-                    "{{\"ph\": \"M\", \"pid\": {pid}, \"tid\": {driver_tid}, \
-                     \"name\": \"thread_name\", \"args\": {{\"name\": \"driver\"}}}}",
-                ),
-                &mut first,
-            );
-            let mut slice = String::new();
-            let _ = write!(
-                slice,
-                "{{\"ph\": \"X\", \"pid\": {pid}, \"tid\": {driver_tid}, \
-                 \"name\": \"job setup\", \"cat\": \"setup\", \"ts\": ",
-            );
-            write_us(&mut slice, job.start_us);
-            slice.push_str(", \"dur\": ");
-            write_us(&mut slice, job.overhead_us);
-            slice.push_str(", \"args\": {}}");
-            push(&mut out, &slice, &mut first);
-            for e in &job.events {
-                let mut line = String::new();
-                let name = match (e.failed, e.speculative) {
-                    (true, true) => {
-                        format!("{} {} spec-kill#{}", e.phase.as_str(), e.task, e.attempt)
-                    }
-                    (true, false) => {
-                        format!("{} {} retry#{}", e.phase.as_str(), e.task, e.attempt)
-                    }
-                    (false, true) => {
-                        format!("{} {} spec-win#{}", e.phase.as_str(), e.task, e.attempt)
-                    }
-                    (false, false) => format!("{} {}", e.phase.as_str(), e.task),
-                };
-                let _ = write!(
-                    line,
-                    "{{\"ph\": \"X\", \"pid\": {pid}, \"tid\": {}, \"name\": \"{}\", \
-                     \"cat\": \"{}\", \"ts\": ",
-                    e.machine,
-                    escape_json(&name),
-                    e.phase.as_str(),
-                );
-                write_us(&mut line, job.start_us + e.start_us);
-                line.push_str(", \"dur\": ");
-                write_us(&mut line, e.dur_us);
-                let _ = write!(
-                    line,
-                    ", \"args\": {{\"task\": {}, \"attempt\": {}, \"records\": {}, \"bytes\": {}",
-                    e.task, e.attempt, e.records, e.bytes
-                );
-                if let Some(p) = e.partition {
-                    let _ = write!(line, ", \"partition\": {p}");
-                }
-                if e.speculative {
-                    line.push_str(", \"speculative\": true");
-                }
-                line.push_str("}}");
-                push(&mut out, &line, &mut first);
-            }
-        }
-        out.push_str("\n]\n}\n");
-        out
+        });
     }
 }
 
-/// Write a simulated-µs value as a JSON number (finite; `null` guards
-/// against accidental NaN/inf so the export always parses).
-fn write_us(out: &mut String, v: f64) {
-    if v.is_finite() {
-        let _ = write!(out, "{v}");
-    } else {
-        out.push_str("null");
+/// The metadata rows, the setup slice and every task slice of one job.
+fn write_job_events(w: &mut Writer, job: &JobTrace) {
+    let pid = job.seq;
+    let name_row = |w: &mut Writer, tid: Option<u64>, what: &str, name: &str| {
+        w.object(Layout::Inline, |w| {
+            w.field("ph", "M").field("pid", pid);
+            if let Some(tid) = tid {
+                w.field("tid", tid);
+            }
+            w.field("name", what)
+                .key("args")
+                .object(Layout::Inline, |w| {
+                    w.field("name", name);
+                });
+        });
+    };
+    name_row(w, None, "process_name", &format!("#{pid} {}", job.name));
+    for m in 0..job.machines {
+        name_row(w, Some(m), "thread_name", &format!("machine {m}"));
+    }
+    let driver_tid = job.machines;
+    name_row(w, Some(driver_tid), "thread_name", "driver");
+    w.object(Layout::Inline, |w| {
+        w.field("ph", "X")
+            .field("pid", pid)
+            .field("tid", driver_tid)
+            .field("name", "job setup")
+            .field("cat", "setup")
+            .field("ts", Shortest(job.start_us))
+            .field("dur", Shortest(job.overhead_us))
+            .key("args")
+            .object(Layout::Inline, |_| {});
+    });
+    for e in &job.events {
+        let phase = e.phase.as_str();
+        let name = match (e.failed, e.speculative) {
+            (true, true) => format!("{phase} {} spec-kill#{}", e.task, e.attempt),
+            (true, false) => format!("{phase} {} retry#{}", e.task, e.attempt),
+            (false, true) => format!("{phase} {} spec-win#{}", e.task, e.attempt),
+            (false, false) => format!("{phase} {}", e.task),
+        };
+        w.object(Layout::Inline, |w| {
+            w.field("ph", "X")
+                .field("pid", pid)
+                .field("tid", e.machine)
+                .field("name", &name)
+                .field("cat", phase)
+                .field("ts", Shortest(job.start_us + e.start_us))
+                .field("dur", Shortest(e.dur_us));
+            w.key("args").object(Layout::Inline, |w| {
+                w.field("task", e.task)
+                    .field("attempt", e.attempt)
+                    .field("records", e.records)
+                    .field("bytes", e.bytes);
+                if let Some(p) = e.partition {
+                    w.field("partition", p);
+                }
+                if e.speculative {
+                    w.field("speculative", true);
+                }
+            });
+        });
     }
 }
 
@@ -362,7 +319,6 @@ mod tests {
         assert_eq!(jobs[0].start_us, 0.0);
         assert_eq!(jobs[1].start_us, 100.0);
         assert_eq!(jobs[1].seq, 1);
-        assert_eq!(sink.total_makespan_us(), 150.0);
     }
 
     #[test]
@@ -407,16 +363,21 @@ mod tests {
     }
 
     #[test]
-    fn meta_header_leads_the_chrome_export() {
+    fn header_fields_lead_the_chrome_export() {
         let sink = TraceSink::new();
         sink.record_job("j", 0.0, 1.0, 1, vec![]);
-        let json = sink.chrome_trace_json_with_meta(Some("{\"seed\": 7}"));
-        assert!(json.starts_with("{\n\"meta\": {\"seed\": 7},\n"), "{json}");
-        assert!(json.contains("\"displayTimeUnit\""));
-        // plain export is unchanged
-        assert!(sink
-            .chrome_trace_json()
-            .starts_with("{\n\"displayTimeUnit\""));
+        let json = json::document(TraceSink::JSON_INDENT, |w| {
+            w.key("meta").map(Layout::Inline, [("seed", 7u64)]);
+            sink.write_fields(w);
+        });
+        let plain = sink.chrome_trace_json();
+        assert_eq!(
+            json,
+            plain.replacen("{\n", "{\n\"meta\": {\"seed\": 7},\n", 1)
+        );
+        // an empty sink renders an empty event list
+        let empty = TraceSink::new().chrome_trace_json();
+        assert!(empty.ends_with("\"traceEvents\": []\n}\n"), "{empty}");
     }
 
     #[test]

@@ -30,8 +30,8 @@ use stratmr_population::export::{read_csv, write_csv};
 use stratmr_population::uniform::generate_uniform;
 use stratmr_population::{Dataset, Placement, Schema};
 use stratmr_query::{
-    parse_formula, CostModel, MssdQuery, SharingBase, SsdAnswer, SsdQuery, StratumConstraint,
-    MAX_SURVEYS,
+    check_disjoint_static, parse_formula, CostModel, MssdQuery, SharingBase, SsdAnswer, SsdQuery,
+    StaticCheck, StratumConstraint, MAX_SURVEYS,
 };
 use stratmr_sampling::cps::{try_mr_cps_on_splits, CpsConfig};
 use stratmr_sampling::mqe::try_mr_mqe_on_splits;
@@ -232,7 +232,12 @@ fn default_sharing() -> String {
     "max".into()
 }
 
-/// Build an [`SsdQuery`] from a JSON design against a schema.
+/// Domain points the disjointness check may enumerate per SSD design.
+const DISJOINT_BUDGET: u128 = 10_000_000;
+
+/// Build an [`SsdQuery`] from a JSON design against a schema. §3.2.1
+/// requires the strata to be pairwise disjoint: a design whose strata
+/// overlap, or whose disjointness cannot be verified, is an error.
 pub fn build_ssd(spec: &SsdSpec, schema: &Schema) -> Result<SsdQuery, Box<dyn Error>> {
     let mut constraints = Vec::with_capacity(spec.strata.len());
     for s in &spec.strata {
@@ -240,7 +245,30 @@ pub fn build_ssd(spec: &SsdSpec, schema: &Schema) -> Result<SsdQuery, Box<dyn Er
             parse_formula(&s.r#where, schema).map_err(|e| format!("in {:?}: {e}", s.r#where))?;
         constraints.push(StratumConstraint::new(formula, s.take));
     }
-    Ok(SsdQuery::new(constraints))
+    let query = SsdQuery::new(constraints);
+    match check_disjoint_static(&query, schema, DISJOINT_BUDGET) {
+        StaticCheck::Disjoint => Ok(query),
+        StaticCheck::Overlap {
+            first,
+            second,
+            witness,
+        } => {
+            let values: Vec<String> = (schema.iter().zip(witness))
+                .map(|((_, def), v)| format!("{}={v}", def.name))
+                .collect();
+            let (a, b) = (&spec.strata[first].r#where, &spec.strata[second].r#where);
+            let both = values.join(" ");
+            Err(format!(
+                "strata {first} ({a:?}) and {second} ({b:?}) overlap: {both} satisfies both"
+            )
+            .into())
+        }
+        StaticCheck::TooLarge { points } => Err(format!(
+            "cannot verify that the strata are disjoint: \
+             {points} domain points exceed the budget of {DISJOINT_BUDGET}"
+        )
+        .into()),
+    }
 }
 
 /// Build an [`MssdQuery`] from a JSON design against a schema.
@@ -255,7 +283,8 @@ pub fn build_mssd(spec: &MssdSpec, schema: &Schema) -> Result<MssdQuery, Box<dyn
     let queries: Vec<SsdQuery> = spec
         .surveys
         .iter()
-        .map(|s| build_ssd(s, schema))
+        .enumerate()
+        .map(|(i, s)| build_ssd(s, schema).map_err(|e| format!("surveys[{i}]: {e}")))
         .collect::<Result<_, _>>()?;
     let base = match spec.sharing.as_str() {
         "max" => SharingBase::Max,
@@ -539,6 +568,17 @@ mod tests {
         assert_eq!(q.total_frequency(), 50);
     }
 
+    /// An SSD spec with one `take: 1` stratum per condition.
+    fn ssd_spec(conditions: &[&str]) -> SsdSpec {
+        let stratum = |w: &&str| StratumSpec {
+            r#where: w.to_string(),
+            take: 1,
+        };
+        SsdSpec {
+            strata: conditions.iter().map(stratum).collect(),
+        }
+    }
+
     #[test]
     fn bad_formula_in_spec_is_reported() {
         let schema = DblpGenerator::schema();
@@ -547,6 +587,50 @@ mod tests {
                 .unwrap();
         let err = build_ssd(&spec, &schema).unwrap_err();
         assert!(err.to_string().contains("unknown attribute"), "{err}");
+    }
+
+    #[test]
+    fn overlapping_strata_in_spec_are_rejected() {
+        let schema = DblpGenerator::schema();
+        let spec = ssd_spec(&["fy < 1990", "fy >= 1985"]);
+        let err = build_ssd(&spec, &schema).unwrap_err().to_string();
+        assert!(
+            err.starts_with("strata 0 (\"fy < 1990\") and 1 (\"fy >= 1985\") overlap: "),
+            "{err}"
+        );
+        let fy = err.split("fy=").nth(1).and_then(|v| v.split(' ').next());
+        let fy: i64 = fy.and_then(|v| v.parse().ok()).expect("witness names fy");
+        assert!((1985..1990).contains(&fy), "{err}");
+    }
+
+    #[test]
+    fn overlapping_survey_in_mssd_spec_is_rejected() {
+        let schema = DblpGenerator::schema();
+        let spec = MssdSpec {
+            surveys: vec![
+                ssd_spec(&["fy < 1990"]),
+                ssd_spec(&["nop >= 10", "nop <= 10"]),
+            ],
+            ..mssd_spec(0, "[]")
+        };
+        let err = build_mssd(&spec, &schema).unwrap_err().to_string();
+        assert!(err.starts_with("surveys[1]: strata 0 "), "{err}");
+        assert!(err.contains(": nop=10 "), "{err}");
+    }
+
+    #[test]
+    fn unverifiable_disjointness_is_reported() {
+        let schema = DblpGenerator::schema();
+        let every_attribute: Vec<String> = schema
+            .iter()
+            .map(|(_, a)| format!("{} in [{}, {}]", a.name, a.min + 2, a.min + 8))
+            .collect();
+        let spec = ssd_spec(&[&every_attribute.join(" && ")]);
+        let err = build_ssd(&spec, &schema).unwrap_err().to_string();
+        assert!(
+            err.starts_with("cannot verify that the strata are disjoint"),
+            "{err}"
+        );
     }
 
     #[test]

@@ -7,7 +7,9 @@
 //! combiner and the compiled stratum matcher; a changed digest means a
 //! change to the samples themselves, not just to how fast they are drawn.
 //! The CPS digest covers the paper's three-job schedule; the fused
-//! schedule is held to it answer by answer and job by job.
+//! schedule is held to it answer by answer and job by job. It also pins
+//! the seeded order in which step 4 deals each σ's sample to the survey
+//! sets (`tests/cps_assignment.rs` checks that order for bias).
 
 use stratmr::mapreduce::{Cluster, InputSplit, JobStats};
 use stratmr::population::dblp::{DblpConfig, DblpGenerator};
@@ -133,7 +135,7 @@ fn sampling_answers_match_their_pinned_digests() {
         [
             0x4373_a7f8_4777_2678,
             0x04b7_4d04_88d3_77d8,
-            0x861c_5609_b4b7_e45a
+            0x3a43_7c1d_1304_0d01
         ],
         "answer digests (sqe, mqe, cps) changed: {got:#018x?}"
     );
