@@ -111,7 +111,7 @@ fn branch_and_bound(problem: &Problem) -> Result<(Solution, BranchBoundStats), L
                 let objective = problem.objective_value(&values);
                 let better = incumbent
                     .as_ref()
-                    .is_none_or(|best| objective < best.objective - 1e-9);
+                    .map_or(true, |best| objective < best.objective - 1e-9);
                 if better {
                     incumbent = Some(Solution { objective, values });
                 }

@@ -439,7 +439,8 @@ impl Cluster {
         let map_span = tel.map(|t| t.span("map"));
         let mut tasks: Vec<MapTaskOut<J::Key, J::CombOut, J::Side>> = splits
             .par_iter()
-            .map(|split| {
+            .enumerate()
+            .map(|(position, split)| {
                 let task_seed = mix_seed(seed, split.id as u64);
                 let ctx = TaskCtx {
                     job_seed: seed,
@@ -455,7 +456,8 @@ impl Cluster {
                 let mut groups: Vec<(J::Key, J::Acc)> = Vec::new();
                 let mut scan_bytes = 0u64;
                 let mut out_records = 0u64;
-                for record in &split.records {
+                for (row, record) in split.records.iter().enumerate() {
+                    emitter.row = (position, row);
                     scan_bytes += job.input_bytes(record);
                     job.map(&ctx, record, &mut emitter);
                     for (k, v) in emitter.drain() {
@@ -1523,6 +1525,74 @@ mod tests {
         let want: Vec<Vec<u64>> = splits.iter().map(|s| s.records.clone()).collect();
         assert_eq!(one, want);
         assert_eq!(run("4"), one);
+    }
+
+    /// Keys every record by itself and emits where the map loop says it
+    /// sits, with and without a combiner.
+    struct RowSpy;
+
+    type Pos = (usize, usize);
+
+    impl Job for RowSpy {
+        type Input = u64;
+        type Key = u64;
+        type MapOut = Pos;
+        type ReduceOut = Vec<Pos>;
+        fn map(&self, _c: &TaskCtx, r: &u64, out: &mut Emitter<u64, Pos>) {
+            out.emit(*r, out.row());
+        }
+        fn reduce(&self, _c: &TaskCtx, _k: &u64, v: Vec<Pos>) -> Vec<Pos> {
+            v
+        }
+    }
+
+    impl CombineJob for RowSpy {
+        type Input = u64;
+        type Key = u64;
+        type MapOut = Pos;
+        type Acc = Vec<Pos>;
+        type CombOut = Vec<Pos>;
+        type ReduceOut = Vec<Pos>;
+        type Side = ();
+        fn map(&self, c: &TaskCtx, r: &u64, out: &mut Emitter<u64, Pos>) {
+            Job::map(self, c, r, out);
+        }
+        fn start(&self, _c: &TaskCtx, _k: &u64) -> Vec<Pos> {
+            Vec::new()
+        }
+        fn observe(&self, acc: &mut Vec<Pos>, v: Pos) {
+            acc.push(v);
+        }
+        fn finish(&self, acc: Vec<Pos>) -> Vec<Pos> {
+            acc
+        }
+        fn reduce(&self, _c: &TaskCtx, _k: &u64, v: Vec<Vec<Pos>>) -> Vec<Pos> {
+            v.concat()
+        }
+    }
+
+    /// `Emitter::row` is the split's position in the input slice and the
+    /// record's index in the split, not the split's id.
+    #[test]
+    fn row_accessor_reports_each_records_position() {
+        let ids = [5, 3, 9, 0];
+        let splits: Vec<InputSplit<u64>> = ids
+            .iter()
+            .enumerate()
+            .map(|(p, &id)| {
+                InputSplit::new(id, p % 2, (0..7).map(|r| 100 * p as u64 + r).collect())
+            })
+            .collect();
+        let want = |k: u64| vec![(k as usize / 100, k as usize % 100)];
+        let cluster = Cluster::new(2);
+        let plain = cluster.try_run(&RowSpy, &splits, 3).unwrap();
+        let combined = cluster.try_run_with_combiner(&RowSpy, &splits, 3).unwrap();
+        for out in [plain, combined] {
+            assert_eq!(out.results.len(), 28);
+            for (k, rows) in out.results {
+                assert_eq!(rows, want(k), "record {k}");
+            }
+        }
     }
 
     /// Side bytes cost network time in the producing task's tail: once

@@ -44,6 +44,7 @@ pub struct TaskCtx {
 pub struct Emitter<K, V, S = ()> {
     pairs: Vec<(K, V)>,
     side: S,
+    pub(crate) row: (usize, usize),
 }
 
 impl<K, V, S> Emitter<K, V, S> {
@@ -51,24 +52,22 @@ impl<K, V, S> Emitter<K, V, S> {
         Self {
             pairs: Vec::new(),
             side,
+            row: (0, 0),
         }
+    }
+
+    /// Where the record being mapped sits: its split's position in the
+    /// job's input slice (not [`InputSplit::id`](crate::InputSplit::id))
+    /// and its index within that split.
+    #[inline]
+    pub fn row(&self) -> (usize, usize) {
+        self.row
     }
 
     /// Emit one intermediate pair.
     #[inline]
     pub fn emit(&mut self, key: K, value: V) {
         self.pairs.push((key, value));
-    }
-
-    /// Number of pairs emitted for the current record (the engine hands
-    /// each record's pairs to the combiner before the next `map` call).
-    pub fn len(&self) -> usize {
-        self.pairs.len()
-    }
-
-    /// True when nothing was emitted for the current record.
-    pub fn is_empty(&self) -> bool {
-        self.pairs.is_empty()
     }
 
     /// Take the pairs emitted so far, in emit order.
@@ -315,16 +314,14 @@ mod tests {
     #[test]
     fn emitter_collects_pairs_in_order() {
         let mut e: Emitter<u32, &str> = Emitter::new(());
-        assert!(e.is_empty());
         e.emit(1, "a");
         e.emit(2, "b");
         e.emit(1, "c");
-        assert_eq!(e.len(), 3);
         assert_eq!(
             e.drain().collect::<Vec<_>>(),
             vec![(1, "a"), (2, "b"), (1, "c")]
         );
-        assert!(e.is_empty());
+        assert_eq!(e.drain().count(), 0);
     }
 
     #[test]

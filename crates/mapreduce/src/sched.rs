@@ -468,7 +468,7 @@ impl<'a> PhaseRun<'a> {
                         continue;
                     }
                     let at = s.free_at.max(ready);
-                    if best.is_none_or(|(ba, _)| at < ba) {
+                    if best.map_or(true, |(ba, _)| at < ba) {
                         best = Some((at, i));
                     }
                 }
@@ -500,7 +500,7 @@ impl<'a> PhaseRun<'a> {
             if s.crash_at <= at {
                 continue;
             }
-            if best.is_none_or(|(ba, _)| at < ba) {
+            if best.map_or(true, |(ba, _)| at < ba) {
                 best = Some((at, i));
             }
         }

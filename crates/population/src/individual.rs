@@ -7,8 +7,9 @@ use std::sync::Arc;
 /// One member of the surveyed population.
 ///
 /// Values are stored positionally according to the dataset's [`Schema`].
-/// Individuals are shared between intermediate samples, answers and the
-/// shuffle, so the value vector is reference-counted and clones are cheap.
+/// Individuals are shared between the input splits, the answers and the
+/// naive sampler's shuffle, so the value vector is reference-counted and
+/// clones are cheap.
 #[derive(Debug, Clone, PartialEq, Eq, Hash, Serialize, Deserialize)]
 pub struct Individual {
     /// Stable unique identifier (the paper's `id` attribute).

@@ -35,10 +35,10 @@
 use crate::limits::limits_tallied;
 use crate::mqe::{mr_mqe_tallied, try_mr_mqe_on_splits};
 use crate::obs::StratumCounters;
-use crate::reservoir::SeededReservoir;
+use crate::rows::{RowId, RowSampler, Strata};
+use crate::sqe::SqeJob;
 use crate::sst::StratumSelection;
 use crate::tally::{SelectionTable, SigmaTally};
-use crate::unified::{unified_sampler, IntermediateSample};
 use rand::seq::SliceRandom;
 use rand::SeedableRng;
 use rand_chacha::ChaCha8Rng;
@@ -46,9 +46,7 @@ use std::collections::{HashMap, HashSet};
 use std::fmt::Write as _;
 use std::time::Instant;
 use stratmr_lp::{solve_ip, solve_lp, LpError, Problem, Relation, Solution};
-use stratmr_mapreduce::{
-    mix_seed, Cluster, CombineJob, Emitter, InputSplit, JobError, JobStats, TaskCtx,
-};
+use stratmr_mapreduce::{mix_seed, Cluster, Emitter, InputSplit, JobError, JobStats};
 use stratmr_population::Individual;
 use stratmr_query::{MssdAnswer, MssdQuery, SsdAnswer, StratumMatcher, SurveySet};
 use stratmr_telemetry::{json, Layout, Registry, Writer};
@@ -723,35 +721,26 @@ pub fn try_mr_cps_on_splits(
     // job matches a tuple by looking its row's selection id up — the
     // MapReduce program is MR-SQE on Q′, with the formula evaluation
     // strength-reduced to an index read.
-    let rows = with_selection_ids(splits, row_ids);
     let active: Vec<&SigmaPlan> = plans.iter().filter(|p| p.total > 0).collect();
-    let mut stratum_of_id = vec![NO_STRATUM; table.len()];
+    // the Q′ stratum of each selection id
+    let mut stratum_of_id = vec![None; table.len()];
     for (k, p) in active.iter().enumerate() {
-        stratum_of_id[ids[p.r] as usize] = k as u32;
+        stratum_of_id[ids[p.r] as usize] = Some(k);
     }
-    let combined_freqs: Vec<usize> = active.iter().map(|p| p.total as usize).collect();
-    let combined_counters =
-        tel.map(|t| StratumCounters::per_stratum(t, "cps.combined", active.len()));
-    if let Some(c) = &combined_counters {
-        for (k, &f) in combined_freqs.iter().enumerate() {
-            c.request(k, f as u64);
-        }
-    }
-    let combined_job = CombinedSqeJob {
-        stratum_of_id: &stratum_of_id,
-        freqs: &combined_freqs,
-        counters: combined_counters,
+    let stratum = |_: &Individual, row: RowId| {
+        stratum_of_id[row_ids[row.split as usize][row.row as usize] as usize]
     };
+    let freqs = active.iter().map(|p| p.total as usize).collect();
+    let combined_job = RowSampler::new(
+        splits,
+        SqeJob::<_, RowId>::new(stratum, freqs, tel, "cps.combined"),
+    );
     let combined = {
         let _s = tel.map(|t| t.span("combined_sqe"));
-        cluster.named("cps/combined-sqe").try_run_with_combiner(
-            &combined_job,
-            &rows,
-            seed.wrapping_add(3),
-        )?
+        combined_job.run(&cluster.named("cps/combined-sqe"), seed.wrapping_add(3))?
     };
     phase_stats.push(("combined MR-SQE".to_string(), combined.stats.clone()));
-    let mut pools: Vec<Vec<Individual>> = vec![Vec::new(); active.len()];
+    let mut pools: Vec<Vec<RowId>> = vec![Vec::new(); active.len()];
     for (k, sample) in combined.results {
         pools[k] = sample;
     }
@@ -772,7 +761,8 @@ pub fn try_mr_cps_on_splits(
         pool.shuffle(&mut ChaCha8Rng::seed_from_u64(order_seed));
         for &(tau, count) in &plan.allocations {
             for _ in 0..count {
-                let Some(t) = pool.pop() else { break };
+                let Some(id) = pool.pop() else { break };
+                let t = combined_job.record(id);
                 for i in tau.iter() {
                     let stratum = sel.stratum_of(i).expect("τ ⊆ I(σ)");
                     star[i].stratum_mut(stratum).push(t.clone());
@@ -815,18 +805,23 @@ pub fn try_mr_cps_on_splits(
         if let Some(c) = &residual_counters {
             c.request(0, deficit);
         }
-        let residual_job = ResidualMqeJob {
-            table: &table,
-            short: &short,
-            needed: &needed,
-            exclusions: &exclusions,
-            counters: residual_counters,
-        };
+        let residual_job = RowSampler::new(
+            splits,
+            ResidualMqeJob {
+                row_ids: &row_ids,
+                table: &table,
+                short: &short,
+                needed: &needed,
+                exclusions: &exclusions,
+                counters: residual_counters,
+            },
+        );
         let residual = {
             let _s = tel.map(|t| t.span("residual"));
-            cluster
-                .named(&format!("cps/residual#{round}"))
-                .try_run_with_combiner(&residual_job, &rows, seed.wrapping_add(4 + round as u64))?
+            residual_job.run(
+                &cluster.named(&format!("cps/residual#{round}")),
+                seed.wrapping_add(4 + round as u64),
+            )?
         };
         if let Some(t) = tel {
             t.counter("cps.residual.rounds").inc();
@@ -941,101 +936,11 @@ pub fn try_mr_cps_on_splits(
     })
 }
 
-/// Q′ stratum of a selection id that is not in Q′.
-const NO_STRATUM: u32 = u32::MAX;
-
-/// Each input row paired with its selection id: the same splits (ids,
-/// home machines, row order), so task seeds and scan bytes are those of
-/// a scan over `splits` itself. Each split's id vector is freed as soon
-/// as its rows are paired.
-fn with_selection_ids(
-    splits: &[InputSplit<Individual>],
-    row_ids: Vec<Vec<u32>>,
-) -> Vec<InputSplit<(u32, &Individual)>> {
-    splits
-        .iter()
-        .zip(row_ids)
-        .map(|(split, ids)| {
-            let records = ids.into_iter().zip(&split.records).collect();
-            InputSplit::new(split.id, split.home_machine, records)
-        })
-        .collect()
-}
-
-/// MR-SQE on the combined query Q′, with stratum matching done by
-/// looking the row's selection id up (each Q′ stratum's condition
-/// `ϕ(σ)` holds exactly on tuples with `σ(t) = σ`).
-struct CombinedSqeJob<'a> {
-    /// Q′ stratum per selection id, [`NO_STRATUM`] outside Q′.
-    stratum_of_id: &'a [u32],
-    freqs: &'a [usize],
-    counters: Option<StratumCounters>,
-}
-
-impl<'a> CombineJob for CombinedSqeJob<'a> {
-    type Input = (u32, &'a Individual);
-    type Key = usize;
-    type MapOut = Individual;
-    type Acc = SeededReservoir<Individual>;
-    type CombOut = IntermediateSample<Individual>;
-    type ReduceOut = Vec<Individual>;
-    type Side = ();
-
-    fn map(
-        &self,
-        _ctx: &TaskCtx,
-        &(id, t): &(u32, &'a Individual),
-        out: &mut Emitter<usize, Individual>,
-    ) {
-        let k = self.stratum_of_id[id as usize];
-        if k != NO_STRATUM {
-            let k = k as usize;
-            if let Some(c) = &self.counters {
-                c.candidate(k);
-            }
-            out.emit(k, t.clone());
-        }
-    }
-
-    fn start(&self, ctx: &TaskCtx, key: &usize) -> Self::Acc {
-        SeededReservoir::new(self.freqs[*key], ctx.seed)
-    }
-
-    fn observe(&self, acc: &mut Self::Acc, t: Individual) {
-        acc.observe(t);
-    }
-
-    fn finish(&self, acc: Self::Acc) -> IntermediateSample<Individual> {
-        acc.finish()
-    }
-
-    fn reduce(
-        &self,
-        ctx: &TaskCtx,
-        key: &usize,
-        values: Vec<IntermediateSample<Individual>>,
-    ) -> Vec<Individual> {
-        let mut rng = ChaCha8Rng::seed_from_u64(ctx.seed);
-        let seen: u64 = values.iter().map(|s| s.drawn_from as u64).sum();
-        let sample = unified_sampler(values, self.freqs[*key], &mut rng);
-        if let Some(c) = &self.counters {
-            c.reduced(*key, sample.len() as u64, seen);
-        }
-        sample
-    }
-
-    fn input_bytes(&self, &(_, t): &(u32, &'a Individual)) -> u64 {
-        t.payload_bytes as u64
-    }
-
-    fn comb_bytes(&self, _key: &usize, s: &IntermediateSample<Individual>) -> u64 {
-        s.sample.iter().map(crate::input::wire_bytes).sum::<u64>() + 16
-    }
-}
-
 /// The residual MR-MQE phase, keyed by `(query, σ)` with per-query
 /// exclusion of already-selected individuals.
 struct ResidualMqeJob<'a> {
+    /// Selection id per split position and row.
+    row_ids: &'a [Vec<u32>],
     table: &'a SelectionTable,
     /// Per selection id, the surveys with a deficit on it.
     short: &'a [SurveySet],
@@ -1046,21 +951,13 @@ struct ResidualMqeJob<'a> {
     counters: Option<StratumCounters>,
 }
 
-impl<'a> CombineJob for ResidualMqeJob<'a> {
-    type Input = (u32, &'a Individual);
+impl Strata for ResidualMqeJob<'_> {
     type Key = (usize, StratumSelection);
-    type MapOut = Individual;
-    type Acc = SeededReservoir<Individual>;
-    type CombOut = IntermediateSample<Individual>;
-    type ReduceOut = Vec<Individual>;
     type Side = ();
+    type Pick = Individual;
 
-    fn map(
-        &self,
-        _ctx: &TaskCtx,
-        &(id, t): &(u32, &'a Individual),
-        out: &mut Emitter<(usize, StratumSelection), Individual>,
-    ) {
+    fn map(&self, t: &Individual, row: RowId, out: &mut Emitter<Self::Key, RowId>) {
+        let id = self.row_ids[row.split as usize][row.row as usize];
         for i in self.short[id as usize].iter() {
             if self.exclusions[i].contains(&t.id) {
                 continue;
@@ -1068,47 +965,18 @@ impl<'a> CombineJob for ResidualMqeJob<'a> {
             if let Some(c) = &self.counters {
                 c.candidate(0);
             }
-            out.emit((i, self.table.selection(id).clone()), t.clone());
+            out.emit((i, self.table.selection(id).clone()), row);
         }
     }
 
-    fn start(&self, ctx: &TaskCtx, key: &(usize, StratumSelection)) -> Self::Acc {
-        SeededReservoir::new(self.needed[key], ctx.seed)
+    fn frequency(&self, key: &Self::Key) -> usize {
+        self.needed[key]
     }
 
-    fn observe(&self, acc: &mut Self::Acc, t: Individual) {
-        acc.observe(t);
-    }
-
-    fn finish(&self, acc: Self::Acc) -> IntermediateSample<Individual> {
-        acc.finish()
-    }
-
-    fn reduce(
-        &self,
-        ctx: &TaskCtx,
-        key: &(usize, StratumSelection),
-        values: Vec<IntermediateSample<Individual>>,
-    ) -> Vec<Individual> {
-        let mut rng = ChaCha8Rng::seed_from_u64(ctx.seed);
-        let seen: u64 = values.iter().map(|s| s.drawn_from as u64).sum();
-        let sample = unified_sampler(values, self.needed[key], &mut rng);
+    fn reduced(&self, _key: &Self::Key, sampled: u64, seen: u64) {
         if let Some(c) = &self.counters {
-            c.reduced(0, sample.len() as u64, seen);
+            c.reduced(0, sampled, seen);
         }
-        sample
-    }
-
-    fn input_bytes(&self, &(_, t): &(u32, &'a Individual)) -> u64 {
-        t.payload_bytes as u64
-    }
-
-    fn comb_bytes(
-        &self,
-        _key: &(usize, StratumSelection),
-        s: &IntermediateSample<Individual>,
-    ) -> u64 {
-        s.sample.iter().map(crate::input::wire_bytes).sum::<u64>() + 16
     }
 }
 

@@ -51,6 +51,7 @@ pub mod naive;
 mod obs;
 pub mod percent;
 pub mod reservoir;
+mod rows;
 pub mod sqe;
 pub mod srs;
 pub mod sst;
@@ -67,13 +68,13 @@ pub use cps::{
 pub use estimate::{srs_mean, stratified_mean, stratified_proportion, stratified_total, Estimate};
 pub use input::{to_input_splits, wire_bytes};
 pub use limits::try_stratum_selection_limits;
-pub use mqe::{try_mr_mqe_on_splits, MqeJob, MqeRun};
+pub use mqe::{try_mr_mqe_on_splits, MqeRun};
 pub use naive::{naive_sqe_on_splits, NaiveSqeJob, SqeRun};
 pub use percent::{
     mr_sqe_percent, resolve_percentages, PercentRun, PercentSsdQuery, PercentStratum,
 };
 pub use reservoir::{reservoir_sample, Reservoir, SkipReservoir, ZReservoir};
-pub use sqe::{try_mr_sqe_on_splits, SqeJob};
+pub use sqe::try_mr_sqe_on_splits;
 pub use srs::mr_srs_on_splits;
 pub use sst::StratumSelection;
 pub use stream::{merge_streams, StreamingSampler};

@@ -10,22 +10,19 @@
 //! as CPS's representative first phase.
 
 use crate::obs::StratumCounters;
-use crate::reservoir::SeededReservoir;
+use crate::rows::{RowId, RowSampler, Strata};
 use crate::tally::{SelectionSink, SigmaTally};
-use crate::unified::{unified_sampler, IntermediateSample};
-use rand::SeedableRng;
-use rand_chacha::ChaCha8Rng;
 use std::collections::HashSet;
 use std::marker::PhantomData;
-use stratmr_mapreduce::{Cluster, CombineJob, Emitter, InputSplit, JobError, JobStats, TaskCtx};
+use stratmr_mapreduce::{Cluster, Emitter, InputSplit, JobError, JobStats};
 use stratmr_population::Individual;
 use stratmr_query::{MssdAnswer, SsdAnswer, SsdQuery, StratumId, StratumMatcher};
-use stratmr_telemetry::Registry;
 
 /// Intermediate key: `(query index, stratum index)`.
 pub type QueryStratum = (usize, StratumId);
 
-/// The MR-MQE job over a set of SSD queries.
+/// The MR-MQE job's strata over a set of SSD queries: one key per
+/// `(query, stratum)`.
 ///
 /// `exclusions[i]` (optional) is a set of individual ids that must not be
 /// sampled for query `i`.
@@ -33,85 +30,23 @@ pub type QueryStratum = (usize, StratumId);
 /// `S` is the map task's [`SelectionSink`]: every tuple's per-query
 /// strata (its selection `σ(t)`) are handed to it as the scan finds
 /// them. The plain job (`S = ()`) drops them at compile time;
-/// [`MqeJob::tallying`] interns them into a [`SigmaTally`] for MR-CPS.
-pub struct MqeJob<'a, S = ()> {
+/// [`mr_mqe_tallied`] interns them into a [`SigmaTally`] for MR-CPS.
+struct MqeJob<'a, S> {
     queries: &'a [SsdQuery],
     matchers: Vec<StratumMatcher<'a>>,
     exclusions: Option<&'a [HashSet<u64>]>,
+    /// `mqe.q<i>.s<k>.{requested,candidates,sampled,rejected}`, one
+    /// quadruple per `(query, stratum)`.
     counters: Option<Vec<StratumCounters>>,
     sink: PhantomData<fn() -> S>,
 }
 
-impl<'a> MqeJob<'a> {
-    /// Build the job for a set of SSD queries, compiling their stratum
-    /// matchers.
-    pub fn new(queries: &'a [SsdQuery]) -> Self {
-        Self::build(queries)
-    }
-
-    /// Exclude, per query, individuals that must not be selected.
-    ///
-    /// # Panics
-    /// Panics if `exclusions.len() != queries.len()`.
-    pub fn with_exclusions(mut self, exclusions: &'a [HashSet<u64>]) -> Self {
-        assert_eq!(exclusions.len(), self.queries.len());
-        self.exclusions = Some(exclusions);
-        self
-    }
-}
-
-impl<'a> MqeJob<'a, SigmaTally> {
-    /// The same scan, also tallying every tuple's selection `σ(t)` (one
-    /// [`SigmaTally`] per map task; its count table is charged as side
-    /// bytes). Emits exactly the plain job's keys, in the same order.
-    pub fn tallying(queries: &'a [SsdQuery]) -> Self {
-        Self::build(queries)
-    }
-}
-
-impl<'a, S> MqeJob<'a, S> {
-    fn build(queries: &'a [SsdQuery]) -> Self {
-        Self {
-            queries,
-            matchers: StratumMatcher::all(queries),
-            exclusions: None,
-            counters: None,
-            sink: PhantomData,
-        }
-    }
-
-    /// Emit `mqe.q<i>.s<k>.{requested,candidates,sampled,rejected}`
-    /// counters into `registry`, one quadruple per `(query, stratum)`
-    /// pair.
-    pub fn with_telemetry(mut self, registry: &Registry) -> Self {
-        self.counters = Some(
-            self.queries
-                .iter()
-                .enumerate()
-                .map(|(i, q)| {
-                    let counters =
-                        StratumCounters::per_stratum(registry, &format!("mqe.q{i}"), q.len());
-                    for k in 0..q.len() {
-                        counters.request(k, q.stratum(k).frequency as u64);
-                    }
-                    counters
-                })
-                .collect(),
-        );
-        self
-    }
-}
-
-impl<S: SelectionSink> CombineJob for MqeJob<'_, S> {
-    type Input = Individual;
+impl<S: SelectionSink> Strata for MqeJob<'_, S> {
     type Key = QueryStratum;
-    type MapOut = Individual;
-    type Acc = SeededReservoir<Individual>;
-    type CombOut = IntermediateSample<Individual>;
-    type ReduceOut = Vec<Individual>;
     type Side = S;
+    type Pick = Individual;
 
-    fn map(&self, _ctx: &TaskCtx, t: &Individual, out: &mut Emitter<QueryStratum, Individual, S>) {
+    fn map(&self, t: &Individual, row: RowId, out: &mut Emitter<QueryStratum, RowId, S>) {
         // only the plain job takes exclusions, so a sink sees every query
         for (i, m) in self.matchers.iter().enumerate() {
             if let Some(ex) = self.exclusions {
@@ -125,46 +60,20 @@ impl<S: SelectionSink> CombineJob for MqeJob<'_, S> {
                 if let Some(c) = &self.counters {
                     c[i].candidate(k);
                 }
-                out.emit((i, k), t.clone());
+                out.emit((i, k), row);
             }
         }
         out.side_mut().end_row(self.matchers.len());
     }
 
-    fn start(&self, ctx: &TaskCtx, key: &QueryStratum) -> Self::Acc {
-        SeededReservoir::new(self.queries[key.0].stratum(key.1).frequency, ctx.seed)
+    fn frequency(&self, key: &QueryStratum) -> usize {
+        self.queries[key.0].stratum(key.1).frequency
     }
 
-    fn observe(&self, acc: &mut Self::Acc, t: Individual) {
-        acc.observe(t);
-    }
-
-    fn finish(&self, acc: Self::Acc) -> IntermediateSample<Individual> {
-        acc.finish()
-    }
-
-    fn reduce(
-        &self,
-        ctx: &TaskCtx,
-        key: &QueryStratum,
-        values: Vec<IntermediateSample<Individual>>,
-    ) -> Vec<Individual> {
-        let f = self.queries[key.0].stratum(key.1).frequency;
-        let mut rng = ChaCha8Rng::seed_from_u64(ctx.seed);
-        let seen: u64 = values.iter().map(|s| s.drawn_from as u64).sum();
-        let sample = unified_sampler(values, f, &mut rng);
+    fn reduced(&self, key: &QueryStratum, sampled: u64, seen: u64) {
         if let Some(c) = &self.counters {
-            c[key.0].reduced(key.1, sample.len() as u64, seen);
+            c[key.0].reduced(key.1, sampled, seen);
         }
-        sample
-    }
-
-    fn input_bytes(&self, t: &Individual) -> u64 {
-        t.payload_bytes as u64
-    }
-
-    fn comb_bytes(&self, _key: &QueryStratum, s: &IntermediateSample<Individual>) -> u64 {
-        s.sample.iter().map(crate::input::wire_bytes).sum::<u64>() + 16
     }
 
     fn side_bytes(&self, side: &S) -> u64 {
@@ -183,6 +92,9 @@ pub struct MqeRun {
 
 /// Run MR-MQE on pre-built input splits, with optional per-query
 /// exclusion sets. Scheduling failures come back as [`JobError`].
+///
+/// # Panics
+/// Panics if `exclusions` is given and its length is not `queries.len()`.
 pub fn try_mr_mqe_on_splits(
     cluster: &Cluster,
     splits: &[InputSplit<Individual>],
@@ -190,42 +102,49 @@ pub fn try_mr_mqe_on_splits(
     exclusions: Option<&[HashSet<u64>]>,
     seed: u64,
 ) -> Result<MqeRun, JobError> {
-    let mut job = MqeJob::new(queries);
     if let Some(ex) = exclusions {
-        job = job.with_exclusions(ex);
+        assert_eq!(ex.len(), queries.len());
     }
-    run_job(cluster, job, splits, seed).map(|(run, _)| run)
+    run_job::<()>(cluster, splits, queries, exclusions, seed).map(|(run, _)| run)
 }
 
-/// MR-MQE that also tallies every tuple's selection `σ(t)`: the answer
-/// and statistics of [`try_mr_mqe_on_splits`] (same keys, seeds and
-/// shuffle bytes), plus one [`SigmaTally`] per split in split order.
+/// MR-MQE that also tallies every tuple's selection `σ(t)` (one
+/// [`SigmaTally`] per map task; its count table is charged as side
+/// bytes): the answer and statistics of [`try_mr_mqe_on_splits`] (same
+/// keys, seeds and shuffle bytes), plus the tallies in split order.
 pub(crate) fn mr_mqe_tallied(
     cluster: &Cluster,
     splits: &[InputSplit<Individual>],
     queries: &[SsdQuery],
     seed: u64,
 ) -> Result<(MqeRun, Vec<SigmaTally>), JobError> {
-    run_job(cluster, MqeJob::tallying(queries), splits, seed)
+    run_job(cluster, splits, queries, None, seed)
 }
 
 fn run_job<S: SelectionSink>(
     cluster: &Cluster,
-    mut job: MqeJob<'_, S>,
     splits: &[InputSplit<Individual>],
+    queries: &[SsdQuery],
+    exclusions: Option<&[HashSet<u64>]>,
     seed: u64,
 ) -> Result<(MqeRun, Vec<S>), JobError> {
     let cluster = cluster.named_or("mqe");
     let _span = cluster.telemetry().map(|t| t.span("mqe.run"));
-    if let Some(registry) = cluster.telemetry() {
-        job = job.with_telemetry(registry);
-    }
-    let out = cluster.try_run_with_combiner(&job, splits, seed)?;
-    let mut answers: Vec<SsdAnswer> = job
-        .queries
-        .iter()
-        .map(|q| SsdAnswer::empty(q.len()))
-        .collect();
+    let job = MqeJob {
+        queries,
+        matchers: StratumMatcher::all(queries),
+        exclusions,
+        counters: cluster.telemetry().map(|r| {
+            let per_query = |(i, q): (usize, &SsdQuery)| {
+                let freqs = q.constraints().iter().map(|s| s.frequency);
+                StratumCounters::per_stratum(r, &format!("mqe.q{i}"), freqs)
+            };
+            queries.iter().enumerate().map(per_query).collect()
+        }),
+        sink: PhantomData,
+    };
+    let out = RowSampler::new(splits, job).run(&cluster, seed)?;
+    let mut answers: Vec<SsdAnswer> = queries.iter().map(|q| SsdAnswer::empty(q.len())).collect();
     for ((i, k), sample) in out.results {
         *answers[i].stratum_mut(k) = sample;
     }
@@ -239,18 +158,10 @@ fn run_job<S: SelectionSink>(
 #[cfg(test)]
 mod tests {
     use super::*;
-    use crate::input::to_input_splits;
+    use crate::input::{tests::dataset, to_input_splits};
     use crate::sqe::try_mr_sqe_on_splits;
-    use stratmr_population::{AttrDef, AttrId, Dataset, Placement, Schema};
+    use stratmr_population::{AttrId, Placement};
     use stratmr_query::{Formula, StratumConstraint};
-
-    fn dataset(n: usize) -> Dataset {
-        let schema = Schema::new(vec![AttrDef::numeric("x", 0, 99)]);
-        let tuples = (0..n as u64)
-            .map(|i| Individual::new(i, vec![(i % 100) as i64], 1000))
-            .collect();
-        Dataset::new(schema, tuples)
-    }
 
     fn queries() -> Vec<SsdQuery> {
         let x = AttrId(0);

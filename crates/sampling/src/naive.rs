@@ -86,17 +86,9 @@ pub fn naive_sqe_on_splits(
 #[cfg(test)]
 mod tests {
     use super::*;
-    use crate::input::to_input_splits;
-    use stratmr_population::{AttrDef, AttrId, Dataset, Placement, Schema};
+    use crate::input::{tests::dataset, to_input_splits};
+    use stratmr_population::{AttrId, Placement};
     use stratmr_query::{Formula, StratumConstraint};
-
-    fn dataset(n: usize) -> Dataset {
-        let schema = Schema::new(vec![AttrDef::numeric("x", 0, 99)]);
-        let tuples = (0..n as u64)
-            .map(|i| Individual::new(i, vec![(i % 100) as i64], 1000))
-            .collect();
-        Dataset::new(schema, tuples)
-    }
 
     fn two_strata_query() -> SsdQuery {
         let x = AttrId(0);

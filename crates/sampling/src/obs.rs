@@ -37,19 +37,29 @@ pub(crate) struct StratumCounters {
 
 impl StratumCounters {
     /// One `requested`/`candidates`/`sampled`/`rejected` counter
-    /// quadruple per stratum, named `<prefix>.s<k>.<field>`.
-    pub fn per_stratum(registry: &Registry, prefix: &str, n_strata: usize) -> Self {
+    /// quadruple per stratum, named `<prefix>.s<k>.<field>`, with stratum
+    /// `k`'s request `frequencies[k]` recorded.
+    pub fn per_stratum(
+        registry: &Registry,
+        prefix: &str,
+        frequencies: impl IntoIterator<Item = usize>,
+    ) -> Self {
+        let frequencies: Vec<usize> = frequencies.into_iter().collect();
         let fetch = |field: &str| {
-            (0..n_strata)
+            (0..frequencies.len())
                 .map(|k| registry.counter(&format!("{prefix}.s{k}.{field}")))
                 .collect()
         };
-        Self {
+        let counters = Self {
             requested: fetch("requested"),
             candidates: fetch("candidates"),
             sampled: fetch("sampled"),
             rejected: fetch("rejected"),
+        };
+        for (k, &f) in frequencies.iter().enumerate() {
+            counters.request(k, f as u64);
         }
+        counters
     }
 
     /// A single aggregate quadruple named `<prefix>.<field>`, for jobs

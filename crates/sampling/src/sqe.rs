@@ -12,99 +12,66 @@
 //! sampler (Algorithm 1).
 
 use crate::obs::StratumCounters;
-use crate::reservoir::SeededReservoir;
-use crate::unified::{unified_sampler, IntermediateSample};
-use rand::SeedableRng;
-use rand_chacha::ChaCha8Rng;
-use stratmr_mapreduce::{Cluster, CombineJob, Emitter, InputSplit, JobError, TaskCtx};
+use crate::rows::{Pick, RowId, RowSampler, Strata};
+use std::marker::PhantomData;
+use stratmr_mapreduce::{Cluster, Emitter, InputSplit, JobError};
 use stratmr_population::Individual;
 use stratmr_query::{SsdAnswer, SsdQuery, StratumId, StratumMatcher};
 use stratmr_telemetry::Registry;
 
 pub use crate::naive::SqeRun;
 
-/// The Figure 2 job.
-pub struct SqeJob<'a> {
-    query: &'a SsdQuery,
-    matcher: StratumMatcher<'a>,
+/// The Figure 2 job's strata: one key per stratum `k`, asking for
+/// `freqs[k]` tuples. `stratum` finds a tuple's stratum from the tuple
+/// or its row id; reduce returns each pick as a `P`. MR-CPS runs it on
+/// the combined query Q′.
+pub(crate) struct SqeJob<M, P> {
+    stratum: M,
+    freqs: Vec<usize>,
+    /// Per-stratum `<prefix>.s<k>.{requested,candidates,sampled,rejected}`.
     counters: Option<StratumCounters>,
+    pick: PhantomData<fn() -> P>,
 }
 
-impl<'a> SqeJob<'a> {
-    /// Build the job for one SSD query, compiling its stratum matcher.
-    pub fn new(query: &'a SsdQuery) -> Self {
+impl<M, P> SqeJob<M, P> {
+    pub fn new(stratum: M, freqs: Vec<usize>, registry: Option<&Registry>, prefix: &str) -> Self {
+        let counters =
+            registry.map(|r| StratumCounters::per_stratum(r, prefix, freqs.iter().copied()));
         Self {
-            query,
-            matcher: StratumMatcher::new(query),
-            counters: None,
+            stratum,
+            freqs,
+            counters,
+            pick: PhantomData,
         }
-    }
-
-    /// Emit per-stratum `sqe.s<k>.{requested,candidates,sampled,rejected}`
-    /// counters into `registry`.
-    pub fn with_telemetry(mut self, registry: &Registry) -> Self {
-        let counters = StratumCounters::per_stratum(registry, "sqe", self.query.len());
-        for k in 0..self.query.len() {
-            counters.request(k, self.query.stratum(k).frequency as u64);
-        }
-        self.counters = Some(counters);
-        self
     }
 }
 
-impl CombineJob for SqeJob<'_> {
-    type Input = Individual;
+impl<M, P> Strata for SqeJob<M, P>
+where
+    M: Fn(&Individual, RowId) -> Option<StratumId> + Send + Sync,
+    P: Pick,
+{
     type Key = StratumId;
-    type MapOut = Individual;
-    type Acc = SeededReservoir<Individual>;
-    type CombOut = IntermediateSample<Individual>;
-    type ReduceOut = Vec<Individual>;
     type Side = ();
+    type Pick = P;
 
-    fn map(&self, _ctx: &TaskCtx, t: &Individual, out: &mut Emitter<StratumId, Individual>) {
-        if let Some(k) = self.matcher.matching_stratum(t) {
+    fn map(&self, t: &Individual, row: RowId, out: &mut Emitter<StratumId, RowId>) {
+        if let Some(k) = (self.stratum)(t, row) {
             if let Some(c) = &self.counters {
                 c.candidate(k);
             }
-            out.emit(k, t.clone());
+            out.emit(k, row);
         }
     }
 
-    fn start(&self, ctx: &TaskCtx, key: &StratumId) -> Self::Acc {
-        SeededReservoir::new(self.query.stratum(*key).frequency, ctx.seed)
+    fn frequency(&self, key: &StratumId) -> usize {
+        self.freqs[*key]
     }
 
-    fn observe(&self, acc: &mut Self::Acc, t: Individual) {
-        acc.observe(t);
-    }
-
-    fn finish(&self, acc: Self::Acc) -> IntermediateSample<Individual> {
-        acc.finish()
-    }
-
-    fn reduce(
-        &self,
-        ctx: &TaskCtx,
-        key: &StratumId,
-        values: Vec<IntermediateSample<Individual>>,
-    ) -> Vec<Individual> {
-        let f = self.query.stratum(*key).frequency;
-        let mut rng = ChaCha8Rng::seed_from_u64(ctx.seed);
-        let seen: u64 = values.iter().map(|s| s.drawn_from as u64).sum();
-        let sample = unified_sampler(values, f, &mut rng);
+    fn reduced(&self, key: &StratumId, sampled: u64, seen: u64) {
         if let Some(c) = &self.counters {
-            c.reduced(*key, sample.len() as u64, seen);
+            c.reduced(*key, sampled, seen);
         }
-        sample
-    }
-
-    fn input_bytes(&self, t: &Individual) -> u64 {
-        t.payload_bytes as u64
-    }
-
-    fn comb_bytes(&self, _key: &StratumId, s: &IntermediateSample<Individual>) -> u64 {
-        // the intermediate sample's projected tuples plus the (key, N̄) header
-        s.sample.iter().map(crate::input::wire_bytes).sum::<u64>() + 16
     }
 }
 
@@ -119,11 +86,11 @@ pub fn try_mr_sqe_on_splits(
 ) -> Result<SqeRun, JobError> {
     let cluster = cluster.named_or("sqe");
     let _span = cluster.telemetry().map(|t| t.span("sqe.run"));
-    let mut job = SqeJob::new(query);
-    if let Some(registry) = cluster.telemetry() {
-        job = job.with_telemetry(registry);
-    }
-    let out = cluster.try_run_with_combiner(&job, splits, seed)?;
+    let matcher = StratumMatcher::new(query);
+    let stratum = |t: &Individual, _| matcher.matching_stratum(t);
+    let freqs = query.constraints().iter().map(|s| s.frequency).collect();
+    let job = SqeJob::<_, Individual>::new(stratum, freqs, cluster.telemetry(), "sqe");
+    let out = RowSampler::new(splits, job).run(&cluster, seed)?;
     let mut answer = SsdAnswer::empty(query.len());
     for (k, sample) in out.results {
         *answer.stratum_mut(k) = sample;
@@ -137,19 +104,11 @@ pub fn try_mr_sqe_on_splits(
 #[cfg(test)]
 mod tests {
     use super::*;
-    use crate::input::to_input_splits;
+    use crate::input::{tests::dataset, to_input_splits};
     use crate::naive::naive_sqe_on_splits;
     use crate::stats::{chi2_critical_999, chi2_uniform};
     use stratmr_population::{AttrDef, AttrId, Dataset, Placement, Schema};
     use stratmr_query::{Formula, StratumConstraint};
-
-    fn dataset(n: usize) -> Dataset {
-        let schema = Schema::new(vec![AttrDef::numeric("x", 0, 99)]);
-        let tuples = (0..n as u64)
-            .map(|i| Individual::new(i, vec![(i % 100) as i64], 1000))
-            .collect();
-        Dataset::new(schema, tuples)
-    }
 
     fn two_strata_query(f1: usize, f2: usize) -> SsdQuery {
         let x = AttrId(0);

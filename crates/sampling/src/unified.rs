@@ -13,6 +13,7 @@
 use rand::Rng;
 use serde::{Deserialize, Serialize};
 use std::collections::HashSet;
+use stratmr_mapreduce::FxBuild;
 
 /// An intermediate sample `(S̄, N̄)`: a uniform sample and the size of the
 /// set it was drawn from.
@@ -56,8 +57,7 @@ pub fn unified_sampler<T, R: Rng + ?Sized>(
 
     // Line 3-4: N = Σ N_i; I = n uniform indexes from [0, N).
     let total: usize = samples.iter().map(|s| s.drawn_from).sum();
-    let mut indexes: Vec<usize> = sample_distinct_indexes(n, total, rng).into_iter().collect();
-    indexes.sort_unstable();
+    let indexes = sample_distinct_indexes(n, total, rng);
 
     // Lines 5-14: take |I ∩ [L, U)| tuples from each S̄_i; the ranges are
     // consecutive, so one pass over the sorted indexes counts them all.
@@ -82,17 +82,21 @@ pub fn unified_sampler<T, R: Rng + ?Sized>(
 }
 
 /// Draw `n` *distinct* uniform indexes from `[0, total)` (Floyd's
-/// algorithm — O(n) expected, independent of `total`).
-fn sample_distinct_indexes<R: Rng + ?Sized>(n: usize, total: usize, rng: &mut R) -> HashSet<usize> {
+/// algorithm — O(n) expected, independent of `total`), in ascending
+/// order.
+fn sample_distinct_indexes<R: Rng + ?Sized>(n: usize, total: usize, rng: &mut R) -> Vec<usize> {
     assert!(n <= total, "cannot draw {n} distinct indexes from {total}");
-    let mut chosen = HashSet::with_capacity(n);
+    let mut chosen: HashSet<usize, FxBuild> =
+        HashSet::with_capacity_and_hasher(n, FxBuild::default());
     for j in (total - n)..total {
         let t = rng.gen_range(0..=j);
         if !chosen.insert(t) {
             chosen.insert(j);
         }
     }
-    chosen
+    let mut indexes: Vec<usize> = chosen.into_iter().collect();
+    indexes.sort_unstable();
+    indexes
 }
 
 /// Move a uniform random `c`-subset to the front of `items`
