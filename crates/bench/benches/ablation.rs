@@ -4,8 +4,6 @@
 //!   everything-over-the-network baseline (time here; shuffle volume is
 //!   asserted in unit tests and printed by the quickstart example);
 //! * **block-decomposed vs. joint LP** — DESIGN.md substitution 4;
-//! * **Algorithm R vs. Algorithm X** — the skip-based reservoir
-//!   extension;
 //! * **reference scan vs. compiled matcher** — first-match stratum
 //!   lookup on a Large-shape query.
 
@@ -19,7 +17,6 @@ use stratmr_population::Placement;
 use stratmr_query::{GroupSpec, QueryGenerator};
 use stratmr_sampling::cps::{try_mr_cps_on_splits, CpsConfig};
 use stratmr_sampling::naive::naive_sqe_on_splits;
-use stratmr_sampling::reservoir::{Reservoir, SkipReservoir};
 use stratmr_sampling::sqe::try_mr_sqe_on_splits;
 use stratmr_sampling::to_input_splits;
 
@@ -77,32 +74,6 @@ fn bench_lp_decomposition(c: &mut Criterion) {
     group.finish();
 }
 
-fn bench_reservoir_variants(c: &mut Criterion) {
-    let mut group = c.benchmark_group("ablation/reservoir");
-    let n = 1_000_000u64;
-    group.bench_function("algorithm_r", |b| {
-        b.iter(|| {
-            let mut rng = ChaCha8Rng::seed_from_u64(9);
-            let mut r = Reservoir::new(64);
-            for i in 0..n {
-                r.observe(black_box(i), &mut rng);
-            }
-            black_box(r.len())
-        })
-    });
-    group.bench_function("algorithm_x_skip", |b| {
-        b.iter(|| {
-            let mut rng = ChaCha8Rng::seed_from_u64(9);
-            let mut r = SkipReservoir::new(64);
-            for i in 0..n {
-                r.observe(black_box(i), &mut rng);
-            }
-            black_box(r.items().len())
-        })
-    });
-    group.finish();
-}
-
 fn bench_stratum_match(c: &mut Criterion) {
     use stratmr_query::StratumMatcher;
     let data = DblpGenerator::new(DblpConfig::default()).generate(20_000, 31);
@@ -150,7 +121,6 @@ criterion_group!(
     targets =
     bench_combiner_vs_naive,
     bench_lp_decomposition,
-    bench_reservoir_variants,
     bench_stratum_match
 );
 criterion_main!(benches);

@@ -7,7 +7,7 @@ use std::time::Duration;
 use stratmr_lp::{solve_ip, solve_lp, Problem, Relation};
 use stratmr_population::dblp::{DblpConfig, DblpGenerator};
 use stratmr_query::{Formula, SsdQuery, StratumConstraint, StratumMatcher};
-use stratmr_sampling::reservoir::{Reservoir, SkipReservoir, ZReservoir};
+use stratmr_sampling::reservoir::Reservoir;
 use stratmr_sampling::sst::StratumSelection;
 use stratmr_sampling::tally::SigmaTally;
 use stratmr_sampling::unified::{unified_sampler, IntermediateSample};
@@ -20,26 +20,6 @@ fn bench_reservoir(c: &mut Criterion) {
         b.iter(|| {
             let mut rng = ChaCha8Rng::seed_from_u64(1);
             let mut r = Reservoir::new(100);
-            for i in 0..n {
-                r.observe(black_box(i), &mut rng);
-            }
-            black_box(r.into_parts())
-        })
-    });
-    group.bench_function("algorithm_x_k100", |b| {
-        b.iter(|| {
-            let mut rng = ChaCha8Rng::seed_from_u64(1);
-            let mut r = SkipReservoir::new(100);
-            for i in 0..n {
-                r.observe(black_box(i), &mut rng);
-            }
-            black_box(r.into_parts())
-        })
-    });
-    group.bench_function("algorithm_z_k100", |b| {
-        b.iter(|| {
-            let mut rng = ChaCha8Rng::seed_from_u64(1);
-            let mut r = ZReservoir::new(100);
             for i in 0..n {
                 r.observe(black_box(i), &mut rng);
             }

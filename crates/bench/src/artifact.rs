@@ -109,7 +109,7 @@ pub struct StageTotals {
 
 impl StageTotals {
     /// Sum the critical path of every traced job.
-    pub fn from_traces(jobs: &[JobTrace]) -> Self {
+    pub(crate) fn from_traces(jobs: &[JobTrace]) -> Self {
         let mut t = StageTotals::default();
         for job in jobs {
             let cp = analysis::critical_path(job);
@@ -175,7 +175,7 @@ pub struct QualityBlock {
 impl QualityBlock {
     /// Condense an audit [`stratmr_sampling::QualityReport`] (plus an
     /// optional solver gap) into the artifact block.
-    pub fn from_report(report: &stratmr_sampling::QualityReport, gap: Option<f64>) -> Self {
+    pub(crate) fn from_report(report: &stratmr_sampling::QualityReport, gap: Option<f64>) -> Self {
         QualityBlock {
             strata: report
                 .trails
@@ -212,13 +212,13 @@ pub struct BenchArtifact {
 
 impl BenchArtifact {
     /// `BENCH_<experiment>.json`.
-    pub fn file_name(experiment: &str) -> String {
+    pub(crate) fn file_name(experiment: &str) -> String {
         format!("BENCH_{experiment}.json")
     }
 
     /// Fold every counter of a telemetry snapshot into the metrics map
     /// as single-sample `counter.<name>` series.
-    pub fn add_counters(&mut self, snapshot: &Snapshot) {
+    pub(crate) fn add_counters(&mut self, snapshot: &Snapshot) {
         for name in snapshot.counter_names() {
             self.metrics.insert(
                 format!("counter.{name}"),

@@ -146,7 +146,7 @@ pub struct CompareReport {
 
 impl CompareReport {
     /// `(experiment, description)` for every regression, in order.
-    pub fn regressions(&self) -> Vec<(String, String)> {
+    pub(crate) fn regressions(&self) -> Vec<(String, String)> {
         let mut out = Vec::new();
         for exp in &self.experiments {
             for d in &exp.deltas {

@@ -184,7 +184,7 @@ pub fn run_to_artifact_captured(exp: &Experiment, env: &BenchEnv) -> (ExpOutput,
 /// `_secs`) from a pretty JSON records array, recursively, and
 /// re-render. Wall-clock measurements stay in the legacy
 /// `target/experiments/` records but never enter `BENCH_*.json`.
-pub fn strip_host_fields_from_records(records_json: &str) -> String {
+pub(crate) fn strip_host_fields_from_records(records_json: &str) -> String {
     fn strip(v: serde::Value) -> serde::Value {
         match v {
             serde::Value::Object(fields) => serde::Value::Object(

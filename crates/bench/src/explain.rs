@@ -31,10 +31,10 @@ use stratmr_telemetry::{json, Layout, Registry};
 /// Seed of the explained query group — the first run of the optimality
 /// experiment, so the EXPLAIN output describes a plan the experiment
 /// actually measures.
-pub const EXPLAIN_GROUP_SEED: u64 = 6000;
+pub(crate) const EXPLAIN_GROUP_SEED: u64 = 6000;
 
 /// Seed of the explained CPS run (ditto).
-pub const EXPLAIN_RUN_SEED: u64 = 800;
+pub(crate) const EXPLAIN_RUN_SEED: u64 = 800;
 
 /// An EXPLAIN output path requested on the command line.
 pub struct ExplainFile {

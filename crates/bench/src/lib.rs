@@ -1,7 +1,7 @@
 //! Benchmark harness regenerating every table and figure of the paper's
 //! evaluation (§6).
 //!
-//! Each binary in `src/bin/` reproduces one artifact:
+//! The binaries in `src/bin/`:
 //!
 //! | binary | artifact |
 //! |---|---|
@@ -11,6 +11,10 @@
 //! | `fig7_running_times` | Figure 7 — running times vs. slaves |
 //! | `fig8_lp_times` | Figure 8 — LP formulation/solve times |
 //! | `optimality` | §6.2.2 — residuals and `C_LP ≤ C_IP ≤ C_A` |
+//! | `robustness` | running times under injected cluster faults |
+//! | `explain` | the MR-CPS plan EXPLAIN and sample-quality audit |
+//! | `bench_suite` | every experiment as a `BENCH_<experiment>.json` artifact |
+//! | `bench_compare` | noise-aware diff of two `BENCH_*.json` sets |
 //!
 //! Scale knobs come from environment variables so the full paper-scale
 //! runs and quick smoke runs share one binary:
@@ -19,7 +23,8 @@
 //! * `STRATMR_RUNS` — repetitions for averaged statistics (default 20)
 //! * `STRATMR_SCALES` — comma-separated sample sizes (default `100,1000,10000`)
 //!
-//! Every binary also accepts `--telemetry <out.json>`: a
+//! Every binary but `bench_suite` and `bench_compare` parses
+//! [`CliArgs`] and so accepts `--telemetry <out.json>`: a
 //! [`stratmr_telemetry::Registry`] is threaded through the simulated
 //! clusters (and from there into the sampling jobs and LP/IP solvers)
 //! and its final snapshot — counters, histograms and phase spans — is

@@ -99,7 +99,7 @@ impl ArtifactMeta {
 
     /// Write the header as the `meta` field of the open object of `w`:
     /// one line, fixed key order. Every artifact writes it first.
-    pub fn write_field(&self, w: &mut Writer) {
+    pub(crate) fn write_field(&self, w: &mut Writer) {
         let c = &self.config;
         w.key("meta").object(Layout::Inline, |w| {
             w.field("schema_version", self.schema_version)
@@ -128,7 +128,7 @@ impl ArtifactMeta {
     /// artifacts are comparable when these strings agree on
     /// `schema_version`, `experiment` and `config` (the git SHA is the
     /// thing being compared, so it may differ).
-    pub fn comparability_key(&self) -> String {
+    pub(crate) fn comparability_key(&self) -> String {
         let c = &self.config;
         format!(
             "v{} {} pop={} runs={} scales={:?} machines={} splits={} uniform={} faults={:?}",
@@ -146,7 +146,7 @@ impl ArtifactMeta {
 
     /// Parse the header back out of a JSON `meta` value (as written by
     /// [`ArtifactMeta::write_field`]).
-    pub fn from_value(v: &serde::Value) -> Result<Self, String> {
+    pub(crate) fn from_value(v: &serde::Value) -> Result<Self, String> {
         let fields = v.as_object().ok_or("meta is not an object")?;
         let get = |key: &str| {
             serde::find_field(fields, key).ok_or_else(|| format!("meta is missing {key:?}"))

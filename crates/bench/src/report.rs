@@ -85,7 +85,7 @@ pub fn fmt_duration_s(secs: f64) -> String {
 /// is `{"meta": <header>, "records": <array>}` with the common
 /// single-line meta header first — the one write path every bench
 /// binary goes through.
-pub fn write_record_json(
+pub(crate) fn write_record_json(
     name: &str,
     meta: &ArtifactMeta,
     records_json: &str,
@@ -107,7 +107,7 @@ pub fn write_record_json(
 /// (which machine/partition bounded each phase), shuffle skew and any
 /// stragglers — followed by a series total. Returns an empty string
 /// when no job was traced.
-pub fn render_trace_summary(jobs: &[JobTrace]) -> String {
+pub(crate) fn render_trace_summary(jobs: &[JobTrace]) -> String {
     if jobs.is_empty() {
         return String::new();
     }

@@ -72,7 +72,7 @@ pub struct TraceFile {
 /// critical-path/skew summary, and report the path, stamping the given
 /// `meta` header. Exits with status 1 on an unwritable path, like
 /// [`finish`].
-pub fn finish_trace(trace: Option<TraceFile>, meta: &ArtifactMeta) {
+pub(crate) fn finish_trace(trace: Option<TraceFile>, meta: &ArtifactMeta) {
     if let Some(t) = trace {
         let jobs = t.sink.jobs();
         print!("{}", crate::report::render_trace_summary(&jobs));

@@ -1,6 +1,5 @@
 //! Post-hoc analysis of per-task traces: critical-path attribution,
-//! machine utilization, shuffle skew, straggler detection and a text
-//! Gantt renderer.
+//! shuffle skew and straggler detection.
 //!
 //! All functions consume the [`JobTrace`]s collected by
 //! [`Cluster::with_trace`](crate::Cluster::with_trace). Because the
@@ -20,10 +19,6 @@
 //! fault-tolerant scheduler too, where retries back off, crashed work is
 //! re-executed after a gap, and speculative backups overlap their
 //! primaries.
-//!
-//! [`recovery`] summarizes the fault-tolerance work visible in a trace:
-//! failed and speculative attempts, re-executed map tasks and the
-//! wasted-work fraction.
 
 use stratmr_telemetry::{JobTrace, TraceEvent, TracePhase};
 
@@ -57,56 +52,6 @@ pub struct CriticalPath {
     /// Equals the job's simulated makespan exactly (each window is
     /// measured between the same event ends the scheduler used).
     pub total_us: f64,
-}
-
-/// Fault-tolerance work visible in one job's trace.
-#[derive(Clone, Copy, Debug, Default, PartialEq)]
-pub struct RecoveryReport {
-    /// Map + reduce attempts executed (combine work rides along with
-    /// its map attempt).
-    pub attempts: u64,
-    /// Attempts that failed: retried rolls, crash-killed work and
-    /// speculative losers.
-    pub failed_attempts: u64,
-    /// Speculative backup attempts launched.
-    pub speculative_attempts: u64,
-    /// Speculative backups that beat their primary.
-    pub speculation_wins: u64,
-    /// Map tasks executed successfully more than once (outputs lost to
-    /// a crash and re-executed).
-    pub reexecuted_map_tasks: u64,
-    /// Scheduled µs that produced no surviving output: failed attempts
-    /// plus superseded successes.
-    pub wasted_us: f64,
-    /// Total scheduled µs across all map/combine/reduce attempts.
-    pub busy_us: f64,
-    /// `wasted / busy` (0.0 for an empty or fault-free trace).
-    pub wasted_frac: f64,
-}
-
-/// Per-machine busy time, split by phase.
-///
-/// `map` covers map + combine events (they run inside map tasks);
-/// `reduce` covers reduce events; both include failed attempts.
-#[derive(Clone, Copy, Debug, PartialEq)]
-pub struct MachineUtilization {
-    /// Machine id.
-    pub machine: u64,
-    /// Busy µs in the map phase.
-    pub map_busy_us: f64,
-    /// Map/combine events executed (incl. failed attempts).
-    pub map_tasks: u64,
-    /// Idle µs before the map barrier (slowest machine has ~0).
-    pub map_idle_us: f64,
-    /// Busy µs in the reduce phase.
-    pub reduce_busy_us: f64,
-    /// Reduce events executed (incl. failed attempts).
-    pub reduce_tasks: u64,
-    /// Idle µs before the reduce barrier.
-    pub reduce_idle_us: f64,
-    /// Busy fraction of the two compute-phase windows combined
-    /// (1.0 when both windows are empty).
-    pub busy_frac: f64,
 }
 
 /// Shuffle-partition byte skew of one job.
@@ -240,101 +185,6 @@ pub fn critical_path(trace: &JobTrace) -> CriticalPath {
     }
 }
 
-/// Summarize the fault-tolerance work in a trace: attempt outcomes,
-/// speculation, re-execution and the wasted-work fraction. A fault-free
-/// trace reports zero everywhere except `attempts`/`busy_us`.
-pub fn recovery(trace: &JobTrace) -> RecoveryReport {
-    use std::collections::HashMap;
-    let mut rep = RecoveryReport::default();
-    // last successful attempt per (phase, task): earlier successes were
-    // superseded (their outputs lost to a crash) and count as waste
-    let mut last_ok: HashMap<(TracePhase, u64), u32> = HashMap::new();
-    for e in &trace.events {
-        if matches!(e.phase, TracePhase::Map | TracePhase::Reduce) && !e.failed {
-            let k = (e.phase, e.task);
-            let a = last_ok.entry(k).or_insert(e.attempt);
-            *a = (*a).max(e.attempt);
-        }
-    }
-    let mut map_successes: HashMap<u64, u64> = HashMap::new();
-    for e in &trace.events {
-        if e.phase == TracePhase::Shuffle {
-            continue;
-        }
-        rep.busy_us += e.dur_us;
-        if matches!(e.phase, TracePhase::Map | TracePhase::Reduce) {
-            rep.attempts += 1;
-            if e.failed {
-                rep.failed_attempts += 1;
-            }
-            if e.speculative {
-                rep.speculative_attempts += 1;
-                if !e.failed {
-                    rep.speculation_wins += 1;
-                }
-            }
-            if e.phase == TracePhase::Map && !e.failed {
-                *map_successes.entry(e.task).or_insert(0) += 1;
-            }
-        }
-        let group_phase = if e.phase == TracePhase::Combine {
-            TracePhase::Map
-        } else {
-            e.phase
-        };
-        let superseded = !e.failed
-            && last_ok
-                .get(&(group_phase, e.task))
-                .map(|&a| e.attempt < a)
-                .unwrap_or(false);
-        if e.failed || superseded {
-            rep.wasted_us += e.dur_us;
-        }
-    }
-    rep.reexecuted_map_tasks = map_successes.values().filter(|&&n| n > 1).count() as u64;
-    rep.wasted_frac = if rep.busy_us > 0.0 {
-        rep.wasted_us / rep.busy_us
-    } else {
-        0.0
-    };
-    rep
-}
-
-/// Per-machine busy/idle breakdown. Idle time is measured against each
-/// phase's barrier: the machine that bounds a phase has zero idle in it.
-pub fn machine_utilization(trace: &JobTrace) -> Vec<MachineUtilization> {
-    let machines = trace.machines.max(1) as usize;
-    let map_busy = phase_busy(trace, machines, &[TracePhase::Map, TracePhase::Combine]);
-    let reduce_busy = phase_busy(trace, machines, &[TracePhase::Reduce]);
-    let map_window = map_busy.iter().copied().fold(0.0f64, f64::max);
-    let reduce_window = reduce_busy.iter().copied().fold(0.0f64, f64::max);
-    let mut counts = vec![(0u64, 0u64); machines];
-    for e in &trace.events {
-        let m = (e.machine as usize) % machines;
-        match e.phase {
-            TracePhase::Map | TracePhase::Combine => counts[m].0 += 1,
-            TracePhase::Reduce => counts[m].1 += 1,
-            TracePhase::Shuffle => {}
-        }
-    }
-    (0..machines)
-        .map(|m| {
-            let window = map_window + reduce_window;
-            let busy = map_busy[m] + reduce_busy[m];
-            MachineUtilization {
-                machine: m as u64,
-                map_busy_us: map_busy[m],
-                map_tasks: counts[m].0,
-                map_idle_us: map_window - map_busy[m],
-                reduce_busy_us: reduce_busy[m],
-                reduce_tasks: counts[m].1,
-                reduce_idle_us: reduce_window - reduce_busy[m],
-                busy_frac: if window > 0.0 { busy / window } else { 1.0 },
-            }
-        })
-        .collect()
-}
-
 /// Byte skew across the job's shuffle partitions.
 pub fn shuffle_skew(trace: &JobTrace) -> SkewReport {
     let mut partitions = 0u64;
@@ -393,68 +243,6 @@ pub fn stragglers(trace: &JobTrace, threshold: f64) -> Vec<Straggler> {
         }
     }
     found
-}
-
-/// Render the job as an ASCII Gantt chart, one row per machine over
-/// `width` columns spanning `[0, makespan_us]`.
-///
-/// Cell legend: `=` job setup, `M` map, `C` combine, `S` shuffle
-/// transfer (into the row's machine), `R` reduce, `x` failed attempt,
-/// `.` idle.
-pub fn render_gantt(trace: &JobTrace, width: usize) -> String {
-    use std::fmt::Write as _;
-    let width = width.max(1);
-    let machines = trace.machines.max(1) as usize;
-    let span = trace.makespan_us.max(f64::MIN_POSITIVE);
-    let mut out = String::new();
-    let _ = writeln!(
-        out,
-        "{} #{} — makespan {:.3}s, {} machines, 1 col ≈ {:.3}s",
-        trace.name,
-        trace.seq,
-        trace.makespan_us / 1e6,
-        machines,
-        span / width as f64 / 1e6,
-    );
-    for m in 0..machines {
-        let mut row = vec!['.'; width];
-        for (col, cell) in row.iter_mut().enumerate() {
-            let t = (col as f64 + 0.5) / width as f64 * span;
-            if t < trace.overhead_us {
-                *cell = '=';
-                continue;
-            }
-            // priority: later phases win when events touch at a barrier
-            let mut best: Option<(u8, char)> = None;
-            for e in &trace.events {
-                if e.machine as usize != m || e.dur_us <= 0.0 {
-                    continue;
-                }
-                if t < e.start_us || t >= e.start_us + e.dur_us {
-                    continue;
-                }
-                let (rank, ch) = if e.failed {
-                    (4, 'x')
-                } else {
-                    match e.phase {
-                        TracePhase::Map => (0, 'M'),
-                        TracePhase::Combine => (1, 'C'),
-                        TracePhase::Shuffle => (2, 'S'),
-                        TracePhase::Reduce => (3, 'R'),
-                    }
-                };
-                if best.map(|(r, _)| rank > r).unwrap_or(true) {
-                    best = Some((rank, ch));
-                }
-            }
-            if let Some((_, ch)) = best {
-                *cell = ch;
-            }
-        }
-        let _ = writeln!(out, "  m{m:<3} |{}|", row.into_iter().collect::<String>());
-    }
-    out.push_str("  legend: = setup  M map  C combine  S shuffle  R reduce  x failed  . idle\n");
-    out
 }
 
 /// One-line human-readable summary of a job: makespan, critical path,
@@ -595,77 +383,6 @@ mod tests {
     }
 
     #[test]
-    fn recovery_counts_waste_speculation_and_reexecution() {
-        let trace = JobTrace {
-            name: "chaotic".into(),
-            seq: 0,
-            start_us: 0.0,
-            overhead_us: 0.0,
-            makespan_us: 63.0,
-            machines: 3,
-            events: vec![
-                // task 0: one failed roll, then success
-                TraceEvent {
-                    failed: true,
-                    ..ev(TracePhase::Map, 0, 0, 0.0, 5.0, 0)
-                },
-                TraceEvent {
-                    attempt: 1,
-                    ..ev(TracePhase::Map, 0, 0, 5.0, 10.0, 100)
-                },
-                // task 1: succeeded, outputs lost to a crash, re-executed
-                ev(TracePhase::Map, 1, 1, 0.0, 10.0, 100),
-                TraceEvent {
-                    attempt: 1,
-                    ..ev(TracePhase::Map, 2, 1, 12.0, 10.0, 100)
-                },
-                // reduce 0: straggling primary killed by a winning backup
-                TraceEvent {
-                    failed: true,
-                    ..ev(TracePhase::Reduce, 0, 0, 25.0, 20.0, 0)
-                },
-                TraceEvent {
-                    attempt: 1,
-                    speculative: true,
-                    ..ev(TracePhase::Reduce, 1, 0, 27.0, 8.0, 100)
-                },
-            ],
-        };
-        let rep = recovery(&trace);
-        assert_eq!(rep.attempts, 6);
-        assert_eq!(rep.failed_attempts, 2);
-        assert_eq!(rep.speculative_attempts, 1);
-        assert_eq!(rep.speculation_wins, 1);
-        assert_eq!(rep.reexecuted_map_tasks, 1);
-        assert!((rep.busy_us - 63.0).abs() < 1e-12);
-        assert!((rep.wasted_us - 35.0).abs() < 1e-12, "{rep:?}");
-        assert!((rep.wasted_frac - 35.0 / 63.0).abs() < 1e-12);
-    }
-
-    #[test]
-    fn recovery_is_all_zero_on_clean_traces() {
-        let rep = recovery(&toy_trace());
-        assert_eq!(rep.failed_attempts, 0);
-        assert_eq!(rep.speculative_attempts, 0);
-        assert_eq!(rep.reexecuted_map_tasks, 0);
-        assert_eq!(rep.wasted_us, 0.0);
-        assert_eq!(rep.wasted_frac, 0.0);
-        assert_eq!(rep.attempts, 4);
-    }
-
-    #[test]
-    fn utilization_measures_idle_against_barriers() {
-        let util = machine_utilization(&toy_trace());
-        assert_eq!(util.len(), 2);
-        assert_eq!(util[1].map_idle_us, 0.0, "bounding machine has no idle");
-        assert!((util[0].map_idle_us - 20.0).abs() < 1e-12);
-        assert_eq!(util[0].reduce_idle_us, 0.0);
-        assert!((util[1].reduce_idle_us - 7.0).abs() < 1e-12);
-        assert!(util[1].busy_frac > util[0].busy_frac);
-        assert!(util.iter().all(|u| u.busy_frac <= 1.0 + 1e-12));
-    }
-
-    #[test]
     fn skew_reports_max_over_mean() {
         let skew = shuffle_skew(&toy_trace());
         assert_eq!(skew.partitions, 2);
@@ -693,8 +410,6 @@ mod tests {
         let skew = shuffle_skew(&trace);
         assert_eq!(skew.skew, 1.0);
         assert!(stragglers(&trace, 1.5).is_empty());
-        assert_eq!(machine_utilization(&trace)[0].busy_frac, 1.0);
-        assert!(render_gantt(&trace, 10).contains("m0"));
     }
 
     #[test]
@@ -709,16 +424,6 @@ mod tests {
         assert!(slow
             .iter()
             .any(|s| s.machine == 0 && s.phase == TracePhase::Reduce));
-    }
-
-    #[test]
-    fn gantt_rows_show_phases() {
-        let g = render_gantt(&toy_trace(), 47);
-        assert!(g.contains("m0"), "{g}");
-        assert!(g.contains("m1"), "{g}");
-        for ch in ['=', 'M', 'S', 'R'] {
-            assert!(g.contains(ch), "missing {ch} in:\n{g}");
-        }
     }
 
     #[test]

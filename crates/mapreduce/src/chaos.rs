@@ -99,15 +99,6 @@ impl FaultPlan {
         self.faults.values().all(NodeFault::is_benign)
     }
 
-    /// Machines with a non-benign fault, ascending.
-    pub fn faulty_machines(&self) -> Vec<usize> {
-        self.faults
-            .iter()
-            .filter(|(_, f)| !f.is_benign())
-            .map(|(&m, _)| m)
-            .collect()
-    }
-
     /// Derive a plan for `machines` nodes deterministically from `seed`
     /// and a [`FaultMix`]. Same inputs, same plan — on any host, any
     /// thread count, forever.
@@ -214,7 +205,6 @@ mod tests {
         assert_eq!(plan.fault(1).flaky_prob, 0.5);
         assert!(plan.fault(0).is_benign());
         assert!(!plan.is_benign());
-        assert_eq!(plan.faulty_machines(), vec![1, 2]);
     }
 
     #[test]

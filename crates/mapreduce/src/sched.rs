@@ -200,7 +200,7 @@ impl<'a> PhaseRun<'a> {
     }
 
     /// Run every queued task to completion (or a typed error).
-    pub fn drain(&mut self, ms: &mut [MachineState]) -> Result<(), JobError> {
+    pub(crate) fn drain(&mut self, ms: &mut [MachineState]) -> Result<(), JobError> {
         while let Some(e) = self.queue.pop_front() {
             if self.completed_on[e.task].is_some() {
                 continue;
@@ -224,7 +224,7 @@ impl<'a> PhaseRun<'a> {
     /// dead, drop their completed outputs and re-run the affected tasks.
     /// Returns whether anything was re-executed (callers loop until the
     /// barrier is stable).
-    pub fn reexecute_lost(
+    pub(crate) fn reexecute_lost(
         &mut self,
         horizon: f64,
         ms: &mut [MachineState],

@@ -10,9 +10,7 @@
 //! (well within the 1e-6 relative bound asserted here).
 
 use proptest::prelude::*;
-use stratmr_mapreduce::analysis::{
-    critical_path, machine_utilization, render_gantt, shuffle_skew, stragglers, summarize,
-};
+use stratmr_mapreduce::analysis::{critical_path, shuffle_skew, stragglers, summarize};
 use stratmr_mapreduce::{
     make_splits, Cluster, CostConfig, Emitter, Job, JobTrace, SimTime, TaskCtx, TracePhase,
     TraceSink,
@@ -50,9 +48,7 @@ fn rel_err(a: f64, b: f64) -> f64 {
 #[test]
 fn critical_path_sums_to_makespan_with_slowness_and_failures() {
     // heterogeneous fleet with a 2.5× straggler, aggressive failure
-    // injection, and the *default* cost model (including the measured
-    // CPU term — within a single run the trace and the accounting see
-    // the same numbers, so the identity must still hold)
+    // injection, and the *default* cost model
     let sink = TraceSink::new();
     let cluster = Cluster::new(4)
         .with_machine_slowness(vec![1.0, 1.3, 2.5, 0.8])
@@ -106,15 +102,6 @@ fn straggler_machine_is_detected_and_attributed() {
     let cp = critical_path(job);
     assert_eq!(cp.map_machine, 3, "the straggler bounds the map phase");
     assert!(rel_err(cp.total_us, out.stats.sim.makespan_us) < 1e-9);
-
-    // utilization: the straggler has no idle time in the map phase and
-    // everyone's busy fraction is a valid fraction
-    let util = machine_utilization(job);
-    assert_eq!(util[3].map_idle_us, 0.0);
-    assert!(util[0].map_idle_us > 0.0);
-    for u in &util {
-        assert!(u.busy_frac > 0.0 && u.busy_frac <= 1.0 + 1e-12, "{u:?}");
-    }
 }
 
 #[test]
@@ -139,7 +126,7 @@ fn skew_report_matches_shuffle_accounting() {
 }
 
 #[test]
-fn gantt_and_summary_render_the_schedule() {
+fn summary_renders_the_schedule() {
     let sink = TraceSink::new();
     let cluster = Cluster::new(3)
         .with_machine_slowness(vec![1.0, 1.0, 3.0])
@@ -148,16 +135,6 @@ fn gantt_and_summary_render_the_schedule() {
     let splits = make_splits(records(300), 6, 3);
     cluster.try_run(&KeyedSum, &splits, 2).unwrap();
     let job = &sink.jobs()[0];
-
-    let gantt = render_gantt(job, 60);
-    assert_eq!(
-        gantt.lines().count(),
-        1 + 3 + 1,
-        "header + one row per machine + legend:\n{gantt}"
-    );
-    for needle in ["m0", "m1", "m2", "=", "M", "R", "legend"] {
-        assert!(gantt.contains(needle), "missing {needle:?} in:\n{gantt}");
-    }
 
     let summary = summarize(job);
     assert!(summary.starts_with("demo#0:"), "{summary}");

@@ -207,11 +207,6 @@ impl DistributedDataset {
     pub fn iter(&self) -> impl Iterator<Item = &Individual> {
         self.splits.iter().flat_map(|s| s.tuples.iter())
     }
-
-    /// Collect the whole population back into one [`Dataset`].
-    pub fn gather(&self) -> Dataset {
-        Dataset::new(self.schema.clone(), self.iter().cloned().collect())
-    }
 }
 
 #[cfg(test)]
@@ -290,14 +285,13 @@ mod tests {
     }
 
     #[test]
-    fn gather_round_trips() {
+    fn distribute_round_trips() {
         let d = tiny(64);
         let dd = d.distribute(4, 8, Placement::RoundRobin);
-        let g = dd.gather();
-        let mut ids: Vec<u64> = g.tuples().iter().map(|t| t.id).collect();
+        let mut ids: Vec<u64> = dd.iter().map(|t| t.id).collect();
         ids.sort_unstable();
         assert_eq!(ids, (0..64).collect::<Vec<_>>());
-        assert_eq!(g.schema(), d.schema());
+        assert_eq!(dd.schema(), d.schema());
     }
 
     #[test]

@@ -93,7 +93,7 @@ impl DblpGenerator {
     }
 
     /// Generate one author with the given id.
-    pub fn generate_one(&self, id: u64, rng: &mut ChaCha8Rng) -> Individual {
+    pub(crate) fn generate_one(&self, id: u64, rng: &mut ChaCha8Rng) -> Individual {
         let nop = self.nop.sample_clamped(rng, 1, 699);
         let mut ayp = self.ayp.sample_clamped(rng, 0, 40);
         let mut myp = self.myp.sample_clamped(rng, 0, 140);

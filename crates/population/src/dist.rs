@@ -13,7 +13,7 @@ use rand::Rng;
 
 /// A continuous distribution that can be sampled through its quantile
 /// (inverse-CDF) function.
-pub trait InverseCdf {
+pub(crate) trait InverseCdf {
     /// The quantile function `Q(u)` for `u ∈ (0, 1)`.
     fn quantile(&self, u: f64) -> f64;
 
@@ -128,7 +128,7 @@ impl InverseCdf for Burr {
 /// CDF: `F(x) = ((x − a)/(b − a))^α`. Used by Table 1 for the first/last
 /// publication years; large `α` skews mass towards `b` (recent years).
 #[derive(Debug, Clone, Copy, PartialEq)]
-pub struct PowerFunction {
+pub(crate) struct PowerFunction {
     /// Shape `α > 0`.
     pub alpha: f64,
     /// Lower bound of the support.

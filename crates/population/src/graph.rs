@@ -96,7 +96,7 @@ impl SocialGraph {
     }
 
     /// Is `{u, v}` an edge?
-    pub fn has_edge(&self, u: usize, v: usize) -> bool {
+    pub(crate) fn has_edge(&self, u: usize, v: usize) -> bool {
         self.adjacency[u].binary_search(&(v as u32)).is_ok()
     }
 
@@ -115,7 +115,7 @@ impl SocialGraph {
     }
 
     /// Average degree over the neighbors of `v` (0 for isolated nodes).
-    pub fn avg_neighbor_degree(&self, v: usize) -> f64 {
+    pub(crate) fn avg_neighbor_degree(&self, v: usize) -> f64 {
         let nbrs = &self.adjacency[v];
         if nbrs.is_empty() {
             return 0.0;
@@ -126,7 +126,7 @@ impl SocialGraph {
     /// The schema of [`SocialGraph::to_population`]:
     /// `degree`, `triangles`, `and_x10` (average neighbor degree ×10,
     /// as an integer).
-    pub fn population_schema(&self) -> Schema {
+    pub(crate) fn population_schema(&self) -> Schema {
         let n = self.len() as i64;
         Schema::new(vec![
             AttrDef::numeric("degree", 0, n.max(1) - 1),

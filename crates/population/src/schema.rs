@@ -74,11 +74,6 @@ impl AttrDef {
             kind: AttrKind::Categorical(labels.iter().map(|s| s.to_string()).collect()),
         }
     }
-
-    /// Width of the domain (number of representable values).
-    pub fn domain_size(&self) -> u64 {
-        (self.max - self.min) as u64 + 1
-    }
 }
 
 /// An immutable, cheaply cloneable schema.
@@ -192,14 +187,6 @@ mod tests {
         let inc = s.attr_id("income").unwrap();
         assert_eq!(s.encode_label(inc, "male"), None);
         assert_eq!(s.decode_label(inc, 3), None);
-    }
-
-    #[test]
-    fn domain_size() {
-        let a = AttrDef::numeric("x", -2, 2);
-        assert_eq!(a.domain_size(), 5);
-        let b = AttrDef::categorical("c", &["a", "b", "c"]);
-        assert_eq!(b.domain_size(), 3);
     }
 
     #[test]

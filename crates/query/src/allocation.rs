@@ -147,18 +147,6 @@ fn stratum_stats(formula: &Formula, rule: Allocation, population: &[Individual])
     }
 }
 
-/// The textbook sample-size estimate for a simple random sample of a
-/// mean with absolute margin of error `e` at z-score `z` (e.g. 1.96 for
-/// 95%), given the population standard deviation `s` and population
-/// size `n_pop` (finite-population corrected).
-pub fn srs_sample_size(s: f64, e: f64, z: f64, n_pop: usize) -> usize {
-    assert!(e > 0.0 && s >= 0.0 && z > 0.0);
-    let n0 = (z * s / e).powi(2);
-    // finite population correction: n = n0 / (1 + (n0 - 1)/N)
-    let n = n0 / (1.0 + (n0 - 1.0) / n_pop as f64);
-    n.ceil() as usize
-}
-
 #[cfg(test)]
 mod tests {
     use super::*;
@@ -260,15 +248,5 @@ mod tests {
         // zero-variance stratum contributes nothing under Neyman
         assert_eq!(q.len(), 1);
         assert_eq!(q.stratum(0).frequency, 100);
-    }
-
-    #[test]
-    fn srs_sample_size_matches_textbook_values() {
-        // s=15, e=2, z=1.96, infinite-ish population → n ≈ 217
-        let n = srs_sample_size(15.0, 2.0, 1.96, 10_000_000);
-        assert!((215..=220).contains(&n), "{n}");
-        // finite population correction shrinks the requirement
-        let n_small = srs_sample_size(15.0, 2.0, 1.96, 500);
-        assert!(n_small < n);
     }
 }

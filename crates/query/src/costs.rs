@@ -97,7 +97,7 @@ impl CostModel {
     }
 
     /// Number of surveys the model covers.
-    pub fn n_surveys(&self) -> usize {
+    pub(crate) fn n_surveys(&self) -> usize {
         self.interview.len()
     }
 
@@ -139,7 +139,7 @@ impl CostModel {
 
     /// The cost of an assignment: `Σ_t c_{τ(t)}` over every individual's
     /// survey set.
-    pub fn assignment_cost<'a>(&self, taus: impl IntoIterator<Item = &'a SurveySet>) -> f64 {
+    pub(crate) fn assignment_cost<'a>(&self, taus: impl IntoIterator<Item = &'a SurveySet>) -> f64 {
         taus.into_iter().map(|&t| self.cost(t)).sum()
     }
 }

@@ -33,7 +33,7 @@ pub mod ssd;
 pub mod survey_set;
 pub mod validity;
 
-pub use allocation::{allocate, design_ssd, srs_sample_size, Allocation};
+pub use allocation::{allocate, design_ssd, Allocation};
 pub use costs::{CostModel, SharingBase};
 pub use formula::{CmpOp, Formula};
 pub use generator::{GroupSpec, QueryGenerator};

@@ -24,7 +24,7 @@ use stratmr_query::SsdAnswer;
 use stratmr_telemetry::{json, Layout, Snapshot, Writer};
 
 /// z-score of a two-sided 95% confidence interval.
-pub const Z_95: f64 = 1.96;
+pub(crate) const Z_95: f64 = 1.96;
 
 /// z-score used by the audit's realized-`f` bias gate (≈ 99.7%).
 pub const BIAS_GATE_Z: f64 = 3.0;
@@ -50,7 +50,7 @@ pub struct StratumTrail {
 impl StratumTrail {
     /// The target inclusion probability `min(1, f / candidates)` — what
     /// an unbiased design should realize. Zero when no candidates exist.
-    pub fn target_probability(&self) -> f64 {
+    pub(crate) fn target_probability(&self) -> f64 {
         if self.candidates == 0 {
             0.0
         } else {
@@ -60,7 +60,7 @@ impl StratumTrail {
 
     /// Realized acceptance probability `sampled / candidates` (zero when
     /// no candidates were seen).
-    pub fn acceptance_probability(&self) -> f64 {
+    pub(crate) fn acceptance_probability(&self) -> f64 {
         if self.candidates == 0 {
             0.0
         } else {
@@ -97,7 +97,7 @@ impl StratumTrail {
     /// Is the realized count within `z` binomial standard deviations of
     /// its expectation (plus the ½ continuity correction)? Vacuously
     /// true for empty strata.
-    pub fn within_binomial_bound(&self, z: f64) -> bool {
+    pub(crate) fn within_binomial_bound(&self, z: f64) -> bool {
         if self.candidates == 0 {
             return true;
         }
@@ -106,7 +106,7 @@ impl StratumTrail {
 
     /// A stratum that wanted individuals but got none — the ledger-level
     /// analogue of [`Estimate::degenerate`].
-    pub fn is_starved(&self) -> bool {
+    pub(crate) fn is_starved(&self) -> bool {
         self.requested > 0 && self.sampled == 0
     }
 }
@@ -221,7 +221,7 @@ impl QualityReport {
     }
 
     /// Number of attached estimates carrying the degenerate flag.
-    pub fn degenerate_estimates(&self) -> usize {
+    pub(crate) fn degenerate_estimates(&self) -> usize {
         self.estimates
             .iter()
             .filter(|e| e.estimate.degenerate)

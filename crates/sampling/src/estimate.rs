@@ -16,10 +16,6 @@
 use stratmr_population::{AttrId, Individual};
 use stratmr_query::SsdAnswer;
 
-/// Sampling fractions above this threshold trigger the
-/// finite-population correction in [`Estimate::interval`].
-pub const FPC_THRESHOLD: f64 = 0.05;
-
 /// A point estimate with its estimated standard error.
 #[derive(Debug, Clone, Copy, PartialEq)]
 pub struct Estimate {
@@ -27,11 +23,6 @@ pub struct Estimate {
     pub value: f64,
     /// Estimated standard error of the estimate.
     pub std_error: f64,
-    /// Overall sampling fraction `n / N` behind the estimate, for the
-    /// finite-population correction in [`Estimate::interval`]. Leave at
-    /// `0.0` when the standard error already carries its own FPC (the
-    /// stratified estimators below correct per stratum).
-    pub sampling_fraction: f64,
     /// True when the design was degenerate — some stratum with a
     /// nonzero population contributed no sample, so its weight enters
     /// the point estimate with an unknowable error. Surfaced in the
@@ -45,37 +36,19 @@ impl Estimate {
         Estimate {
             value,
             std_error,
-            sampling_fraction: 0.0,
             degenerate: false,
         }
     }
 
-    /// Attach the overall sampling fraction `n / N` so
-    /// [`Estimate::interval`] can apply the finite-population
-    /// correction.
-    pub fn with_sampling_fraction(mut self, fraction: f64) -> Self {
-        self.sampling_fraction = fraction.clamp(0.0, 1.0);
-        self
-    }
-
     /// Mark the estimate as degenerate (see the field docs).
-    pub fn flag_degenerate(mut self) -> Self {
+    pub(crate) fn flag_degenerate(mut self) -> Self {
         self.degenerate = true;
         self
     }
 
     /// A two-sided confidence interval at the given z-score (1.96 ≈ 95%).
-    ///
-    /// When the recorded sampling fraction exceeds [`FPC_THRESHOLD`]
-    /// (the classic 5% rule), the half-width is shrunk by the
-    /// finite-population correction `sqrt(1 − n/N)` — sampling a large
-    /// share of a finite population leaves less room for error than the
-    /// infinite-population formula claims.
     pub fn interval(&self, z: f64) -> (f64, f64) {
-        let mut half = z * self.std_error;
-        if self.sampling_fraction > FPC_THRESHOLD {
-            half *= (1.0 - self.sampling_fraction).max(0.0).sqrt();
-        }
+        let half = z * self.std_error;
         (self.value - half, self.value + half)
     }
 }
@@ -330,22 +303,6 @@ mod tests {
     #[should_panic(expected = "stratum count mismatch")]
     fn mismatched_sizes_rejected() {
         stratified_mean(&SsdAnswer::empty(2), &[1], attr());
-    }
-
-    #[test]
-    fn interval_applies_fpc_above_five_percent() {
-        // hand-computed: value 50, se 10, n/N = 0.36
-        //   → half-width 2 · 10 · sqrt(1 − 0.36) = 20 · 0.8 = 16
-        let est = Estimate::new(50.0, 10.0).with_sampling_fraction(0.36);
-        let (lo, hi) = est.interval(2.0);
-        assert!((lo - 34.0).abs() < 1e-12, "lo = {lo}");
-        assert!((hi - 66.0).abs() < 1e-12, "hi = {hi}");
-        // below the 5% threshold the classic interval is kept
-        let small = Estimate::new(50.0, 10.0).with_sampling_fraction(0.04);
-        assert_eq!(small.interval(2.0), (30.0, 70.0));
-        // a census (n = N) collapses the interval onto the estimate
-        let census = Estimate::new(50.0, 10.0).with_sampling_fraction(1.0);
-        assert_eq!(census.interval(2.0), (50.0, 50.0));
     }
 
     #[test]

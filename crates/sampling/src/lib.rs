@@ -3,7 +3,7 @@
 //!
 //! | module | paper artifact |
 //! |---|---|
-//! | [`reservoir`] | Algorithm R (+ Vitter's Algorithm X extension), §4.1 |
+//! | [`reservoir`] | Algorithm R, §4.1 |
 //! | [`unified`] | Algorithm 1, the unified sampler, §4.2.2 |
 //! | [`naive`] | the combiner-less baseline of Figure 1, §4.2.1 |
 //! | [`sqe`] | **MR-SQE**, Figure 2, §4.2.2 |
@@ -73,7 +73,7 @@ pub use naive::{naive_sqe_on_splits, NaiveSqeJob, SqeRun};
 pub use percent::{
     mr_sqe_percent, resolve_percentages, PercentRun, PercentSsdQuery, PercentStratum,
 };
-pub use reservoir::{reservoir_sample, Reservoir, SkipReservoir, ZReservoir};
+pub use reservoir::{reservoir_sample, Reservoir};
 pub use sqe::try_mr_sqe_on_splits;
 pub use srs::mr_srs_on_splits;
 pub use sst::StratumSelection;

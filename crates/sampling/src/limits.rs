@@ -23,7 +23,7 @@ use crate::sst::StratumSelection;
 use crate::tally::SigmaTally;
 
 /// The Figure 4 counting job.
-pub struct LimitsJob<'a> {
+pub(crate) struct LimitsJob<'a> {
     matchers: Vec<StratumMatcher<'a>>,
     filter: Option<&'a HashSet<StratumSelection>>,
 }
@@ -38,7 +38,7 @@ impl<'a> LimitsJob<'a> {
     }
 
     /// Count only the given (relevant) selections.
-    pub fn with_filter(mut self, filter: &'a HashSet<StratumSelection>) -> Self {
+    pub(crate) fn with_filter(mut self, filter: &'a HashSet<StratumSelection>) -> Self {
         self.filter = Some(filter);
         self
     }

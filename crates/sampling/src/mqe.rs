@@ -19,7 +19,7 @@ use stratmr_population::Individual;
 use stratmr_query::{MssdAnswer, SsdAnswer, SsdQuery, StratumId, StratumMatcher};
 
 /// Intermediate key: `(query index, stratum index)`.
-pub type QueryStratum = (usize, StratumId);
+pub(crate) type QueryStratum = (usize, StratumId);
 
 /// The MR-MQE job's strata over a set of SSD queries: one key per
 /// `(query, stratum)`.

@@ -39,7 +39,7 @@ impl StratumCounters {
     /// One `requested`/`candidates`/`sampled`/`rejected` counter
     /// quadruple per stratum, named `<prefix>.s<k>.<field>`, with stratum
     /// `k`'s request `frequencies[k]` recorded.
-    pub fn per_stratum(
+    pub(crate) fn per_stratum(
         registry: &Registry,
         prefix: &str,
         frequencies: impl IntoIterator<Item = usize>,
@@ -77,7 +77,7 @@ impl StratumCounters {
 
     /// Record the requested frequency `f` for stratum `k` (once, at
     /// job-construction time).
-    pub fn request(&self, k: usize, f: u64) {
+    pub(crate) fn request(&self, k: usize, f: u64) {
         self.requested[k].add(f);
     }
 

@@ -60,12 +60,12 @@ impl StratumSelection {
     }
 
     /// Number of queries the selection spans.
-    pub fn n_queries(&self) -> usize {
+    pub(crate) fn n_queries(&self) -> usize {
         self.0.len()
     }
 
     /// The stratum chosen for query `i`, if any.
-    pub fn stratum_of(&self, i: usize) -> Option<StratumId> {
+    pub(crate) fn stratum_of(&self, i: usize) -> Option<StratumId> {
         match self.0[i] {
             NONE => None,
             k => Some(k as usize),
@@ -74,7 +74,7 @@ impl StratumSelection {
 
     /// The SSD indexes `I(σ)`: queries that have a stratum constraint in
     /// the selection.
-    pub fn survey_indexes(&self) -> SurveySet {
+    pub(crate) fn survey_indexes(&self) -> SurveySet {
         SurveySet::from_iter(
             self.0
                 .iter()
@@ -92,7 +92,7 @@ impl StratumSelection {
     /// The propositional projection `π_i(σ)` (§5.2.2): the chosen
     /// stratum's condition, or the negation of the disjunction of all of
     /// query `i`'s stratum conditions when none is chosen.
-    pub fn projection(&self, i: usize, queries: &[SsdQuery]) -> Formula {
+    pub(crate) fn projection(&self, i: usize, queries: &[SsdQuery]) -> Formula {
         match self.stratum_of(i) {
             Some(k) => queries[i].stratum(k).formula.clone(),
             None => Formula::any(queries[i].constraints().iter().map(|s| s.formula.clone())).not(),

@@ -7,7 +7,7 @@
 //! and property tests.
 
 /// Natural log of the gamma function (Lanczos approximation, g = 7).
-pub fn ln_gamma(x: f64) -> f64 {
+pub(crate) fn ln_gamma(x: f64) -> f64 {
     const COEFFS: [f64; 8] = [
         676.520_368_121_885_1,
         -1_259.139_216_722_402_8,
@@ -33,7 +33,7 @@ pub fn ln_gamma(x: f64) -> f64 {
 }
 
 /// `ln C(n, k)`.
-pub fn ln_choose(n: u64, k: u64) -> f64 {
+pub(crate) fn ln_choose(n: u64, k: u64) -> f64 {
     if k > n {
         return f64::NEG_INFINITY;
     }
@@ -90,7 +90,7 @@ pub fn chi2_critical_999(df: usize) -> f64 {
 /// tolerance in standard deviations — e.g. `z = 4` rejects a true
 /// binomial with probability ≈ 6·10⁻⁵; since every statistical test in
 /// this repo runs on explicit seeds, a passing seed passes forever.
-pub fn binomial_two_sided_bound(trials: u64, p: f64, z: f64) -> f64 {
+pub(crate) fn binomial_two_sided_bound(trials: u64, p: f64, z: f64) -> f64 {
     assert!((0.0..=1.0).contains(&p), "p must be a probability");
     z * (trials as f64 * p * (1.0 - p)).sqrt() + 0.5
 }
@@ -168,14 +168,6 @@ pub fn mann_whitney_z(a: &[f64], b: &[f64]) -> f64 {
         0.0
     };
     diff / var_u.sqrt()
-}
-
-/// Two-sided Mann–Whitney check: do the samples differ by more than
-/// `z_crit` standard deviations of the U statistic? See
-/// [`mann_whitney_z`]; `z_crit = 3.0` rejects exchangeable samples with
-/// probability ≈ 0.3%.
-pub fn mann_whitney_shifted(a: &[f64], b: &[f64], z_crit: f64) -> bool {
-    mann_whitney_z(a, b).abs() > z_crit
 }
 
 #[cfg(test)]
@@ -279,7 +271,6 @@ mod tests {
         assert_eq!(mann_whitney_z(&a, &[]), 0.0);
         // every value tied: variance collapses, no shift evidence
         assert_eq!(mann_whitney_z(&[5.0; 8], &[5.0; 8]), 0.0);
-        assert!(!mann_whitney_shifted(&a, &a, 3.0));
     }
 
     #[test]
@@ -288,7 +279,6 @@ mod tests {
         let b: Vec<f64> = a.iter().map(|v| v * 1.25).collect(); // +25%
         let z = mann_whitney_z(&a, &b);
         assert!(z > 3.0, "inflated sample must rank above baseline: z={z}");
-        assert!(mann_whitney_shifted(&a, &b, 3.0));
         // symmetric: deflated sample gives the mirrored z
         close(mann_whitney_z(&b, &a), -z, 1e-12);
     }
@@ -298,7 +288,7 @@ mod tests {
         // interleaved samples differing by a hair: no significant shift
         let a: Vec<f64> = (0..10).map(|i| 10.0 + 2.0 * i as f64).collect();
         let b: Vec<f64> = (0..10).map(|i| 11.0 + 2.0 * i as f64).collect();
-        assert!(!mann_whitney_shifted(&a, &b, 3.0));
+        assert!(mann_whitney_z(&a, &b).abs() <= 3.0);
     }
 
     #[test]

@@ -35,7 +35,7 @@ use stratmr_query::{StratumId, StratumMatcher, MAX_SURVEYS};
 ///
 /// `()` ignores it, and its empty methods compile away: a job generic
 /// over the sink pays nothing for the plain instance.
-pub trait SelectionSink: Default + Send {
+pub(crate) trait SelectionSink: Default + Send {
     /// Record the stratum that query `query` assigns the current tuple.
     fn note(&mut self, query: usize, stratum: Option<StratumId>);
 
@@ -224,7 +224,7 @@ impl SelectionTable {
     }
 
     /// The id of `sel`, adding it with count 0 when no row carried it.
-    pub fn intern(&mut self, sel: StratumSelection) -> u32 {
+    pub(crate) fn intern(&mut self, sel: StratumSelection) -> u32 {
         self.table.id_of(sel.packed(), || sel.clone())
     }
 

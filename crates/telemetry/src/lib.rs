@@ -230,7 +230,7 @@ impl HistogramStats {
     }
 
     /// 99th-percentile estimate (see [`HistogramStats::quantile`]).
-    pub fn p99(&self) -> u64 {
+    pub(crate) fn p99(&self) -> u64 {
         self.quantile(0.99)
     }
 }
@@ -293,11 +293,6 @@ impl Registry {
     pub fn gauge(&self, name: &str) -> Gauge {
         let mut map = self.inner.gauges.lock().unwrap();
         map.entry(name.to_string()).or_default().clone()
-    }
-
-    /// Set the gauge called `name`.
-    pub fn set_gauge(&self, name: &str, v: f64) {
-        self.gauge(name).set(v);
     }
 
     /// Get or create the histogram called `name`.
@@ -664,7 +659,7 @@ mod tests {
         let build = || {
             let reg = Registry::new();
             reg.add("a.count", 3);
-            reg.set_gauge("sim.us", 12.5);
+            reg.gauge("sim.us").set(12.5);
             reg.record("h", 7);
             let s = reg.span("phase");
             s.close();

@@ -238,7 +238,7 @@ const DISJOINT_BUDGET: u128 = 10_000_000;
 /// Build an [`SsdQuery`] from a JSON design against a schema. §3.2.1
 /// requires the strata to be pairwise disjoint: a design whose strata
 /// overlap, or whose disjointness cannot be verified, is an error.
-pub fn build_ssd(spec: &SsdSpec, schema: &Schema) -> Result<SsdQuery, Box<dyn Error>> {
+pub(crate) fn build_ssd(spec: &SsdSpec, schema: &Schema) -> Result<SsdQuery, Box<dyn Error>> {
     let mut constraints = Vec::with_capacity(spec.strata.len());
     for s in &spec.strata {
         let formula =
@@ -272,7 +272,7 @@ pub fn build_ssd(spec: &SsdSpec, schema: &Schema) -> Result<SsdQuery, Box<dyn Er
 }
 
 /// Build an [`MssdQuery`] from a JSON design against a schema.
-pub fn build_mssd(spec: &MssdSpec, schema: &Schema) -> Result<MssdQuery, Box<dyn Error>> {
+pub(crate) fn build_mssd(spec: &MssdSpec, schema: &Schema) -> Result<MssdQuery, Box<dyn Error>> {
     if spec.surveys.len() > MAX_SURVEYS {
         return Err(format!(
             "surveys: {} surveys given, at most {MAX_SURVEYS} are supported",
