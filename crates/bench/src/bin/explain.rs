@@ -6,22 +6,23 @@
 //!
 //! ```text
 //! cargo run --release -p stratmr-bench --bin explain -- \
-//!     [--exact] [--explain EXPLAIN_optimality.json]
+//!     [--exact] [--uniform] [--explain EXPLAIN_optimality.json]
 //! ```
 //!
 //! By default the LP relaxation (MR-CPS) is explained; `--exact` runs
 //! the exact IP (CPS), whose optimality gap is zero by construction.
-//! The text report always prints; `--explain <path>` additionally
-//! writes the `{meta, plan, quality}` JSON artifact (see
+//! `--uniform` explains a plan over the §6.2.1 uniform dataset. The
+//! text report always prints; `--explain <path>` additionally writes
+//! the `{meta, plan, quality}` JSON artifact (see
 //! [`stratmr_bench::explain`]).
 
 use stratmr_bench::env::DATA_SEED;
-use stratmr_bench::{explain, ArtifactMeta, CliArgs};
+use stratmr_bench::{explain, write_file, ArtifactMeta, CliArgs, Runner};
 use stratmr_sampling::{CpsConfig, SolverKind};
 
 fn main() {
-    let mut cli = CliArgs::parse();
-    let solver = if std::env::args().any(|a| a == "--exact") {
+    let cli = CliArgs::parse(Runner::Explain);
+    let solver = if cli.exact {
         CpsConfig {
             solver: SolverKind::Ip,
             ..CpsConfig::paper()
@@ -33,5 +34,7 @@ fn main() {
     let meta = ArtifactMeta::capture("explain", DATA_SEED, &env.config);
     let out = explain::run_explain(&env, solver, &meta);
     print!("{}", out.render_text());
-    explain::finish(cli.explain.take(), &out);
+    if let Some(path) = &cli.explain {
+        write_file("explain", path, &out.json);
+    }
 }

@@ -1,17 +1,16 @@
 //! Shared experiment environment: datasets, clusters and scale knobs —
-//! plus the [`CliArgs`] flag parsing every bench binary shares.
+//! plus the [`CliArgs`] flag parsing of the bench runners.
 
-use crate::experiments::{ExpOutput, Obs};
-use crate::explain::{self, ExplainFile};
-use crate::meta::ArtifactMeta;
+use crate::artifact::BenchArtifact;
+use crate::experiments::{self, ExpOutput, Experiment, Obs};
 use crate::report;
-use crate::telemetry::{self, TelemetrySink, TraceFile};
+use std::path::{Path, PathBuf};
 use stratmr_mapreduce::InputSplit;
 use stratmr_population::dblp::{DblpConfig, DblpGenerator};
 use stratmr_population::uniform::generate_uniform;
 use stratmr_population::{Dataset, Individual, Placement};
 use stratmr_query::{GroupSpec, MssdQuery, QueryGenerator};
-use stratmr_telemetry::{Registry, TraceSink};
+use stratmr_telemetry::{json, TraceSink};
 
 /// Seed every experiment dataset is generated from.
 pub const DATA_SEED: u64 = 0xDB1F;
@@ -33,8 +32,9 @@ pub struct BenchConfig {
     /// DBLP-like one.
     pub uniform: bool,
     /// Seed for the fault plans injected by fault-aware experiments
-    /// (the robustness experiment's crash/recovery conditions). `None`
-    /// uses each experiment's fixed default seed.
+    /// (the robustness experiment's crash/recovery conditions), from
+    /// `STRATMR_FAULT_SEED`. `None` uses each experiment's fixed
+    /// default seed.
     pub fault_seed: Option<u64>,
 }
 
@@ -101,26 +101,6 @@ fn parse_number<T: std::str::FromStr>(value: &str, usage: &str) -> Result<T, Str
         .map_err(|_| format!("usage: {usage} (got {value:?}, not an unsigned integer)"))
 }
 
-/// The operand of the first `--flag <value>` or `--flag=<value>` in
-/// `args` (the arguments after the program name). `Ok(None)` when the
-/// flag is absent; an error naming `usage` when it is the last argument
-/// and so has no operand.
-fn flag_value(args: &[String], flag: &str, usage: &str) -> Result<Option<String>, String> {
-    let mut it = args.iter();
-    while let Some(a) = it.next() {
-        if a == flag {
-            return match it.next() {
-                Some(v) => Ok(Some(v.clone())),
-                None => Err(format!("usage: {flag} {usage}")),
-            };
-        }
-        if let Some(v) = a.strip_prefix(flag).and_then(|v| v.strip_prefix('=')) {
-            return Ok(Some(v.to_string()));
-        }
-    }
-    Ok(None)
-}
-
 /// Print a usage error and exit with status 2.
 fn usage_exit(message: &str) -> ! {
     eprintln!("{message}");
@@ -159,11 +139,6 @@ impl BenchEnv {
         }
     }
 
-    /// Build from the environment variables.
-    pub fn from_env() -> Self {
-        Self::new(BenchConfig::from_env())
-    }
-
     /// Generate one paper-style MSSD query group with proportional
     /// frequency allocation.
     pub fn group(&self, spec: &GroupSpec, sample_size: usize, seed: u64) -> MssdQuery {
@@ -172,79 +147,120 @@ impl BenchEnv {
     }
 }
 
-/// The command-line flags shared by every bench binary, parsed once:
-/// `--telemetry <out.json>`, `--trace <out.json>`, `--explain
-/// <out.json>`, `--uniform` and `--faults <seed>`.
+/// The two runners that parse [`CliArgs`]; each accepts only its own
+/// flags.
+#[derive(Clone, Copy, Debug, PartialEq, Eq)]
+pub enum Runner {
+    /// `bench_suite`: `--out`, `--telemetry`, `--trace`, `--uniform`
+    /// and experiment names.
+    Suite,
+    /// `explain`: `--explain`, `--exact` and `--uniform`.
+    Explain,
+}
+
+impl Runner {
+    fn usage(self) -> &'static str {
+        match self {
+            Runner::Suite => {
+                "usage: bench_suite [--out <dir>] [--telemetry <out.json>] \
+                 [--trace <out.json>] [--uniform] [experiment ...]"
+            }
+            Runner::Explain => "usage: explain [--exact] [--uniform] [--explain <out.json>]",
+        }
+    }
+}
+
+/// The command-line flags of a bench runner, parsed once.
 ///
-/// A binary's `main` is then three steps — parse, run the experiment
-/// from [`crate::experiments`] with [`CliArgs::obs`], and
-/// [`CliArgs::finish`] — so flag handling and the JSON write path
-/// (records, telemetry, trace, each stamped with the common
-/// [`ArtifactMeta`] header) exist exactly once. CPS-capable binaries
-/// additionally call [`CliArgs::finish_explain`] to honor `--explain`.
+/// `bench_suite` runs the selected [`experiments`] (all of them when
+/// none is named) and [`CliArgs::finish`] writes each one's outputs.
+/// `--telemetry <out.json>` and `--trace <out.json>` need exactly one
+/// selected experiment: they write its telemetry snapshot (counters,
+/// histograms, span call counts, host wall times) and its Chrome
+/// trace-event JSON (loadable in Perfetto) with a per-job
+/// critical-path/skew summary on stdout. The `explain`
+/// runner's `--explain <out.json>` writes the plan EXPLAIN artifact
+/// (see [`crate::explain`]). Every file is stamped with the common
+/// [`ArtifactMeta`](crate::ArtifactMeta) header.
 #[derive(Default)]
 pub struct CliArgs {
-    /// `--telemetry <out.json>`: registry + output path.
-    pub telemetry: Option<TelemetrySink>,
-    /// `--trace <out.json>`: trace sink + output path.
-    pub trace: Option<TraceFile>,
-    /// `--explain <out.json>`: plan-EXPLAIN + quality-audit output path.
-    pub explain: Option<ExplainFile>,
+    /// `--out <dir>`: where `BENCH_<experiment>.json` artifacts go.
+    pub out: Option<PathBuf>,
+    /// `--telemetry <out.json>`: telemetry snapshot path.
+    pub telemetry: Option<PathBuf>,
+    /// `--trace <out.json>`: Chrome trace path.
+    pub trace: Option<PathBuf>,
+    /// `--explain <out.json>`: plan-EXPLAIN + quality-audit path.
+    pub explain: Option<PathBuf>,
+    /// `--exact`: explain the exact IP instead of the LP relaxation.
+    pub exact: bool,
     /// `--uniform`: use the §6.2.1 uniform synthetic dataset.
     pub uniform: bool,
-    /// `--faults <seed>`: seed for injected fault plans (overrides
-    /// `STRATMR_FAULT_SEED`).
-    pub faults: Option<u64>,
+    /// The selected experiments, in the order named (all of
+    /// [`experiments::ALL`] when none is; empty for `explain`).
+    pub experiments: Vec<&'static Experiment>,
 }
 
 impl CliArgs {
-    /// Parse the shared flags from the process arguments. A missing or
-    /// malformed operand prints a usage message naming the flag and
-    /// exits with status 2.
-    pub fn parse() -> Self {
+    /// Parse `runner`'s flags from the process arguments. A usage error
+    /// prints a message naming the problem and exits with status 2.
+    pub fn parse(runner: Runner) -> Self {
         let args: Vec<String> = std::env::args().skip(1).collect();
-        Self::from_args(&args).unwrap_or_else(|e| usage_exit(&e))
+        Self::from_args(runner, &args).unwrap_or_else(|e| usage_exit(&e))
     }
 
     /// [`CliArgs::parse`] over an explicit argument list (without the
-    /// program name). Flags other than the shared ones are ignored.
-    fn from_args(args: &[String]) -> Result<Self, String> {
-        let path = |flag: &str| flag_value(args, flag, "<out.json>");
-        let faults = flag_value(args, "--faults", "<seed>")?
-            .map(|v| parse_number(&v, "--faults <seed>"))
-            .transpose()?;
-        Ok(CliArgs {
-            telemetry: path("--telemetry")?.map(|p| TelemetrySink {
-                registry: Registry::new(),
-                path: p.into(),
-            }),
-            trace: path("--trace")?.map(|p| TraceFile {
-                sink: TraceSink::new(),
-                path: p.into(),
-            }),
-            explain: path("--explain")?.map(|p| ExplainFile { path: p.into() }),
-            uniform: args.iter().any(|a| a == "--uniform"),
-            faults,
-        })
-    }
-
-    /// Honor `--explain` on a CPS-capable binary: run the standard
-    /// explain group with `solver` and write the `{meta, plan, quality}`
-    /// artifact, stamped as experiment `name`. No-op without the flag —
-    /// the explain run costs one extra CPS solve, so it only happens
-    /// when asked for.
-    pub fn finish_explain(
-        &mut self,
-        name: &str,
-        env: &BenchEnv,
-        solver: stratmr_sampling::CpsConfig,
-    ) {
-        let Some(file) = self.explain.take() else {
-            return;
-        };
-        let meta = ArtifactMeta::capture(name, DATA_SEED, &env.config);
-        let out = explain::run_explain(env, solver, &meta);
-        explain::finish(Some(file), &out);
+    /// program name). Flags take their operand as the next argument or
+    /// after `=`; a flag the runner does not accept, a missing operand,
+    /// an unknown experiment, and `--telemetry`/`--trace` without
+    /// exactly one experiment are errors.
+    fn from_args(runner: Runner, args: &[String]) -> Result<Self, String> {
+        let usage = runner.usage();
+        let mut cli = CliArgs::default();
+        let mut names = Vec::new();
+        let mut it = args.iter();
+        while let Some(arg) = it.next() {
+            let (flag, inline) = match arg.split_once('=') {
+                Some((flag, v)) if flag.starts_with("--") => (flag, Some(v)),
+                _ => (arg.as_str(), None),
+            };
+            let mut operand = |what: &str| {
+                inline
+                    .or_else(|| it.next().map(String::as_str))
+                    .map(PathBuf::from)
+                    .ok_or_else(|| format!("usage: {flag} {what}"))
+            };
+            match (runner, flag) {
+                (_, "--uniform") if inline.is_none() => cli.uniform = true,
+                (Runner::Suite, "--out") => cli.out = Some(operand("<dir>")?),
+                (Runner::Suite, "--telemetry") => cli.telemetry = Some(operand("<out.json>")?),
+                (Runner::Suite, "--trace") => cli.trace = Some(operand("<out.json>")?),
+                (Runner::Explain, "--explain") => cli.explain = Some(operand("<out.json>")?),
+                (Runner::Explain, "--exact") if inline.is_none() => cli.exact = true,
+                (Runner::Suite, name) if !name.starts_with('-') => names.push(name),
+                _ => return Err(format!("{usage} (unknown argument {arg:?})")),
+            }
+        }
+        for name in names {
+            let exp = experiments::ALL.iter().find(|e| e.name == name);
+            cli.experiments.push(exp.ok_or_else(|| {
+                let all: Vec<&str> = experiments::ALL.iter().map(|e| e.name).collect();
+                format!(
+                    "{usage} (unknown experiment {name:?}; available: {})",
+                    all.join(", ")
+                )
+            })?);
+        }
+        if (cli.telemetry.is_some() || cli.trace.is_some()) && cli.experiments.len() != 1 {
+            return Err(format!(
+                "{usage} (--telemetry and --trace need exactly one experiment, got {})",
+                cli.experiments.len()
+            ));
+        }
+        if runner == Runner::Suite && cli.experiments.is_empty() {
+            cli.experiments = experiments::ALL.iter().collect();
+        }
+        Ok(cli)
     }
 
     /// Build the experiment environment from `STRATMR_*` variables plus
@@ -252,42 +268,60 @@ impl CliArgs {
     pub fn bench_env(&self) -> BenchEnv {
         let mut config = BenchConfig::from_env();
         config.uniform = self.uniform;
-        if self.faults.is_some() {
-            config.fault_seed = self.faults;
-        }
         BenchEnv::new(config)
     }
 
-    /// The observability context the flags requested.
-    pub fn obs(&self) -> Obs {
-        Obs {
-            registry: self.telemetry.as_ref().map(|t| t.registry.clone()),
-            trace: self.trace.as_ref().map(|t| t.sink.clone()),
+    /// The single write path for one `bench_suite` experiment run: its
+    /// `BENCH_<experiment>.json` artifact under `out_dir`, the
+    /// experiment record under `target/experiments/` (the only JSON
+    /// that keeps host wall times), then the trace and telemetry JSON
+    /// if requested, from the sinks of `obs` — each stamped with the
+    /// artifact's meta header.
+    pub fn finish(&self, out: &ExpOutput, artifact: &BenchArtifact, obs: &Obs, out_dir: &Path) {
+        let meta = &artifact.meta;
+        written("artifact", out_dir, artifact.write_to(out_dir));
+        let record = report::write_record_json(&out.record_name, meta, &out.records_json);
+        written("record", Path::new(&out.record_name), record);
+        if let (Some(path), Some(sink)) = (&self.trace, &obs.trace) {
+            print!("{}", report::render_trace_summary(&sink.jobs()));
+            let body = json::document(TraceSink::JSON_INDENT, |w| {
+                meta.write_field(w);
+                sink.write_fields(w);
+            });
+            write_file("trace", path, &body);
+        }
+        if let (Some(path), Some(registry)) = (&self.telemetry, &obs.registry) {
+            let snapshot = registry.snapshot();
+            let body = json::document(json::INDENT, |w| {
+                meta.write_field(w);
+                snapshot.write_fields(w);
+            });
+            write_file("telemetry", path, &body);
         }
     }
+}
 
-    /// The single write path for everything a bench binary emits: the
-    /// experiment record under `target/experiments/`, then the trace
-    /// and telemetry JSON if requested — each stamped with the common
-    /// meta header.
-    pub fn finish(self, out: &ExpOutput, config: &BenchConfig) {
-        let meta = ArtifactMeta::capture(out.name, DATA_SEED, config);
-        match report::write_record_json(&out.record_name, &meta, &out.records_json) {
-            Ok(path) => println!("record: {}", path.display()),
-            Err(e) => {
-                eprintln!("error: cannot write record {}: {e}", out.record_name);
-                std::process::exit(1);
-            }
+/// Report a write as `what: <path>`. An unwritable `target` is reported
+/// on stderr and exits with status 1, so a scripted run notices the
+/// missing file.
+fn written(what: &str, target: &Path, result: std::io::Result<PathBuf>) {
+    match result {
+        Ok(path) => println!("{what}: {}", path.display()),
+        Err(e) => {
+            eprintln!("error: cannot write {what} to {}: {e}", target.display());
+            std::process::exit(1);
         }
-        telemetry::finish_trace(self.trace, &meta);
-        telemetry::finish(self.telemetry, &meta);
     }
+}
+
+/// Write `body` to `path`, reporting like the suite's other outputs.
+pub fn write_file(what: &str, path: &Path, body: &str) {
+    written(what, path, std::fs::write(path, body).map(|()| path.into()));
 }
 
 #[cfg(test)]
 mod tests {
     use super::*;
-    use std::path::PathBuf;
 
     #[test]
     fn env_builds_and_generates_groups() {
@@ -333,47 +367,106 @@ mod tests {
         }
     }
 
+    fn parse_err(runner: Runner, list: &[&str]) -> String {
+        CliArgs::from_args(runner, &args(list)).err().unwrap()
+    }
+
+    fn names(cli: &CliArgs) -> Vec<&'static str> {
+        cli.experiments.iter().map(|e| e.name).collect()
+    }
+
     #[test]
     fn flags_take_separate_or_inline_operands() {
-        let cli = CliArgs::from_args(&args(&[
-            "--telemetry",
-            "t.json",
-            "--trace=tr.json",
-            "--faults",
-            "7",
-            "--uniform",
-        ]))
+        let cli = CliArgs::from_args(
+            Runner::Suite,
+            &args(&[
+                "--telemetry",
+                "t.json",
+                "--trace=tr.json",
+                "--out",
+                "dir",
+                "--uniform",
+                "fig7_running_times",
+            ]),
+        )
         .unwrap();
-        assert_eq!(cli.telemetry.unwrap().path, PathBuf::from("t.json"));
-        assert_eq!(cli.trace.unwrap().path, PathBuf::from("tr.json"));
-        assert!(cli.explain.is_none());
-        assert_eq!(cli.faults, Some(7));
+        assert_eq!(cli.telemetry, Some(PathBuf::from("t.json")));
+        assert_eq!(cli.trace, Some(PathBuf::from("tr.json")));
+        assert_eq!(cli.out, Some(PathBuf::from("dir")));
         assert!(cli.uniform);
-        let cli = CliArgs::from_args(&args(&["--explain=e.json", "--faults=9"])).unwrap();
-        assert_eq!(cli.explain.unwrap().path, PathBuf::from("e.json"));
-        assert_eq!(cli.faults, Some(9));
+        assert_eq!(names(&cli), ["fig7_running_times"]);
+        let cli =
+            CliArgs::from_args(Runner::Explain, &args(&["--explain=e.json", "--exact"])).unwrap();
+        assert_eq!(cli.explain, Some(PathBuf::from("e.json")));
+        assert!(cli.exact);
         assert!(!cli.uniform);
+        assert!(cli.experiments.is_empty());
+    }
+
+    #[test]
+    fn suite_selects_named_experiments_or_all() {
+        let cli = CliArgs::from_args(Runner::Suite, &args(&[])).unwrap();
+        assert_eq!(cli.experiments.len(), experiments::ALL.len());
+        let cli = CliArgs::from_args(
+            Runner::Suite,
+            &args(&["robustness", "--out=o", "table1_dataset"]),
+        )
+        .unwrap();
+        assert_eq!(names(&cli), ["robustness", "table1_dataset"]);
     }
 
     #[test]
     fn missing_operand_names_the_flag() {
-        for flag in ["--telemetry", "--trace", "--explain", "--faults"] {
-            let err = CliArgs::from_args(&args(&["--uniform", flag]))
-                .err()
-                .unwrap();
+        let cases = [
+            (Runner::Suite, "--telemetry"),
+            (Runner::Suite, "--trace"),
+            (Runner::Suite, "--out"),
+            (Runner::Explain, "--explain"),
+        ];
+        for (runner, flag) in cases {
+            let err = parse_err(runner, &["--uniform", flag]);
             assert!(err.starts_with(&format!("usage: {flag} ")), "{err}");
         }
     }
 
     #[test]
-    fn malformed_fault_seed_is_an_error() {
-        for bad in [
-            &["--faults", "abc"][..],
-            &["--faults=-1"],
-            &["--faults", ""],
+    fn unknown_flags_are_usage_errors() {
+        for (runner, bad) in [
+            (Runner::Suite, "--telemtry"),
+            (Runner::Suite, "--faults"),
+            (Runner::Suite, "--explain"),
+            (Runner::Suite, "--exact"),
+            (Runner::Suite, "--uniform=1"),
+            (Runner::Suite, "-x"),
+            (Runner::Explain, "--telemetry"),
+            (Runner::Explain, "--trace"),
+            (Runner::Explain, "--out"),
+            (Runner::Explain, "optimality"),
         ] {
-            let err = CliArgs::from_args(&args(bad)).err().unwrap();
-            assert!(err.contains("--faults <seed>"), "{err}");
+            let err = parse_err(runner, &[bad, "t.json"]);
+            assert!(err.starts_with(runner.usage()), "{err}");
+            assert!(err.contains(&format!("unknown argument {bad:?}")), "{err}");
+        }
+    }
+
+    #[test]
+    fn unknown_experiment_lists_the_available_ones() {
+        let err = parse_err(Runner::Suite, &["fig9"]);
+        assert!(err.starts_with("usage: bench_suite "), "{err}");
+        assert!(err.contains("unknown experiment \"fig9\""), "{err}");
+        assert!(err.contains("robustness"), "{err}");
+    }
+
+    #[test]
+    fn telemetry_and_trace_need_exactly_one_experiment() {
+        for flag in ["--telemetry", "--trace"] {
+            for selected in [&[][..], &["table1_dataset", "fig7_running_times"]] {
+                let mut list = vec![flag, "t.json"];
+                list.extend_from_slice(selected);
+                let err = parse_err(Runner::Suite, &list);
+                assert!(err.starts_with("usage: bench_suite "), "{err}");
+                assert!(err.contains("exactly one experiment"), "{err}");
+            }
         }
     }
 

@@ -6,7 +6,7 @@
 //! only on the query-group size and `|[[Q]]*|`).
 //!
 //! Wall-clock LP times are host-dependent; they stay in the text report
-//! and the legacy records but never enter `BENCH_*.json`. The artifact
+//! and the `target/experiments/` record but never enter `BENCH_*.json`. The artifact
 //! carries the host-independent LP shape instead: variables,
 //! constraints and `|[[Q]]*|` per configuration.
 

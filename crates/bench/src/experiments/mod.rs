@@ -1,23 +1,19 @@
-//! The shared experiment runner behind every bench binary and the
-//! `bench_suite` aggregator.
+//! The shared experiment runner behind `bench_suite`.
 //!
 //! Each submodule reproduces one artifact of the paper's evaluation
 //! (§6) as a pure function `run(&BenchEnv, &Obs) -> ExpOutput`: it
 //! renders its human-readable report into [`ExpOutput::text`], collects
 //! machine-readable per-row records, and exposes named raw sample sets
-//! ([`MetricSeries`]) for the regression comparator. The thin binaries
-//! in `src/bin/` and the `bench_suite` runner differ only in how they
-//! construct the [`Obs`] context and where they write the outputs —
-//! the experiment logic itself exists exactly once.
+//! ([`MetricSeries`]) for the regression comparator.
 //!
 //! # Determinism
 //!
-//! In suite mode ([`Obs::full`]) every cluster gets a fresh telemetry
-//! [`Registry`] and a [`TraceSink`]. The sinks only observe: simulated
-//! times are a function of record and byte counts, so every metric an
-//! experiment emits is a pure function of code, seed and configuration
-//! whether or not it is traced. That is what makes `BENCH_*.json`
-//! byte-identical across runs at one commit.
+//! `bench_suite` runs every experiment with [`Obs::full`]: every
+//! cluster gets a fresh telemetry [`Registry`] and a [`TraceSink`].
+//! The sinks only observe: simulated times are a function of record and
+//! byte counts, so every metric an experiment emits is a pure function
+//! of code, seed and configuration whether or not it is traced. That is
+//! what makes `BENCH_*.json` byte-identical across runs at one commit.
 
 pub mod fig6;
 pub mod fig7;
@@ -28,7 +24,7 @@ pub mod table1;
 pub mod table2;
 
 use crate::artifact::{BenchArtifact, MetricSeries, QualityBlock, StageTotals};
-use crate::env::{BenchEnv, DATA_SEED};
+use crate::env::BenchEnv;
 use crate::meta::ArtifactMeta;
 use std::collections::BTreeMap;
 use stratmr_mapreduce::Cluster;
@@ -45,7 +41,7 @@ pub struct Obs {
 }
 
 impl Obs {
-    /// Fresh registry and trace sink — suite mode.
+    /// Fresh registry and trace sink — how `bench_suite` runs.
     pub fn full() -> Self {
         Obs {
             registry: Some(Registry::new()),
@@ -71,10 +67,10 @@ pub struct ExpOutput {
     /// Stable experiment id (`fig7_running_times`, …) — names the
     /// `BENCH_<name>.json` artifact.
     pub name: &'static str,
-    /// Name of the legacy `target/experiments/<record_name>.json` file
+    /// Name of the `target/experiments/<record_name>.json` record
     /// (differs from `name` only for dataset variants).
     pub record_name: String,
-    /// The human-readable report, as the binaries print it.
+    /// The human-readable report, as `bench_suite` prints it.
     pub text: String,
     /// Per-row records as a pretty JSON array.
     pub records_json: String,
@@ -83,6 +79,7 @@ pub struct ExpOutput {
 }
 
 /// One entry of the experiment registry.
+#[derive(Debug)]
 pub struct Experiment {
     /// Stable experiment id.
     pub name: &'static str,
@@ -123,9 +120,10 @@ pub const ALL: &[Experiment] = &[
     },
 ];
 
-/// Run one experiment in suite mode and assemble its `BENCH_*.json`
-/// artifact: metrics from the run, `counter.*` metrics from the fresh
-/// telemetry registry, critical-path stage totals from the trace sink,
+/// Run one experiment with the sinks of `obs` (which must hold a
+/// registry and a trace sink, as [`Obs::full`] does) and assemble its
+/// `BENCH_*.json` artifact: metrics from the run, `counter.*` metrics
+/// from the registry, critical-path stage totals from the trace sink,
 /// the `quality` block condensed from the sampling audit ledger, and
 /// records with host-dependent fields stripped (wall-clock values
 /// never enter the artifact — that is what keeps it byte-stable).
@@ -133,14 +131,14 @@ pub fn run_to_artifact(
     exp: &Experiment,
     env: &BenchEnv,
     meta: ArtifactMeta,
+    obs: &Obs,
 ) -> (ExpOutput, BenchArtifact) {
-    let obs = Obs::full();
-    let out = (exp.run)(env, &obs);
-    let trace = obs.trace.as_ref().expect("suite mode traces");
+    let out = (exp.run)(env, obs);
+    let trace = obs.trace.as_ref().expect("obs holds a trace sink");
     let snapshot = obs
         .registry
         .as_ref()
-        .expect("suite mode registry")
+        .expect("obs holds a registry")
         .snapshot();
     let report = stratmr_sampling::QualityReport::from_snapshot(&snapshot);
     let mut artifact = BenchArtifact {
@@ -174,15 +172,9 @@ fn mean_optimality_gap(metrics: &BTreeMap<String, MetricSeries>) -> Option<f64> 
     }
 }
 
-/// [`run_to_artifact`] with a freshly captured meta header.
-pub fn run_to_artifact_captured(exp: &Experiment, env: &BenchEnv) -> (ExpOutput, BenchArtifact) {
-    let meta = ArtifactMeta::capture(exp.name, DATA_SEED, &env.config);
-    run_to_artifact(exp, env, meta)
-}
-
 /// Drop host-dependent fields (keys containing `wall` or ending in
 /// `_secs`) from a pretty JSON records array, recursively, and
-/// re-render. Wall-clock measurements stay in the legacy
+/// re-render. Wall-clock measurements stay in the
 /// `target/experiments/` records but never enter `BENCH_*.json`.
 pub(crate) fn strip_host_fields_from_records(records_json: &str) -> String {
     fn strip(v: serde::Value) -> serde::Value {

@@ -12,9 +12,9 @@
 //! samples** in all conditions (retries, re-execution and speculative
 //! backups re-run deterministic tasks); only time and waste change.
 //!
-//! The fault plan is derived from the `--faults <seed>` flag
-//! (`STRATMR_FAULT_SEED`), falling back to a fixed default seed, so the
-//! artifact is reproducible bit-for-bit for a given seed.
+//! The fault plan is derived from `STRATMR_FAULT_SEED`, falling back to
+//! a fixed default seed, so the artifact is reproducible bit-for-bit
+//! for a given seed.
 
 use super::{ExpOutput, Obs};
 use crate::artifact::MetricSeries;
@@ -27,8 +27,7 @@ use stratmr_mapreduce::{Cluster, FaultPlan};
 use stratmr_query::GroupSpec;
 use stratmr_sampling::mqe::try_mr_mqe_on_splits;
 
-/// Fault seed used when neither `--faults` nor `STRATMR_FAULT_SEED` is
-/// given.
+/// Fault seed used when `STRATMR_FAULT_SEED` is unset.
 const DEFAULT_FAULT_SEED: u64 = 0xFA17;
 
 #[derive(Serialize)]

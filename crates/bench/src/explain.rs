@@ -1,10 +1,9 @@
-//! The `--explain <out.json>` flag: CPS/LP plan EXPLAIN plus the
-//! sample-quality audit for one standard MSSD run.
+//! Plan EXPLAIN for MR-CPS plus the sample-quality audit of one
+//! standard MSSD run, as the `explain` runner prints it.
 //!
-//! A CPS-capable binary (`optimality`, `table2_cost_ratio`,
-//! `fig6_sharing`, the dedicated `explain` binary) accepting the flag
-//! runs the medium paper-style query group once with explain capture
-//! and a fresh audit registry, and writes one artifact:
+//! [`run_explain`] runs the medium paper-style query group once with
+//! explain capture and a fresh audit registry; `explain --explain
+//! <out.json>` writes the assembled artifact:
 //!
 //! ```text
 //! {
@@ -21,7 +20,6 @@
 
 use crate::env::BenchEnv;
 use crate::meta::ArtifactMeta;
-use std::path::PathBuf;
 use stratmr_mapreduce::Cluster;
 use stratmr_query::GroupSpec;
 use stratmr_sampling::cps::CpsConfig;
@@ -35,11 +33,6 @@ pub(crate) const EXPLAIN_GROUP_SEED: u64 = 6000;
 
 /// Seed of the explained CPS run (ditto).
 pub(crate) const EXPLAIN_RUN_SEED: u64 = 800;
-
-/// An EXPLAIN output path requested on the command line.
-pub struct ExplainFile {
-    pub(crate) path: PathBuf,
-}
 
 /// One captured EXPLAIN: the plan, the audit report of the same run,
 /// and the assembled artifact JSON.
@@ -85,25 +78,6 @@ pub fn run_explain(env: &BenchEnv, config: CpsConfig, meta: &ArtifactMeta) -> Ex
             .object(Layout::Lines, |w| report.write_fields(w));
     });
     ExplainOutput { plan, report, json }
-}
-
-/// Write the artifact to the requested path (no-op without a file).
-/// An unwritable path is reported on stderr and exits with status 1,
-/// like the telemetry write path.
-pub fn finish(file: Option<ExplainFile>, out: &ExplainOutput) {
-    if let Some(f) = file {
-        match std::fs::write(&f.path, &out.json) {
-            Ok(()) => println!(
-                "explain: {} (optimality gap {:.3}%)",
-                f.path.display(),
-                100.0 * out.plan.optimality_gap()
-            ),
-            Err(e) => {
-                eprintln!("error: cannot write explain to {}: {e}", f.path.display());
-                std::process::exit(1);
-            }
-        }
-    }
 }
 
 #[cfg(test)]

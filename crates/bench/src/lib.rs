@@ -3,7 +3,15 @@
 //!
 //! The binaries in `src/bin/`:
 //!
-//! | binary | artifact |
+//! | binary | output |
+//! |---|---|
+//! | `bench_suite` | every experiment's report, `BENCH_<experiment>.json` artifact and record |
+//! | `bench_compare` | noise-aware diff of two `BENCH_*.json` sets |
+//! | `explain` | the MR-CPS plan EXPLAIN and sample-quality audit |
+//!
+//! `bench_suite <experiment>` runs one entry of [`experiments::ALL`]:
+//!
+//! | experiment | artifact |
 //! |---|---|
 //! | `table1_dataset` | Table 1 — attribute distributions |
 //! | `table2_cost_ratio` | Table 2 — cost(MR-CPS)/cost(MR-MQE) |
@@ -12,9 +20,6 @@
 //! | `fig8_lp_times` | Figure 8 — LP formulation/solve times |
 //! | `optimality` | §6.2.2 — residuals and `C_LP ≤ C_IP ≤ C_A` |
 //! | `robustness` | running times under injected cluster faults |
-//! | `explain` | the MR-CPS plan EXPLAIN and sample-quality audit |
-//! | `bench_suite` | every experiment as a `BENCH_<experiment>.json` artifact |
-//! | `bench_compare` | noise-aware diff of two `BENCH_*.json` sets |
 //!
 //! Scale knobs come from environment variables so the full paper-scale
 //! runs and quick smoke runs share one binary:
@@ -22,16 +27,18 @@
 //! * `STRATMR_POP` — population size (default 100 000)
 //! * `STRATMR_RUNS` — repetitions for averaged statistics (default 20)
 //! * `STRATMR_SCALES` — comma-separated sample sizes (default `100,1000,10000`)
+//! * `STRATMR_MACHINES` — machines holding the data (default 10)
+//! * `STRATMR_FAULT_SEED` — seed of the robustness experiment's fault plan
 //!
-//! Every binary but `bench_suite` and `bench_compare` parses
-//! [`CliArgs`] and so accepts `--telemetry <out.json>`: a
-//! [`stratmr_telemetry::Registry`] is threaded through the simulated
-//! clusters (and from there into the sampling jobs and LP/IP solvers)
-//! and its final snapshot — counters, histograms and phase spans — is
-//! written to the given path as JSON. `--trace <out.json>` additionally
-//! collects a per-task trace of every MapReduce job and writes it in
-//! Chrome trace-event JSON (loadable in Perfetto), printing a per-job
-//! critical-path/skew summary on exit; see [`CliArgs`] and [`telemetry`].
+//! Every experiment runs with a [`stratmr_telemetry::Registry`] and a
+//! [`stratmr_telemetry::TraceSink`] threaded through the simulated
+//! clusters (and from there into the sampling jobs and LP/IP solvers).
+//! With exactly one experiment selected, `--telemetry <out.json>`
+//! writes the registry's final snapshot — counters, histograms and
+//! phase spans — and `--trace <out.json>` writes the per-task trace of
+//! every MapReduce job in Chrome trace-event JSON (loadable in
+//! Perfetto), printing a per-job critical-path/skew summary; see
+//! [`CliArgs`].
 
 #![warn(missing_docs)]
 
@@ -42,10 +49,8 @@ pub mod experiments;
 pub mod explain;
 pub mod meta;
 pub mod report;
-pub mod telemetry;
 
 pub use artifact::{BenchArtifact, MetricSeries, QualityBlock, QualityStratum, StageTotals};
-pub use env::{BenchConfig, BenchEnv, CliArgs};
+pub use env::{write_file, BenchConfig, BenchEnv, CliArgs, Runner};
 pub use meta::{ArtifactMeta, SCHEMA_VERSION};
 pub use report::{fmt_duration_s, Table};
-pub use telemetry::{TelemetrySink, TraceFile};

@@ -19,7 +19,7 @@ use stratmr_telemetry::{Layout, Writer};
 /// v2: every artifact embeds a `quality` block (per-stratum sampling
 /// audit + optimality gap) between `metrics` and `records`.
 ///
-/// v3: `config` gains a `fault_seed` key (the `--faults` seed, `null`
+/// v3: `config` gains a `fault_seed` key (`STRATMR_FAULT_SEED`, `null`
 /// when unset) and the robustness experiment's records/metrics carry
 /// fault-recovery measurements (wasted-work fraction, speculation win
 /// rate, re-executed map tasks).

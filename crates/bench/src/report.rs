@@ -83,8 +83,7 @@ pub fn fmt_duration_s(secs: f64) -> String {
 /// Write an experiment record as JSON under `target/experiments/`, so
 /// EXPERIMENTS.md entries are backed by machine-readable data. The file
 /// is `{"meta": <header>, "records": <array>}` with the common
-/// single-line meta header first — the one write path every bench
-/// binary goes through.
+/// single-line meta header first.
 pub(crate) fn write_record_json(
     name: &str,
     meta: &ArtifactMeta,

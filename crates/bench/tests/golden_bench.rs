@@ -15,7 +15,7 @@
 //! ```
 
 use std::path::PathBuf;
-use stratmr_bench::experiments::{self, run_to_artifact};
+use stratmr_bench::experiments::{self, run_to_artifact, Obs};
 use stratmr_bench::meta::ArtifactMeta;
 use stratmr_bench::{BenchConfig, BenchEnv};
 
@@ -40,7 +40,7 @@ fn bench_artifact_schema_is_byte_stable() {
         .find(|e| e.name == "robustness")
         .unwrap();
     let meta = ArtifactMeta::fixed_for_tests(exp.name, stratmr_bench::env::DATA_SEED, &config);
-    let (_, artifact) = run_to_artifact(exp, &env, meta);
+    let (_, artifact) = run_to_artifact(exp, &env, meta, &Obs::full());
     let json = artifact.to_json();
 
     let path = golden_path();

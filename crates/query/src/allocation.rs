@@ -150,6 +150,7 @@ fn stratum_stats(formula: &Formula, rule: Allocation, population: &[Individual])
 #[cfg(test)]
 mod tests {
     use super::*;
+    use crate::validity::{check_disjoint_static, StaticCheck};
     use stratmr_population::{AttrDef, Schema};
 
     #[test]
@@ -222,7 +223,10 @@ mod tests {
         );
         assert_eq!(q.total_frequency(), 30);
         assert_eq!(q.len(), 2);
-        assert!(q.validate_disjoint(pop.iter()).is_ok());
+        assert_eq!(
+            check_disjoint_static(&q, &schema, 1_000),
+            StaticCheck::Disjoint
+        );
         assert!(q.validate_satisfiable(pop.iter()).is_ok());
     }
 

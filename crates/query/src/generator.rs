@@ -172,41 +172,6 @@ impl QueryGenerator {
         formulas
     }
 
-    /// [`generate_strata_on`](Self::generate_strata_on) over a fresh
-    /// random attribute choice.
-    fn generate_strata(&self, spec: &GroupSpec, rng: &mut ChaCha8Rng) -> Vec<Formula> {
-        let attrs = self.choose_attrs(spec, rng);
-        self.generate_strata_on(spec, &attrs, rng)
-    }
-
-    /// Generate one SSD of the group shape, spreading `sample_size`
-    /// selections over the strata uniformly (multinomial with uniform
-    /// stratum probabilities).
-    ///
-    /// Strata that receive a zero frequency are dropped (they would be
-    /// no-ops), so the returned query may have fewer than `msr^mc`
-    /// constraints when `sample_size < msr^mc`.
-    ///
-    /// With heavy-tailed attributes most equal-width strata hold few
-    /// individuals, so uniform allocation often requests more than a
-    /// stratum can supply (the algorithms then clamp); prefer
-    /// [`QueryGenerator::generate_ssd_proportional`] when a population is
-    /// at hand.
-    pub fn generate_ssd(
-        &self,
-        spec: &GroupSpec,
-        sample_size: usize,
-        rng: &mut ChaCha8Rng,
-    ) -> SsdQuery {
-        let formulas = self.generate_strata(spec, rng);
-        let m = formulas.len();
-        let mut freqs = vec![0usize; m];
-        for _ in 0..sample_size {
-            freqs[rng.gen_range(0..m)] += 1;
-        }
-        Self::build_query(formulas, freqs)
-    }
-
     /// Generate one SSD with *proportional allocation*: each of the
     /// `sample_size` selections is assigned to the stratum of a uniformly
     /// drawn member of `population`, so `f_k ∝ N_k` in expectation — the
@@ -244,10 +209,8 @@ impl QueryGenerator {
                 freqs[k] += 1;
             }
         }
-        Self::build_query(formulas, freqs)
-    }
-
-    fn build_query(formulas: Vec<Formula>, freqs: Vec<usize>) -> SsdQuery {
+        // strata that receive no selection are dropped (they would be
+        // no-ops)
         let constraints = formulas
             .into_iter()
             .zip(freqs)
@@ -257,51 +220,13 @@ impl QueryGenerator {
         SsdQuery::new(constraints)
     }
 
-    /// Generate a full MSSD query group: `spec.n_ssds` SSDs, each asking
-    /// for `sample_size` individuals, with the §6.1.2 cost model
-    /// ($`interview` per interview, $`penalty` added to each pair of SSDs
-    /// independently selected with probability `penalty_prob`).
-    pub fn generate_group(
-        &self,
-        spec: &GroupSpec,
-        sample_size: usize,
-        interview: f64,
-        penalty: f64,
-        penalty_prob: f64,
-        seed: u64,
-    ) -> MssdQuery {
-        let mut rng = ChaCha8Rng::seed_from_u64(seed);
-        let queries: Vec<SsdQuery> = (0..spec.n_ssds)
-            .map(|_| self.generate_ssd(spec, sample_size, &mut rng))
-            .collect();
-        let mut pairs = Vec::new();
-        for i in 0..spec.n_ssds {
-            for j in i + 1..spec.n_ssds {
-                if rng.gen_bool(penalty_prob) {
-                    pairs.push((i, j));
-                }
-            }
-        }
-        let costs = CostModel::paper_style(spec.n_ssds, interview, &pairs, penalty);
-        MssdQuery::new(queries, costs)
-    }
-
-    /// The paper's experimental defaults: $4 interviews, $10 penalties on
-    /// ~30% of SSD pairs.
-    pub fn generate_paper_group(
-        &self,
-        spec: &GroupSpec,
-        sample_size: usize,
-        seed: u64,
-    ) -> MssdQuery {
-        self.generate_group(spec, sample_size, 4.0, 10.0, 0.3, seed)
-    }
-
-    /// Like [`QueryGenerator::generate_paper_group`], but with
-    /// proportional frequency allocation over `population`, and the
-    /// whole group stratifying over **one shared attribute pool**: every
-    /// SSD uses the same `mc` attributes with freshly jittered subrange
-    /// boundaries (the ±10% "error" of §6.1.2). The shared pool keeps
+    /// Generate a full MSSD query group with the paper's experimental
+    /// defaults (§6.1.2): `spec.n_ssds` SSDs, each asking for
+    /// `sample_size` individuals with proportional frequency allocation
+    /// over `population`; $4 interviews and $10 penalties on ~30% of SSD
+    /// pairs. The whole group stratifies over **one shared attribute
+    /// pool**: every SSD uses the same `mc` attributes with freshly
+    /// jittered subrange boundaries (the ±10% "error" of §6.1.2). The shared pool keeps
     /// the stratum selections σ coarse, so sharing opportunities exist
     /// on any value distribution — which is what makes the paper's
     /// uniform-dataset rerun (§6.2.1) behave like the DBLP one.
@@ -395,20 +320,12 @@ mod tests {
     }
 
     #[test]
-    fn ssd_strata_are_disjoint_over_population() {
-        let g = generator();
-        let data = DblpGenerator::new(Default::default()).generate(2_000, 3);
-        let mut r = rng(7);
-        let q = g.generate_ssd(&GroupSpec::SMALL, 200, &mut r);
-        assert!(q.validate_disjoint(data.tuples().iter()).is_ok());
-    }
-
-    #[test]
     fn ssd_total_frequency_matches_request() {
         let g = generator();
+        let data = DblpGenerator::new(Default::default()).generate(2_000, 3);
         let mut r = rng(9);
         for spec in &GroupSpec::ALL {
-            let q = g.generate_ssd(spec, 500, &mut r);
+            let q = g.generate_ssd_proportional(spec, 500, data.tuples(), &mut r);
             assert_eq!(q.total_frequency(), 500);
             assert!(q.len() <= spec.strata_per_ssd());
             // no zero-frequency strata survive
@@ -419,27 +336,19 @@ mod tests {
     #[test]
     fn small_sample_sizes_drop_empty_strata() {
         let g = generator();
+        let data = DblpGenerator::new(Default::default()).generate(2_000, 3);
         let mut r = rng(13);
         // 10 draws over 256 strata → at most 10 constraints
-        let q = g.generate_ssd(&GroupSpec::LARGE, 10, &mut r);
+        let q = g.generate_ssd_proportional(&GroupSpec::LARGE, 10, data.tuples(), &mut r);
         assert!(q.len() <= 10);
         assert_eq!(q.total_frequency(), 10);
     }
 
     #[test]
-    fn group_generation_is_deterministic() {
-        let g = generator();
-        let a = g.generate_paper_group(&GroupSpec::SMALL, 100, 21);
-        let b = g.generate_paper_group(&GroupSpec::SMALL, 100, 21);
-        assert_eq!(a, b);
-        let c = g.generate_paper_group(&GroupSpec::SMALL, 100, 22);
-        assert_ne!(a, c);
-    }
-
-    #[test]
     fn group_cost_model_matches_paper_defaults() {
         let g = generator();
-        let mssd = g.generate_paper_group(&GroupSpec::MEDIUM, 100, 17);
+        let data = DblpGenerator::new(Default::default()).generate(2_000, 1);
+        let mssd = g.generate_paper_group_on(&GroupSpec::MEDIUM, 100, data.tuples(), 17);
         assert_eq!(mssd.len(), 6);
         let costs = mssd.costs();
         for i in 0..6 {
@@ -491,13 +400,16 @@ mod tests {
         let b = g.generate_paper_group_on(&GroupSpec::SMALL, 50, data.tuples(), 5);
         assert_eq!(a, b);
         assert_eq!(a.len(), 3);
+        let c = g.generate_paper_group_on(&GroupSpec::SMALL, 50, data.tuples(), 6);
+        assert_ne!(a, c);
     }
 
     #[test]
     fn restricted_attributes_are_respected() {
         let g = generator().with_attributes(&["fy", "ly"]);
+        let data = DblpGenerator::new(Default::default()).generate(2_000, 2);
         let mut r = rng(2);
-        let q = g.generate_ssd(&GroupSpec::SMALL, 50, &mut r);
+        let q = g.generate_ssd_proportional(&GroupSpec::SMALL, 50, data.tuples(), &mut r);
         let schema = DblpGenerator::schema();
         let fy = schema.attr_id("fy").unwrap();
         let ly = schema.attr_id("ly").unwrap();

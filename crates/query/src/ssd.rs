@@ -35,19 +35,9 @@ impl StratumConstraint {
     }
 }
 
-/// Why an SSD query is invalid or unsatisfiable over a dataset.
+/// Why an SSD query is unsatisfiable over a dataset.
 #[derive(Debug, Clone, PartialEq, Eq)]
 pub enum SsdError {
-    /// Some individual satisfies two stratum constraints, violating the
-    /// disjointness requirement of §3.2.1.
-    Overlap {
-        /// Id of the offending individual.
-        individual: u64,
-        /// The first matching stratum.
-        first: StratumId,
-        /// The second matching stratum.
-        second: StratumId,
-    },
     /// A stratum has fewer matching individuals than its required
     /// frequency, so the query is unsatisfiable over the dataset.
     Unsatisfiable {
@@ -63,14 +53,6 @@ pub enum SsdError {
 impl std::fmt::Display for SsdError {
     fn fmt(&self, f: &mut std::fmt::Formatter<'_>) -> std::fmt::Result {
         match self {
-            SsdError::Overlap {
-                individual,
-                first,
-                second,
-            } => write!(
-                f,
-                "individual {individual} satisfies both stratum {first} and stratum {second}"
-            ),
             SsdError::Unsatisfiable {
                 stratum,
                 available,
@@ -129,30 +111,6 @@ impl SsdQuery {
     #[inline]
     pub fn matching_stratum(&self, t: &Individual) -> Option<StratumId> {
         self.constraints.iter().position(|s| s.matches(t))
-    }
-
-    /// Check pairwise stratum disjointness over a dataset (the validity
-    /// requirement `σ_{ϕk1}(R) ∩ σ_{ϕk2}(R) = ∅`).
-    pub fn validate_disjoint<'a>(
-        &self,
-        tuples: impl IntoIterator<Item = &'a Individual>,
-    ) -> Result<(), SsdError> {
-        for t in tuples {
-            let mut first: Option<StratumId> = None;
-            for (k, s) in self.constraints.iter().enumerate() {
-                if s.matches(t) {
-                    if let Some(f) = first {
-                        return Err(SsdError::Overlap {
-                            individual: t.id,
-                            first: f,
-                            second: k,
-                        });
-                    }
-                    first = Some(k);
-                }
-            }
-        }
-        Ok(())
     }
 
     /// Check that every stratum has at least `f_k` matching individuals.
@@ -292,29 +250,6 @@ mod tests {
         let q = SsdQuery::new(vec![StratumConstraint::new(Formula::lt(x(), 10), 1)]);
         let t = Individual::new(0, vec![50], 0);
         assert_eq!(q.matching_stratum(&t), None);
-    }
-
-    #[test]
-    fn disjointness_validation() {
-        let disjoint = SsdQuery::new(vec![
-            StratumConstraint::new(Formula::lt(x(), 50), 1),
-            StratumConstraint::new(Formula::ge(x(), 50), 1),
-        ]);
-        let overlapping = SsdQuery::new(vec![
-            StratumConstraint::new(Formula::lt(x(), 60), 1),
-            StratumConstraint::new(Formula::ge(x(), 40), 1),
-        ]);
-        let tuples = pop(&[10, 45, 80]);
-        assert!(disjoint.validate_disjoint(tuples.iter()).is_ok());
-        let err = overlapping.validate_disjoint(tuples.iter()).unwrap_err();
-        assert_eq!(
-            err,
-            SsdError::Overlap {
-                individual: 1,
-                first: 0,
-                second: 1
-            }
-        );
     }
 
     #[test]

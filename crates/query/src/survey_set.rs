@@ -61,11 +61,6 @@ impl SurveySet {
         i < MAX_SURVEYS && self.0 & (1 << i) != 0
     }
 
-    /// Is `self ⊆ other`?
-    pub fn is_subset_of(self, other: SurveySet) -> bool {
-        self.0 & other.0 == self.0
-    }
-
     /// Number of surveys in the set.
     pub fn len(self) -> usize {
         self.0.count_ones() as usize
@@ -138,22 +133,12 @@ mod tests {
     }
 
     #[test]
-    fn subset_relation() {
-        let a = SurveySet::from_iter([1, 3]);
-        let b = SurveySet::from_iter([0, 1, 3]);
-        assert!(a.is_subset_of(b));
-        assert!(!b.is_subset_of(a));
-        assert!(SurveySet::EMPTY.is_subset_of(a));
-        assert!(a.is_subset_of(a));
-    }
-
-    #[test]
     fn subsets_enumeration_is_complete() {
         let s = SurveySet::from_iter([0, 1, 4]);
         let subs: Vec<SurveySet> = s.subsets().collect();
         assert_eq!(subs.len(), 8); // 2^3
         for sub in &subs {
-            assert!(sub.is_subset_of(s));
+            assert!(sub.iter().all(|i| s.contains(i)), "{sub:?} ⊄ {s:?}");
         }
         // no duplicates
         let mut sorted = subs.clone();

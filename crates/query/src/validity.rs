@@ -1,13 +1,12 @@
 //! Static SSD validity checking.
 //!
 //! §3.2.1 requires the strata of an SSD query to be pairwise disjoint
-//! over the dataset. [`SsdQuery::validate_disjoint`] checks this against
-//! actual tuples; this module proves it *statically* where possible, by
-//! exhaustive evaluation over the schema's domain grid restricted to the
-//! attributes the query mentions — exact (not conservative) whenever the
-//! mentioned attributes' joint domain is small enough to enumerate, which
-//! covers the paper's generated queries (`msr^mc` rectangles) and most
-//! hand-written designs.
+//! over the dataset. This module proves it *statically* where possible,
+//! by exhaustive evaluation over the schema's domain grid restricted to
+//! the attributes the query mentions — exact (not conservative) whenever
+//! the mentioned attributes' joint domain is small enough to enumerate,
+//! which covers the paper's generated queries (`msr^mc` rectangles) and
+//! most hand-written designs.
 
 use crate::formula::Formula;
 use crate::ssd::SsdQuery;

@@ -202,11 +202,6 @@ impl QualityReport {
         }
     }
 
-    /// Attach an estimator summary (see [`summarize_mean`]).
-    pub fn push_estimate(&mut self, summary: EstimateSummary) {
-        self.estimates.push(summary);
-    }
-
     /// Largest absolute realized-`f` bias z-score across the ledger.
     pub fn max_abs_bias_z(&self) -> f64 {
         self.trails
@@ -442,7 +437,7 @@ mod tests {
             trails: vec![trail(10, 500, 10), trail(3, 7, 3)],
             estimates: Vec::new(),
         };
-        report.push_estimate(EstimateSummary {
+        report.estimates.push(EstimateSummary {
             label: "age".into(),
             estimate: Estimate::new(41.5, 0.25),
             ci: (41.01, 41.99),
@@ -517,7 +512,9 @@ mod tests {
         // starving a stratum surfaces the degenerate flag in the report
         let degenerate = SsdAnswer::from_strata(vec![answer.stratum(0).to_vec(), Vec::new()]);
         let mut report = QualityReport::default();
-        report.push_estimate(summarize_mean("age", &degenerate, &[900, 100], AttrId(0)));
+        report
+            .estimates
+            .push(summarize_mean("age", &degenerate, &[900, 100], AttrId(0)));
         assert_eq!(report.degenerate_estimates(), 1);
         assert!(report.to_json().contains("\"degenerate\": true"));
     }

@@ -5,12 +5,15 @@
 //! what the core algorithms consume; a percentage design needs the
 //! stratum population sizes first. This module resolves a percentage
 //! design into an absolute [`SsdQuery`] with one extra MapReduce
-//! counting pass, then runs MR-SQE.
+//! counting pass (the Figure 4 limits job over the design as a single
+//! query), then runs MR-SQE.
 
+use crate::limits::try_stratum_selection_limits;
 use crate::sqe::{try_mr_sqe_on_splits, SqeRun};
-use stratmr_mapreduce::{Cluster, CombineJob, Emitter, InputSplit, JobError, JobStats, TaskCtx};
+use crate::sst::StratumSelection;
+use stratmr_mapreduce::{Cluster, InputSplit, JobError, JobStats};
 use stratmr_population::Individual;
-use stratmr_query::{Formula, SsdQuery, StratumConstraint, StratumId};
+use stratmr_query::{Formula, SsdQuery, StratumConstraint};
 
 /// One stratum of a percentage-based design.
 #[derive(Debug, Clone, PartialEq)]
@@ -50,76 +53,41 @@ impl PercentSsdQuery {
     }
 }
 
-/// The counting pass: `map(t) → (k, 1)` for the stratum `t` satisfies,
-/// sum in combiner and reducer.
-struct CountJob<'a> {
-    strata: &'a [PercentStratum],
-}
-
-impl CombineJob for CountJob<'_> {
-    type Input = Individual;
-    type Key = StratumId;
-    type MapOut = u64;
-    type Acc = u64;
-    type CombOut = u64;
-    type ReduceOut = u64;
-    type Side = ();
-
-    fn map(&self, _ctx: &TaskCtx, t: &Individual, out: &mut Emitter<StratumId, u64>) {
-        if let Some(k) = self.strata.iter().position(|s| s.formula.eval(t)) {
-            out.emit(k, 1);
-        }
-    }
-
-    fn start(&self, _ctx: &TaskCtx, _key: &StratumId) -> u64 {
-        0
-    }
-
-    fn observe(&self, acc: &mut u64, value: u64) {
-        *acc += value;
-    }
-
-    fn finish(&self, acc: u64) -> u64 {
-        acc
-    }
-
-    fn reduce(&self, _ctx: &TaskCtx, _key: &StratumId, values: Vec<u64>) -> u64 {
-        values.into_iter().sum()
-    }
-
-    fn input_bytes(&self, t: &Individual) -> u64 {
-        t.payload_bytes as u64
-    }
-
-    fn comb_bytes(&self, _key: &StratumId, _v: &u64) -> u64 {
-        16
-    }
-}
-
 /// Resolve a percentage design to an absolute [`SsdQuery`] by counting
-/// stratum sizes with one MapReduce pass. Frequencies are rounded to the
-/// nearest integer, with a minimum of 1 for non-empty strata.
+/// stratum sizes with one pass of the Figure 4 limits job. Frequencies
+/// are rounded to the nearest integer, with a minimum of 1 for
+/// non-empty strata.
 pub fn resolve_percentages(
     cluster: &Cluster,
     splits: &[InputSplit<Individual>],
     query: &PercentSsdQuery,
     seed: u64,
 ) -> Result<(SsdQuery, JobStats), JobError> {
-    let job = CountJob {
-        strata: &query.strata,
-    };
-    let out = cluster
-        .named_or("percent-resolve")
-        .try_run_with_combiner(&job, splits, seed)?;
-    let mut counts = vec![0u64; query.strata.len()];
-    for (k, c) in out.results {
-        counts[k] = c;
-    }
+    // the design as one query: its Figure 4 limits are the stratum sizes
+    let design = SsdQuery::new(
+        query
+            .strata
+            .iter()
+            .map(|s| StratumConstraint::new(s.formula.clone(), 0))
+            .collect(),
+    );
+    let strata: Vec<StratumSelection> = (0..query.strata.len())
+        .map(|k| StratumSelection::from_choices(&[Some(k)]))
+        .collect();
+    let filter = strata.iter().cloned().collect();
+    let (limits, stats) = try_stratum_selection_limits(
+        &cluster.named_or("percent-resolve"),
+        splits,
+        std::slice::from_ref(&design),
+        Some(&filter),
+        seed,
+    )?;
     let constraints = query
         .strata
         .iter()
-        .zip(&counts)
-        .map(|(s, &n)| {
+        .zip(&strata)
+        .map(|(s, sel)| {
+            let n = limits.get(sel).copied().unwrap_or(0);
             let f = if n == 0 {
                 0
             } else {
@@ -128,7 +96,7 @@ pub fn resolve_percentages(
             StratumConstraint::new(s.formula.clone(), f)
         })
         .collect();
-    Ok((SsdQuery::new(constraints), out.stats))
+    Ok((SsdQuery::new(constraints), stats))
 }
 
 /// Result of a percentage-based sampling run.

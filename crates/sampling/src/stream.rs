@@ -59,11 +59,6 @@ impl StreamingSampler {
         self.observed
     }
 
-    /// Tuples observed so far in stratum `k`.
-    pub fn stratum_seen(&self, k: usize) -> usize {
-        self.reservoirs[k].seen()
-    }
-
     /// A valid stratified sample of everything observed so far.
     pub fn snapshot(&self) -> SsdAnswer {
         SsdAnswer::from_strata(self.reservoirs.iter().map(|r| r.items().to_vec()).collect())
@@ -181,8 +176,9 @@ mod tests {
         for i in 0..100u64 {
             sampler.observe(&ind(i, (i % 100) as i64));
             let snap = sampler.snapshot();
-            let low_seen = sampler.stratum_seen(0);
-            let high_seen = sampler.stratum_seen(1);
+            // tuples 0..=i seen so far: x < 50 in stratum 0, the rest in 1
+            let low_seen = (i as usize + 1).min(50);
+            let high_seen = i as usize + 1 - low_seen;
             assert_eq!(snap.stratum(0).len(), low_seen.min(3));
             assert_eq!(snap.stratum(1).len(), high_seen.min(2));
             let q = sampler.query().clone();

@@ -1,7 +1,7 @@
 //! Lightweight, dependency-free observability for the MR-SQE/CPS stack.
 //!
-//! A [`Registry`] holds named [`Counter`]s, [`Gauge`]s and
-//! [`Histogram`]s plus a tree of phase [`Span`]s. Registries are cheap
+//! A [`Registry`] holds named [`Counter`]s and [`Histogram`]s plus a
+//! tree of phase [`Span`]s. Registries are cheap
 //! to clone (all clones share state) and safe to use from rayon worker
 //! threads: counter increments and histogram records are plain atomic
 //! operations after the first lookup, and name lookups take a short
@@ -13,7 +13,7 @@
 //! deterministic ones so that a fixed-seed run can be golden-file
 //! tested byte for byte:
 //!
-//! * counters, gauges, histograms and span *call counts* depend only on
+//! * counters, histograms and span *call counts* depend only on
 //!   the values the instrumented code feeds them (same inputs ⇒ same
 //!   bytes — callers must not record wall-clock-derived values if they
 //!   want byte-stable exports);
@@ -22,9 +22,7 @@
 //!   stripped with [`Snapshot::without_host`].
 //!
 //! Histograms record `u64` values and aggregate in integer arithmetic,
-//! so their sums are independent of thread interleaving; gauges are
-//! `f64` but are meant to be set from the driver thread (e.g. simulated
-//! times), not raced on.
+//! so their sums are independent of thread interleaving.
 //!
 //! Span nesting is tracked per thread: a span opened while another span
 //! on the *same thread* is alive becomes its child (its path is
@@ -79,25 +77,6 @@ impl Counter {
     /// Current value.
     pub fn get(&self) -> u64 {
         self.cell.load(Ordering::Relaxed)
-    }
-}
-
-/// A last-write-wins `f64` metric (stored as bits in an atomic).
-#[derive(Clone, Debug, Default)]
-pub struct Gauge {
-    bits: Arc<AtomicU64>,
-}
-
-impl Gauge {
-    /// Set the gauge.
-    #[inline]
-    pub fn set(&self, v: f64) {
-        self.bits.store(v.to_bits(), Ordering::Relaxed);
-    }
-
-    /// Current value.
-    pub fn get(&self) -> f64 {
-        f64::from_bits(self.bits.load(Ordering::Relaxed))
     }
 }
 
@@ -244,7 +223,6 @@ struct SpanStat {
 #[derive(Default)]
 struct Inner {
     counters: Mutex<BTreeMap<String, Counter>>,
-    gauges: Mutex<BTreeMap<String, Gauge>>,
     histograms: Mutex<BTreeMap<String, Histogram>>,
     spans: Mutex<BTreeMap<String, SpanStat>>,
 }
@@ -287,12 +265,6 @@ impl Registry {
     /// Add `n` to the counter called `name`.
     pub fn add(&self, name: &str, n: u64) {
         self.counter(name).add(n);
-    }
-
-    /// Get or create the gauge called `name`.
-    pub fn gauge(&self, name: &str) -> Gauge {
-        let mut map = self.inner.gauges.lock().unwrap();
-        map.entry(name.to_string()).or_default().clone()
     }
 
     /// Get or create the histogram called `name`.
@@ -362,14 +334,6 @@ impl Registry {
             .iter()
             .map(|(k, v)| (k.clone(), v.get()))
             .collect();
-        let gauges = self
-            .inner
-            .gauges
-            .lock()
-            .unwrap()
-            .iter()
-            .map(|(k, v)| (k.clone(), v.get()))
-            .collect();
         let histograms = self
             .inner
             .histograms
@@ -388,7 +352,6 @@ impl Registry {
             .collect();
         Snapshot {
             counters,
-            gauges,
             histograms,
             spans,
         }
@@ -437,7 +400,6 @@ impl Drop for Span {
 #[derive(Clone, Debug, Default, PartialEq)]
 pub struct Snapshot {
     counters: BTreeMap<String, u64>,
-    gauges: BTreeMap<String, f64>,
     histograms: BTreeMap<String, HistogramStats>,
     spans: BTreeMap<String, SpanStat>,
 }
@@ -446,11 +408,6 @@ impl Snapshot {
     /// Value of a counter (0 when absent).
     pub fn counter(&self, name: &str) -> u64 {
         self.counters.get(name).copied().unwrap_or(0)
-    }
-
-    /// Value of a gauge, if present.
-    pub fn gauge(&self, name: &str) -> Option<f64> {
-        self.gauges.get(name).copied()
     }
 
     /// Aggregate of a histogram, if present.
@@ -485,7 +442,7 @@ impl Snapshot {
 
     /// Render as JSON.
     ///
-    /// Layout: `counters`, `gauges`, `histograms` and `spans` (call
+    /// Layout: `counters`, `histograms` and `spans` (call
     /// counts only) are deterministic for a fixed seed; every
     /// wall-clock measurement is confined to the trailing `"host"`
     /// subobject.
@@ -503,7 +460,6 @@ impl Snapshot {
     /// header) and then embed the snapshot's.
     pub fn write_fields(&self, w: &mut Writer) {
         w.key("counters").map(Layout::Lines, &self.counters);
-        w.key("gauges").map(Layout::Lines, &self.gauges);
         w.key("histograms").object(Layout::Lines, |w| {
             for (name, h) in &self.histograms {
                 // alphabetical keys, fixed-precision mean: clean line diffs
@@ -534,13 +490,6 @@ impl Snapshot {
             out.push_str("counters:\n");
             let w = self.counters.keys().map(String::len).max().unwrap_or(0);
             for (k, v) in &self.counters {
-                let _ = writeln!(out, "  {k:<w$}  {v}");
-            }
-        }
-        if !self.gauges.is_empty() {
-            out.push_str("gauges:\n");
-            let w = self.gauges.keys().map(String::len).max().unwrap_or(0);
-            for (k, v) in &self.gauges {
                 let _ = writeln!(out, "  {k:<w$}  {v}");
             }
         }
@@ -659,7 +608,6 @@ mod tests {
         let build = || {
             let reg = Registry::new();
             reg.add("a.count", 3);
-            reg.gauge("sim.us").set(12.5);
             reg.record("h", 7);
             let s = reg.span("phase");
             s.close();
@@ -676,7 +624,6 @@ mod tests {
         let host_at = json.find("\"host\"").expect("host subobject present");
         assert!(json.find("wall").unwrap() > host_at);
         assert!(json.contains("\"a.count\": 3"));
-        assert!(json.contains("\"sim.us\": 12.500000"), "{json}");
         assert!(json.contains("\"phase\": 1"));
     }
 
