@@ -3,7 +3,7 @@
 
 use crate::meta::ArtifactMeta;
 use std::fmt::Write as _;
-use std::path::PathBuf;
+use std::path::{Path, PathBuf};
 use stratmr_mapreduce::{analysis, JobTrace};
 use stratmr_telemetry::json;
 
@@ -80,7 +80,18 @@ pub fn fmt_duration_s(secs: f64) -> String {
     }
 }
 
-/// Write an experiment record as JSON under `target/experiments/`, so
+/// Where experiment records go: `<target dir>/experiments`, the target
+/// dir being `target_dir` (the value of `CARGO_TARGET_DIR`) when given,
+/// else `target/` at the repository root — the root the `BENCH_*.json`
+/// artifacts are written to, whatever the working directory.
+fn records_dir(target_dir: Option<std::ffi::OsString>) -> PathBuf {
+    target_dir
+        .map(PathBuf::from)
+        .unwrap_or_else(|| Path::new(env!("CARGO_MANIFEST_DIR")).join("../../target"))
+        .join("experiments")
+}
+
+/// Write an experiment record as JSON under [`records_dir`], so
 /// EXPERIMENTS.md entries are backed by machine-readable data. The file
 /// is `{"meta": <header>, "records": <array>}` with the common
 /// single-line meta header first.
@@ -89,9 +100,7 @@ pub(crate) fn write_record_json(
     meta: &ArtifactMeta,
     records_json: &str,
 ) -> std::io::Result<PathBuf> {
-    let dir =
-        PathBuf::from(std::env::var("CARGO_TARGET_DIR").unwrap_or_else(|_| "target".to_string()))
-            .join("experiments");
+    let dir = records_dir(std::env::var_os("CARGO_TARGET_DIR"));
     std::fs::create_dir_all(&dir)?;
     let path = dir.join(format!("{name}.json"));
     let body = json::document(json::INDENT, |w| {
@@ -199,6 +208,20 @@ mod tests {
         );
         let parsed = serde_json::parse_value_str(&body).expect("valid JSON");
         assert!(parsed.as_object().is_some());
+    }
+
+    #[test]
+    fn records_dir_is_anchored_at_the_repository_root() {
+        let dir = records_dir(None);
+        assert!(dir.is_absolute(), "{}", dir.display());
+        let root = Path::new(env!("CARGO_MANIFEST_DIR")).join("../..");
+        assert_eq!(dir, root.join("target/experiments"));
+        // the workspace manifest, where bench_suite writes BENCH_*.json
+        assert!(root.join("Cargo.toml").is_file() && root.join("bench/baselines").is_dir());
+        assert_eq!(
+            records_dir(Some("/elsewhere/tgt".into())),
+            Path::new("/elsewhere/tgt/experiments")
+        );
     }
 
     #[test]

@@ -48,7 +48,7 @@ use std::time::Instant;
 use stratmr_lp::{solve_ip, solve_lp, LpError, Problem, Relation, Solution};
 use stratmr_mapreduce::{mix_seed, Cluster, Emitter, InputSplit, JobError, JobStats};
 use stratmr_population::Individual;
-use stratmr_query::{MssdAnswer, MssdQuery, SsdAnswer, StratumMatcher, SurveySet};
+use stratmr_query::{MssdAnswer, MssdQuery, SelectionMatcher, SsdAnswer, SurveySet};
 use stratmr_telemetry::{json, Layout, Registry, Writer};
 
 /// Why a CPS run failed: the constraint program was unsolvable, or one
@@ -597,9 +597,9 @@ pub fn try_mr_cps_on_splits(
 
     // F(A_i, σ): each answer's tuples through the scan's σ interner
     // (§5.2.5.1)
-    let matchers = StratumMatcher::all(queries);
+    let matcher = SelectionMatcher::new(queries);
     let sampled: Vec<SigmaTally> = (0..n)
-        .map(|i| SigmaTally::of_tuples(initial.answer.answer(i).iter(), &matchers))
+        .map(|i| SigmaTally::of_tuples(initial.answer.answer(i).iter(), &matcher))
         .collect();
 
     // [[Q]]* — the relevant selections, in `StratumSelection` order: the
