@@ -75,7 +75,7 @@ fn bench_lp_decomposition(c: &mut Criterion) {
 }
 
 fn bench_stratum_match(c: &mut Criterion) {
-    use stratmr_query::StratumMatcher;
+    use stratmr_query::SelectionMatcher;
     let data = DblpGenerator::new(DblpConfig::default()).generate(20_000, 31);
     let qgen = QueryGenerator::new(DblpGenerator::schema());
     let mut rng = ChaCha8Rng::seed_from_u64(6);
@@ -96,18 +96,20 @@ fn bench_stratum_match(c: &mut Criterion) {
     // the build is inside the timed body, as in every sampling call
     group.bench_function("compiled_matcher", |b| {
         b.iter(|| {
-            let matcher = StratumMatcher::new(&query);
+            let matcher = SelectionMatcher::new(std::slice::from_ref(&query));
             let mut hits = 0usize;
             for t in data.tuples() {
-                if matcher.matching_stratum(black_box(t)).is_some() {
-                    hits += 1;
-                }
+                matcher.for_each_stratum(black_box(t), |_, k| hits += usize::from(k.is_some()));
             }
             black_box(hits)
         })
     });
     group.bench_function("compile_only", |b| {
-        b.iter(|| black_box(StratumMatcher::new(black_box(&query))))
+        b.iter(|| {
+            black_box(SelectionMatcher::new(std::slice::from_ref(black_box(
+                &query,
+            ))))
+        })
     });
     group.finish();
 }

@@ -17,14 +17,14 @@ use stratmr_mapreduce::{
     Cluster, CombineJob, Emitter, InputSplit, JobError, JobOutput, JobStats, TaskCtx,
 };
 use stratmr_population::Individual;
-use stratmr_query::{SsdQuery, StratumMatcher};
+use stratmr_query::{SelectionMatcher, SsdQuery};
 
 use crate::sst::StratumSelection;
 use crate::tally::SigmaTally;
 
 /// The Figure 4 counting job.
 pub(crate) struct LimitsJob<'a> {
-    matchers: Vec<StratumMatcher<'a>>,
+    matcher: SelectionMatcher<'a>,
     filter: Option<&'a HashSet<StratumSelection>>,
 }
 
@@ -32,7 +32,7 @@ impl<'a> LimitsJob<'a> {
     /// Count every selection occurring in the data.
     pub fn new(queries: &'a [SsdQuery]) -> Self {
         Self {
-            matchers: StratumMatcher::all(queries),
+            matcher: SelectionMatcher::new(queries),
             filter: None,
         }
     }
@@ -59,7 +59,7 @@ impl CombineJob for LimitsJob<'_> {
         t: &Individual,
         out: &mut Emitter<StratumSelection, u64, SigmaTally>,
     ) {
-        let sel = StratumSelection::of(t, &self.matchers);
+        let sel = StratumSelection::of(t, &self.matcher);
         out.side_mut().record(&sel);
         if let Some(filter) = self.filter {
             if !filter.contains(&sel) {

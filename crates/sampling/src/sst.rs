@@ -11,7 +11,7 @@
 
 use std::sync::Arc;
 use stratmr_population::Individual;
-use stratmr_query::{Formula, SsdQuery, StratumId, StratumMatcher, SurveySet};
+use stratmr_query::{Formula, SelectionMatcher, SsdQuery, StratumId, SurveySet};
 
 /// Sentinel for "no stratum of this query" in the packed representation.
 pub(crate) const NONE: i32 = -1;
@@ -37,15 +37,12 @@ impl StratumSelection {
         )
     }
 
-    /// The selection of tuple `t`: for each query (one matcher each),
+    /// The selection of tuple `t`: for each of the matcher's queries,
     /// the (unique) stratum constraint `t` satisfies.
-    pub fn of(t: &Individual, matchers: &[StratumMatcher<'_>]) -> Self {
-        Self(
-            matchers
-                .iter()
-                .map(|m| m.matching_stratum(t).map_or(NONE, |k| k as i32))
-                .collect(),
-        )
+    pub fn of(t: &Individual, matcher: &SelectionMatcher<'_>) -> Self {
+        let mut packed = Vec::with_capacity(matcher.len());
+        matcher.for_each_stratum(t, |_, k| packed.push(k.map_or(NONE, |k| k as i32)));
+        Self(packed.into())
     }
 
     /// Build from the packed form: one stratum index per query, [`NONE`]
@@ -153,7 +150,7 @@ mod tests {
     #[test]
     fn selection_of_tuple() {
         let qs = queries();
-        let ms = StratumMatcher::all(&qs);
+        let ms = SelectionMatcher::new(&qs);
         let sel = StratumSelection::of(&ind(0, 10), &ms);
         assert_eq!(sel.stratum_of(0), Some(0));
         assert_eq!(sel.stratum_of(1), Some(0));
@@ -169,7 +166,7 @@ mod tests {
     #[test]
     fn projection_and_formula_semantics() {
         let qs = queries();
-        let ms = StratumMatcher::all(&qs);
+        let ms = SelectionMatcher::new(&qs);
         let t = ind(0, 60); // Q1: stratum 1, Q2: stratum 1 (20..=79)
         let sel = StratumSelection::of(&t, &ms);
         // the tuple satisfies its own selection formula
@@ -189,7 +186,7 @@ mod tests {
     fn selections_partition_the_population() {
         // every tuple satisfies exactly one selection formula
         let qs = queries();
-        let ms = StratumMatcher::all(&qs);
+        let ms = SelectionMatcher::new(&qs);
         for v in 0..100 {
             let t = ind(v as u64, v);
             let own = StratumSelection::of(&t, &ms);
