@@ -3,7 +3,6 @@
 //! * **combiner vs. naive** — Figure 2's combiner against Figure 1's
 //!   everything-over-the-network baseline (time here; shuffle volume is
 //!   asserted in unit tests and printed by the quickstart example);
-//! * **block-decomposed vs. joint LP** — DESIGN.md substitution 4;
 //! * **reference scan vs. compiled matcher** — first-match stratum
 //!   lookup on a Large-shape query.
 
@@ -15,7 +14,6 @@ use stratmr_mapreduce::Cluster;
 use stratmr_population::dblp::{DblpConfig, DblpGenerator};
 use stratmr_population::Placement;
 use stratmr_query::{GroupSpec, QueryGenerator};
-use stratmr_sampling::cps::{try_mr_cps_on_splits, CpsConfig};
 use stratmr_sampling::naive::naive_sqe_on_splits;
 use stratmr_sampling::sqe::try_mr_sqe_on_splits;
 use stratmr_sampling::to_input_splits;
@@ -45,32 +43,6 @@ fn bench_combiner_vs_naive(c: &mut Criterion) {
             black_box(try_mr_sqe_on_splits(&cluster, &splits, &query, seed).unwrap())
         })
     });
-    group.finish();
-}
-
-fn bench_lp_decomposition(c: &mut Criterion) {
-    let data = DblpGenerator::new(DblpConfig::default()).generate(15_000, 22);
-    let dist = data.distribute(2, 4, Placement::RoundRobin);
-    let splits = to_input_splits(&dist);
-    let cluster = Cluster::new(2);
-    let qgen = QueryGenerator::new(DblpGenerator::schema());
-    let mssd = qgen.generate_paper_group_on(&GroupSpec::MEDIUM, 200, data.tuples(), 13);
-
-    let mut group = c.benchmark_group("ablation/lp");
-    group.sample_size(10);
-    for (name, joint) in [("blockwise", false), ("joint", true)] {
-        group.bench_function(name, |b| {
-            let config = CpsConfig {
-                joint_formulation: joint,
-                ..CpsConfig::mr_cps()
-            };
-            let mut seed = 0u64;
-            b.iter(|| {
-                seed += 1;
-                black_box(try_mr_cps_on_splits(&cluster, &splits, &mssd, config, seed).unwrap())
-            })
-        });
-    }
     group.finish();
 }
 
@@ -122,7 +94,6 @@ criterion_group!(
         .measurement_time(Duration::from_secs(3));
     targets =
     bench_combiner_vs_naive,
-    bench_lp_decomposition,
     bench_stratum_match
 );
 criterion_main!(benches);

@@ -91,16 +91,17 @@ pub fn run(env: &BenchEnv, obs: &Obs) -> ExpOutput {
         let recovery_plan = crash_plan.clone().slow((crash_node + 1) % slaves, 2.5);
         let conditions: Vec<(&str, &str, Cluster)> = vec![
             ("healthy", "healthy", obs.cluster(Cluster::new(slaves))),
-            ("one straggler (3× slow)", "straggler", {
-                let mut speeds = vec![1.0; slaves];
-                speeds[slaves - 1] = 3.0;
-                obs.cluster(Cluster::new(slaves).with_machine_slowness(speeds))
-            }),
             (
-                "10% task failures",
-                "failures",
-                obs.cluster(Cluster::new(slaves).with_failures(0.10)),
+                "one straggler (3× slow)",
+                "straggler",
+                obs.cluster(
+                    Cluster::new(slaves).with_fault_plan(FaultPlan::new().slow(slaves - 1, 3.0)),
+                ),
             ),
+            ("10% task failures", "failures", {
+                let flaky = (0..slaves).fold(FaultPlan::new(), |plan, m| plan.flaky(m, 0.10));
+                obs.cluster(Cluster::new(slaves).with_fault_plan(flaky))
+            }),
             (
                 "node crash (map outputs lost)",
                 "crash",

@@ -24,11 +24,11 @@ pub struct NodeFault {
     /// the node never comes back for the rest of the job.
     pub crash_at_us: Option<f64>,
     /// Persistent slowness multiplier (1.0 = nominal, 3.0 = a third of
-    /// the speed). Composes with [`crate::Cluster::with_machine_slowness`].
+    /// the speed): a task on the node takes this many times its nominal
+    /// simulated time.
     pub slowdown: f64,
-    /// Per-attempt failure probability on this node, combined with the
-    /// cluster-wide [`crate::Cluster::with_failures`] probability as
-    /// independent events.
+    /// Probability that each task attempt on this node fails
+    /// independently and is retried.
     pub flaky_prob: f64,
 }
 
@@ -92,6 +92,11 @@ impl FaultPlan {
     /// The fault assigned to `machine` (benign default when unset).
     pub fn fault(&self, machine: usize) -> NodeFault {
         self.faults.get(&machine).copied().unwrap_or_default()
+    }
+
+    /// The highest machine index the plan names, if any.
+    pub(crate) fn last_machine(&self) -> Option<usize> {
+        self.faults.keys().next_back().copied()
     }
 
     /// True when no machine has a non-benign fault.

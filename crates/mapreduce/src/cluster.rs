@@ -22,7 +22,7 @@
 //!   the job seed, and none of it able to change job *results*, because
 //!   task outputs are computed before the schedule is replayed.
 //!
-//! Without a fault plan the schedule degenerates to the original
+//! Under an empty fault plan the schedule degenerates to the original
 //! back-to-back model and the simulated makespan is
 //! `job_overhead + max_machine(map work) + max_partition(shuffle) +
 //!  max_machine(reduce work)`.
@@ -155,13 +155,8 @@ pub struct Cluster {
     machines: usize,
     reduce_tasks: usize,
     costs: CostConfig,
-    /// Per-machine slowness factor (1.0 = nominal); lets experiments
-    /// model heterogeneous fleets and stragglers.
-    speeds: Vec<f64>,
-    /// Probability that any task attempt fails and is retried.
-    failure_prob: f64,
-    /// Node-level faults replayed by the scheduler.
-    fault_plan: Option<FaultPlan>,
+    /// Node-level faults replayed by the scheduler (empty: healthy).
+    fault_plan: FaultPlan,
     /// Max failed attempts per task before `RetriesExhausted`; `None`
     /// is unbounded (up to an internal safety valve).
     retry_budget: Option<u32>,
@@ -189,9 +184,7 @@ impl Cluster {
             machines,
             reduce_tasks: machines,
             costs: CostConfig::default(),
-            speeds: vec![1.0; machines],
-            failure_prob: 0.0,
-            fault_plan: None,
+            fault_plan: FaultPlan::new(),
             retry_budget: None,
             retry_backoff_us: 0.0,
             blacklist_after: None,
@@ -215,44 +208,26 @@ impl Cluster {
         self
     }
 
-    /// Set per-machine slowness factors: a task on machine `m` takes
-    /// `factors[m]` times its nominal simulated time. Factors must be
-    /// positive; `1.0` is nominal, `2.0` is half speed.
-    ///
-    /// # Panics
-    /// Panics if the length differs from the machine count or a factor
-    /// is not positive.
-    pub fn with_machine_slowness(mut self, factors: Vec<f64>) -> Self {
-        assert_eq!(factors.len(), self.machines, "one factor per machine");
-        assert!(factors.iter().all(|&f| f > 0.0), "factors must be positive");
-        self.speeds = factors;
-        self
-    }
-
-    /// Inject task failures: each task *attempt* fails independently
-    /// with probability `prob` and is retried, exactly as Hadoop re-runs
-    /// failed tasks. Failures are deterministic in the job seed, and a
-    /// retry re-executes the task with the same task seed, so job
-    /// *results* are identical with and without failures — only the
-    /// simulated time, the schedule and the retry counters change.
-    ///
-    /// `prob = 1.0` makes every attempt fail; the job then terminates
-    /// with [`JobError::RetriesExhausted`] once the retry budget (or the
-    /// internal safety valve) is consumed.
-    ///
-    /// # Panics
-    /// Panics unless `0.0 ≤ prob ≤ 1.0`.
-    pub fn with_failures(mut self, prob: f64) -> Self {
-        assert!((0.0..=1.0).contains(&prob), "prob must be in [0, 1]");
-        self.failure_prob = prob;
-        self
-    }
-
     /// Replay a node-level [`FaultPlan`] (crashes, slowness, flakiness)
     /// during every job run on this cluster. Faults change the schedule,
-    /// the simulated times and the counters — never the results.
+    /// the simulated times and the counters — never the results: a
+    /// failed attempt is retried with the same task seed, exactly as
+    /// Hadoop re-runs failed tasks. A node flaky with probability `1.0`
+    /// fails every attempt; a task homed there ends in
+    /// [`JobError::RetriesExhausted`] once the retry budget (or the
+    /// internal safety valve) is consumed, unless blacklisting moves it.
+    ///
+    /// # Panics
+    /// Panics if the plan names a machine the cluster does not have.
     pub fn with_fault_plan(mut self, plan: FaultPlan) -> Self {
-        self.fault_plan = Some(plan);
+        if let Some(m) = plan.last_machine() {
+            assert!(
+                m < self.machines,
+                "fault plan names machine {m}, but the cluster has {} machines",
+                self.machines
+            );
+        }
+        self.fault_plan = plan;
         self
     }
 
@@ -337,17 +312,13 @@ impl Cluster {
         self.trace.as_ref()
     }
 
-    /// Set the job name recorded on traces from this cluster.
-    pub fn with_job_name(mut self, name: impl Into<String>) -> Self {
-        self.job_name = Some(name.into());
-        self
-    }
-
     /// A handle to the same cluster (shared sinks) running jobs under
     /// `name`, overriding any previously set name. Used by drivers that
     /// run several logical jobs on one cluster (e.g. CPS phases).
     pub fn named(&self, name: &str) -> Self {
-        self.clone().with_job_name(name)
+        let mut named = self.clone();
+        named.job_name = Some(name.to_string());
+        named
     }
 
     /// Like [`Cluster::named`], but keeps an already-set name, so an
@@ -567,18 +538,14 @@ impl Cluster {
         // ---- replay the map schedule (outputs are already computed,
         // so faults can only move time around) ---------------------------
         let knobs = sched::Knobs {
-            base_fail_prob: self.failure_prob,
             task_overhead_us: costs.task_overhead_us,
             retry_budget: self.retry_budget,
             retry_backoff_us: self.retry_backoff_us,
             blacklist_after: self.blacklist_after,
             speculation_threshold: self.speculation_threshold,
         };
-        let mut machines = sched::MachineState::build(
-            &self.speeds,
-            self.fault_plan.as_ref(),
-            costs.job_overhead_us,
-        );
+        let mut machines =
+            sched::MachineState::build(self.machines, &self.fault_plan, costs.job_overhead_us);
         let map_sched: Vec<sched::SchedTask> = tasks
             .iter()
             .map(|t| sched::SchedTask {
@@ -1166,6 +1133,13 @@ mod tests {
         assert_eq!(a.stats.shuffle_bytes, b.stats.shuffle_bytes);
     }
 
+    /// `machines` machines whose every task attempt fails independently
+    /// with probability `p`.
+    fn flaky_cluster(machines: usize, p: f64) -> Cluster {
+        let plan = (0..machines).fold(FaultPlan::new(), |plan, m| plan.flaky(m, p));
+        Cluster::new(machines).with_fault_plan(plan)
+    }
+
     /// A scan-heavy job shared by the fault-model tests below.
     struct Scan;
     impl Job for Scan {
@@ -1195,7 +1169,7 @@ mod tests {
             .sim
             .makespan_us;
         let straggling = Cluster::new(4)
-            .with_machine_slowness(vec![1.0, 1.0, 1.0, 3.0])
+            .with_fault_plan(FaultPlan::new().slow(3, 3.0))
             .try_run(&Scan, &splits, 0)
             .unwrap()
             .stats
@@ -1214,7 +1188,7 @@ mod tests {
         let splits = make_splits(corpus(), 4, 2);
         let clean = Cluster::new(2);
         // high failure rate so retries certainly occur
-        let flaky = Cluster::new(2).with_failures(0.4);
+        let flaky = flaky_cluster(2, 0.4);
         let a = clean.try_run(&WordCount, &splits, 11).unwrap();
         let b = flaky.try_run(&WordCount, &splits, 11).unwrap();
         assert_eq!(
@@ -1236,7 +1210,7 @@ mod tests {
     #[test]
     fn failure_injection_is_deterministic() {
         let splits = make_splits(corpus(), 3, 2);
-        let flaky = Cluster::new(2).with_failures(0.3);
+        let flaky = flaky_cluster(2, 0.3);
         let a = flaky.try_run(&WordCount, &splits, 5).unwrap();
         let b = flaky.try_run(&WordCount, &splits, 5).unwrap();
         assert_eq!(a.stats.map_task_retries, b.stats.map_task_retries);
@@ -1251,7 +1225,7 @@ mod tests {
         // prob = 1.0 is now legal: with a budget the job fails fast with
         // a typed error instead of silently capping at 16 attempts
         let splits = make_splits(corpus(), 2, 2);
-        let cluster = Cluster::new(2).with_failures(1.0).with_retry_budget(4);
+        let cluster = flaky_cluster(2, 1.0).with_retry_budget(4);
         let err = cluster.try_run(&WordCount, &splits, 1).unwrap_err();
         assert_eq!(
             err,
@@ -1270,7 +1244,7 @@ mod tests {
     #[test]
     fn certain_failure_without_budget_hits_the_safety_valve() {
         let splits = make_splits(corpus(), 1, 1);
-        let cluster = Cluster::new(1).with_failures(1.0);
+        let cluster = flaky_cluster(1, 1.0);
         let err = cluster.try_run(&WordCount, &splits, 1).unwrap_err();
         assert!(
             matches!(
@@ -1288,13 +1262,13 @@ mod tests {
     #[test]
     #[should_panic(expected = "prob must be in [0, 1]")]
     fn failure_prob_validated() {
-        let _ = Cluster::new(1).with_failures(1.5);
+        let _ = FaultPlan::new().flaky(0, 1.5);
     }
 
     #[test]
-    #[should_panic(expected = "one factor per machine")]
-    fn slowness_arity_checked() {
-        let _ = Cluster::new(3).with_machine_slowness(vec![1.0]);
+    #[should_panic(expected = "fault plan names machine 3, but the cluster has 3 machines")]
+    fn fault_plan_machines_checked() {
+        let _ = Cluster::new(3).with_fault_plan(FaultPlan::new().slow(3, 2.0));
     }
 
     #[test]
@@ -1405,10 +1379,8 @@ mod tests {
     #[test]
     fn backoff_extends_the_makespan_without_changing_retries() {
         let splits = make_splits(corpus(), 4, 2);
-        let base = Cluster::new(2).with_failures(0.4);
-        let backed = Cluster::new(2)
-            .with_failures(0.4)
-            .with_retry_backoff(500_000.0);
+        let base = flaky_cluster(2, 0.4);
+        let backed = flaky_cluster(2, 0.4).with_retry_backoff(500_000.0);
         let a = base.try_run(&WordCount, &splits, 11).unwrap();
         let b = backed.try_run(&WordCount, &splits, 11).unwrap();
         assert!(a.stats.map_task_retries + a.stats.reduce_task_retries > 0);

@@ -13,9 +13,8 @@
 //! * placement — a task prefers its home machine (data locality); when
 //!   the home node is dead or blacklisted it falls back to the healthy
 //!   machine that can start it earliest;
-//! * failure injection — the attempt's deterministic roll combines the
-//!   cluster-wide failure probability with the node's flakiness; a
-//!   failed attempt costs `task_overhead + work/2`, consumes one unit of
+//! * failure injection — the attempt's deterministic roll against the
+//!   node's flakiness; a failed attempt costs `task_overhead + work/2`, consumes one unit of
 //!   the task's retry budget and backs off exponentially;
 //! * crashes — an attempt overlapping its node's crash time is killed at
 //!   the crash; the node is dead for the rest of the job and (in the map
@@ -56,7 +55,6 @@ impl SchedTask {
 
 /// The cluster's fault-tolerance knobs, resolved once per job.
 pub(crate) struct Knobs {
-    pub base_fail_prob: f64,
     pub task_overhead_us: f64,
     pub retry_budget: Option<u32>,
     pub retry_backoff_us: f64,
@@ -71,31 +69,34 @@ pub(crate) struct MachineState {
     pub dead: bool,
     pub blacklisted: bool,
     pub failures: u32,
-    /// Effective slowness: cluster speed factor × fault-plan slowdown.
+    /// Slowness factor from the fault plan (1.0 = nominal).
     pub speed: f64,
-    /// Fault-plan per-attempt failure probability on this node.
-    pub flaky: f64,
+    /// Per-attempt failure probability the roll is made against.
+    pub fail_prob: f64,
 }
 
 impl MachineState {
     pub fn build(
-        speeds: &[f64],
-        plan: Option<&crate::chaos::FaultPlan>,
+        machines: usize,
+        plan: &crate::chaos::FaultPlan,
         start_at: f64,
     ) -> Vec<MachineState> {
-        speeds
-            .iter()
-            .enumerate()
-            .map(|(m, &speed)| {
-                let f = plan.map(|p| p.fault(m)).unwrap_or_default();
+        (0..machines)
+            .map(|m| {
+                let f = plan.fault(m);
                 MachineState {
                     free_at: start_at,
                     crash_at: f.crash_at_us.unwrap_or(f64::INFINITY),
                     dead: false,
                     blacklisted: false,
                     failures: 0,
-                    speed: speed * f.slowdown,
-                    flaky: f.flaky_prob,
+                    speed: f.slowdown,
+                    // `1 − (1 − p)`, not `p`: the roll threshold is
+                    // `p × u32::MAX` truncated, and the two forms differ
+                    // in the last bit for some `p` (0.2 among them).
+                    // Recorded goldens, baselines and chaos artifacts
+                    // were rolled against this form.
+                    fail_prob: 1.0 - (1.0 - f.flaky_prob),
                 }
             })
             .collect()
@@ -254,7 +255,7 @@ impl<'a> PhaseRun<'a> {
             let start = ms[m].free_at.max(ready);
             let att = self.next_attempt[t];
             self.next_attempt[t] += 1;
-            let p = combined_fail_prob(self.knobs.base_fail_prob, ms[m].flaky);
+            let p = ms[m].fail_prob;
             let fails = self.roll_fails(t, self.fail_count[t], self.exec_round[t], p, false);
             let nominal = if fails {
                 self.knobs.task_overhead_us + 0.5 * work
@@ -368,7 +369,7 @@ impl<'a> PhaseRun<'a> {
         let b_att = self.next_attempt[t];
         self.next_attempt[t] += 1;
         self.spec_attempts += 1;
-        let p = combined_fail_prob(self.knobs.base_fail_prob, ms[b].flaky);
+        let p = ms[b].fail_prob;
         let b_fails = self.roll_fails(t, self.fail_count[t], self.exec_round[t], p, true);
         let b_nominal = if b_fails {
             self.knobs.task_overhead_us + 0.5 * work
@@ -563,19 +564,13 @@ impl<'a> PhaseRun<'a> {
     }
 }
 
-/// Independent combination of the cluster-wide and per-node failure
-/// probabilities.
-fn combined_fail_prob(base: f64, flaky: f64) -> f64 {
-    (1.0 - (1.0 - base) * (1.0 - flaky)).clamp(0.0, 1.0)
-}
-
 #[cfg(test)]
 mod tests {
     use super::*;
+    use crate::chaos::FaultPlan;
 
     fn knobs() -> Knobs {
         Knobs {
-            base_fail_prob: 0.0,
             task_overhead_us: 10.0,
             retry_budget: None,
             retry_backoff_us: 0.0,
@@ -585,7 +580,12 @@ mod tests {
     }
 
     fn machines(n: usize) -> Vec<MachineState> {
-        MachineState::build(&vec![1.0; n], None, 0.0)
+        MachineState::build(n, &FaultPlan::new(), 0.0)
+    }
+
+    /// One machine whose every attempt fails with probability `p`.
+    fn flaky_machine(p: f64) -> Vec<MachineState> {
+        MachineState::build(1, &FaultPlan::new().flaky(0, p), 0.0)
     }
 
     fn tasks(works: &[f64]) -> Vec<SchedTask> {
@@ -617,8 +617,8 @@ mod tests {
     fn crash_reassigns_and_reexecutes_lost_outputs() {
         let k = knobs();
         let ts = tasks(&[100.0, 100.0]);
-        let plan = crate::chaos::FaultPlan::new().crash(0, 150.0);
-        let mut ms = MachineState::build(&[1.0, 1.0], Some(&plan), 0.0);
+        let plan = FaultPlan::new().crash(0, 150.0);
+        let mut ms = MachineState::build(2, &plan, 0.0);
         let mut run = PhaseRun::new(&k, &ts, "map", 0, 1, 0.0, true);
         run.drain(&mut ms).unwrap();
         // task 0 completed on machine 0 before the crash
@@ -636,8 +636,8 @@ mod tests {
     fn all_machines_dead_is_a_typed_error() {
         let k = knobs();
         let ts = tasks(&[100.0]);
-        let plan = crate::chaos::FaultPlan::new().crash(0, 0.0);
-        let mut ms = MachineState::build(&[1.0], Some(&plan), 0.0);
+        let plan = FaultPlan::new().crash(0, 0.0);
+        let mut ms = MachineState::build(1, &plan, 0.0);
         let mut run = PhaseRun::new(&k, &ts, "map", 0, 1, 0.0, true);
         let err = run.drain(&mut ms).unwrap_err();
         assert!(matches!(err, JobError::NoHealthyMachines { task: 0, .. }));
@@ -646,12 +646,11 @@ mod tests {
     #[test]
     fn certain_failure_exhausts_the_budget() {
         let k = Knobs {
-            base_fail_prob: 1.0,
             retry_budget: Some(3),
             ..knobs()
         };
         let ts = tasks(&[100.0]);
-        let mut ms = machines(1);
+        let mut ms = flaky_machine(1.0);
         let mut run = PhaseRun::new(&k, &ts, "reduce", 1, 9, 0.0, false);
         let err = run.drain(&mut ms).unwrap_err();
         assert_eq!(
@@ -671,25 +670,21 @@ mod tests {
 
     #[test]
     fn backoff_delays_the_retry() {
-        let base = Knobs {
-            base_fail_prob: 0.4,
-            ..knobs()
-        };
+        let base = knobs();
         let with_backoff = Knobs {
-            base_fail_prob: 0.4,
             retry_backoff_us: 50.0,
             ..knobs()
         };
         // find a seed with at least one failure so backoff matters
         for seed in 0..64 {
             let ts = tasks(&[100.0]);
-            let mut ms_a = machines(1);
+            let mut ms_a = flaky_machine(0.4);
             let mut a = PhaseRun::new(&base, &ts, "map", 0, seed, 0.0, true);
             a.drain(&mut ms_a).unwrap();
             if a.retries == 0 {
                 continue;
             }
-            let mut ms_b = machines(1);
+            let mut ms_b = flaky_machine(0.4);
             let mut b = PhaseRun::new(&with_backoff, &ts, "map", 0, seed, 0.0, true);
             b.drain(&mut ms_b).unwrap();
             assert_eq!(a.retries, b.retries, "backoff must not change rolls");
@@ -710,7 +705,7 @@ mod tests {
             blacklist_after: Some(2),
             ..knobs()
         };
-        let plan = crate::chaos::FaultPlan::new().flaky(0, 1.0);
+        let plan = FaultPlan::new().flaky(0, 1.0);
         // every task homes on the flaky machine
         let ts: Vec<SchedTask> = (0..4)
             .map(|_| SchedTask {
@@ -719,7 +714,7 @@ mod tests {
                 home: 0,
             })
             .collect();
-        let mut ms = MachineState::build(&[1.0, 1.0], Some(&plan), 0.0);
+        let mut ms = MachineState::build(2, &plan, 0.0);
         let mut run = PhaseRun::new(&k, &ts, "map", 0, 3, 0.0, true);
         run.drain(&mut ms).unwrap();
         assert!(ms[0].blacklisted);
@@ -736,9 +731,9 @@ mod tests {
             speculation_threshold: Some(2.0),
             ..knobs()
         };
-        let plan = crate::chaos::FaultPlan::new().slow(0, 10.0);
+        let plan = FaultPlan::new().slow(0, 10.0);
         let ts = tasks(&[100.0, 100.0]);
-        let mut ms = MachineState::build(&[1.0, 1.0], Some(&plan), 0.0);
+        let mut ms = MachineState::build(2, &plan, 0.0);
         let mut run = PhaseRun::new(&k, &ts, "map", 0, 1, 0.0, true);
         run.drain(&mut ms).unwrap();
         assert_eq!(run.spec_attempts, 1);

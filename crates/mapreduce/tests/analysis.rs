@@ -12,8 +12,8 @@
 use proptest::prelude::*;
 use stratmr_mapreduce::analysis::{critical_path, shuffle_skew, stragglers, summarize};
 use stratmr_mapreduce::{
-    make_splits, Cluster, CostConfig, Emitter, Job, JobTrace, SimTime, TaskCtx, TracePhase,
-    TraceSink,
+    make_splits, Cluster, CostConfig, Emitter, FaultPlan, Job, JobTrace, SimTime, TaskCtx,
+    TracePhase, TraceSink,
 };
 
 struct KeyedSum;
@@ -41,6 +41,17 @@ fn records(n: u64) -> Vec<(u8, i64)> {
     (0..n).map(|i| ((i % 16) as u8, i as i64)).collect()
 }
 
+/// Machine `m` runs `slowness[m]` times slower than nominal, and every
+/// task attempt fails independently with probability `p`.
+fn fleet(slowness: &[f64], p: f64) -> FaultPlan {
+    slowness
+        .iter()
+        .enumerate()
+        .fold(FaultPlan::new(), |plan, (m, &s)| {
+            plan.slow(m, s).flaky(m, p)
+        })
+}
+
 fn rel_err(a: f64, b: f64) -> f64 {
     (a - b).abs() / b.abs().max(1.0)
 }
@@ -51,8 +62,7 @@ fn critical_path_sums_to_makespan_with_slowness_and_failures() {
     // injection, and the *default* cost model
     let sink = TraceSink::new();
     let cluster = Cluster::new(4)
-        .with_machine_slowness(vec![1.0, 1.3, 2.5, 0.8])
-        .with_failures(0.3)
+        .with_fault_plan(fleet(&[1.0, 1.3, 2.5, 0.8], 0.3))
         .with_reduce_tasks(7)
         .with_trace(sink.clone());
     let splits = make_splits(records(500), 11, 4);
@@ -85,7 +95,7 @@ fn critical_path_sums_to_makespan_with_slowness_and_failures() {
 fn straggler_machine_is_detected_and_attributed() {
     let sink = TraceSink::new();
     let cluster = Cluster::new(4)
-        .with_machine_slowness(vec![1.0, 1.0, 1.0, 3.0])
+        .with_fault_plan(FaultPlan::new().slow(3, 3.0))
         .with_trace(sink.clone());
     // 8 equal splits → 2 per machine, so machine 3's 3× slowness is a
     // pure straggler signal
@@ -129,9 +139,9 @@ fn skew_report_matches_shuffle_accounting() {
 fn summary_renders_the_schedule() {
     let sink = TraceSink::new();
     let cluster = Cluster::new(3)
-        .with_machine_slowness(vec![1.0, 1.0, 3.0])
+        .with_fault_plan(FaultPlan::new().slow(2, 3.0))
         .with_trace(sink.clone())
-        .with_job_name("demo");
+        .named("demo");
     let splits = make_splits(records(300), 6, 3);
     cluster.try_run(&KeyedSum, &splits, 2).unwrap();
     let job = &sink.jobs()[0];
@@ -216,14 +226,11 @@ proptest! {
         seed in any::<u64>(),
     ) {
         let sink = TraceSink::new();
-        let mut cluster = Cluster::new(machines)
+        let cluster = Cluster::new(machines)
             .with_costs(costs)
             .with_reduce_tasks(reduce_tasks)
-            .with_machine_slowness(slowness[..machines].to_vec())
+            .with_fault_plan(fleet(&slowness[..machines], failure_prob))
             .with_trace(sink.clone());
-        if failure_prob > 0.0 {
-            cluster = cluster.with_failures(failure_prob);
-        }
         let splits = make_splits(records(n_records), n_splits, machines);
         let out = cluster.try_run(&KeyedSum, &splits, seed).unwrap();
 

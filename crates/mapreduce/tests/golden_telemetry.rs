@@ -12,7 +12,7 @@
 //! ```
 
 use std::path::PathBuf;
-use stratmr_mapreduce::{make_splits, Cluster, CombineJob, Emitter, TaskCtx};
+use stratmr_mapreduce::{make_splits, Cluster, CombineJob, Emitter, FaultPlan, TaskCtx};
 use stratmr_telemetry::Registry;
 
 struct WordLen;
@@ -52,8 +52,10 @@ fn golden_path() -> PathBuf {
 #[test]
 fn telemetry_json_export_is_byte_stable() {
     let registry = Registry::new();
+    // every attempt on every machine fails with probability 0.25
+    let flaky = (0..3).fold(FaultPlan::new(), |plan, m| plan.flaky(m, 0.25));
     let cluster = Cluster::new(3)
-        .with_failures(0.25)
+        .with_fault_plan(flaky)
         .with_telemetry(registry.clone());
     let words: Vec<String> = (0..64u64)
         .map(|i| "x".repeat((i % 7 + 1) as usize))

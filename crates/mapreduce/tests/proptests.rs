@@ -60,6 +60,11 @@ impl CombineJob for SumJobCombined {
     }
 }
 
+/// Every machine's task attempts fail independently with probability `p`.
+fn flaky_everywhere(machines: usize, p: f64) -> FaultPlan {
+    (0..machines).fold(FaultPlan::new(), |plan, m| plan.flaky(m, p))
+}
+
 /// Run one plain + one combined job on a telemetry-instrumented cluster
 /// and return the host-independent snapshot.
 fn instrumented_snapshot(
@@ -70,10 +75,9 @@ fn instrumented_snapshot(
 ) -> Snapshot {
     let registry = Registry::new();
     let splits = make_splits(records.to_vec(), 4, machines);
-    let mut cluster = Cluster::new(machines).with_telemetry(registry.clone());
-    if failure_prob > 0.0 {
-        cluster = cluster.with_failures(failure_prob);
-    }
+    let cluster = Cluster::new(machines)
+        .with_fault_plan(flaky_everywhere(machines, failure_prob))
+        .with_telemetry(registry.clone());
     cluster.try_run(&SumJob, &splits, seed).unwrap();
     cluster
         .try_run_with_combiner(&SumJobCombined, &splits, seed ^ 0x5A5A)
@@ -124,7 +128,7 @@ proptest! {
         let splits = make_splits(records.clone(), 4, 2);
         let clean = Cluster::new(2).try_run(&SumJob, &splits, seed).unwrap();
         let flaky = Cluster::new(2)
-            .with_failures(prob)
+            .with_fault_plan(flaky_everywhere(2, prob))
             .try_run(&SumJob, &splits, seed)
             .unwrap();
         let a: HashMap<u8, i64> = clean.results.into_iter().collect();

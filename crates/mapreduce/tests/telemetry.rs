@@ -3,7 +3,9 @@
 //! in the driver's accounting pass. The two accountings must agree on
 //! every job, for every cluster shape, with and without failures.
 
-use stratmr_mapreduce::{make_splits, Cluster, CombineJob, Emitter, Job, JobStats, TaskCtx};
+use stratmr_mapreduce::{
+    make_splits, Cluster, CombineJob, Emitter, FaultPlan, Job, JobStats, TaskCtx,
+};
 use stratmr_telemetry::Registry;
 
 struct SumJob;
@@ -138,8 +140,9 @@ fn counters_agree_with_job_stats_on_every_job() {
 fn retry_counters_agree_under_failures() {
     let registry = Registry::new();
     let mut expected = Expected::default();
+    let flaky = FaultPlan::new().flaky(0, 0.4).flaky(1, 0.4);
     let cluster = Cluster::new(2)
-        .with_failures(0.4)
+        .with_fault_plan(flaky)
         .with_telemetry(registry.clone());
     let splits = make_splits(records(120), 6, 2);
     for seed in 0..10u64 {

@@ -16,7 +16,7 @@
 use proptest::prelude::*;
 use std::path::PathBuf;
 use stratmr_mapreduce::{
-    make_splits, Cluster, CombineJob, Emitter, JobTrace, TaskCtx, TracePhase, TraceSink,
+    make_splits, Cluster, CombineJob, Emitter, FaultPlan, JobTrace, TaskCtx, TracePhase, TraceSink,
 };
 
 struct WordLen;
@@ -53,14 +53,19 @@ fn words(n: u64) -> Vec<String> {
     (0..n).map(|i| "x".repeat((i % 7 + 1) as usize)).collect()
 }
 
+/// A traced cluster of `machines` whose every task attempt fails
+/// independently with probability `p`, running jobs named `name`.
+fn flaky_cluster(machines: usize, p: f64, sink: &TraceSink, name: &str) -> Cluster {
+    let plan = (0..machines).fold(FaultPlan::new(), |plan, m| plan.flaky(m, p));
+    Cluster::new(machines)
+        .with_fault_plan(plan)
+        .with_trace(sink.clone())
+        .named(name)
+}
+
 fn traced_run(machines: usize, failure_prob: f64, seed: u64) -> Vec<JobTrace> {
     let sink = TraceSink::new();
-    let mut cluster = Cluster::new(machines)
-        .with_trace(sink.clone())
-        .with_job_name("wordlen");
-    if failure_prob > 0.0 {
-        cluster = cluster.with_failures(failure_prob);
-    }
+    let cluster = flaky_cluster(machines, failure_prob, &sink, "wordlen");
     let splits = make_splits(words(64), 5, machines);
     cluster
         .try_run_with_combiner(&WordLen, &splits, seed)
@@ -71,10 +76,7 @@ fn traced_run(machines: usize, failure_prob: f64, seed: u64) -> Vec<JobTrace> {
 #[test]
 fn trace_stream_is_sorted_and_complete() {
     let sink = TraceSink::new();
-    let cluster = Cluster::new(3)
-        .with_failures(0.25)
-        .with_trace(sink.clone())
-        .with_job_name("wordlen");
+    let cluster = flaky_cluster(3, 0.25, &sink, "wordlen");
     let splits = make_splits(words(64), 5, 3);
     let out = cluster
         .try_run_with_combiner(&WordLen, &splits, 0xDEAD_BEEF)
@@ -137,10 +139,7 @@ fn trace_stream_is_sorted_and_complete() {
 fn chrome_trace_export_is_byte_identical_across_runs() {
     let export = |seed| {
         let sink = TraceSink::new();
-        let cluster = Cluster::new(4)
-            .with_failures(0.2)
-            .with_trace(sink.clone())
-            .with_job_name("repro");
+        let cluster = flaky_cluster(4, 0.2, &sink, "repro");
         let splits = make_splits(words(128), 9, 4);
         cluster
             .try_run_with_combiner(&WordLen, &splits, seed)
@@ -158,10 +157,7 @@ fn chrome_trace_export_is_byte_identical_across_runs() {
 #[test]
 fn chrome_trace_export_matches_golden_file() {
     let sink = TraceSink::new();
-    let cluster = Cluster::new(3)
-        .with_failures(0.25)
-        .with_trace(sink.clone())
-        .with_job_name("wordlen");
+    let cluster = flaky_cluster(3, 0.25, &sink, "wordlen");
     let splits = make_splits(words(64), 5, 3);
     cluster
         .try_run_with_combiner(&WordLen, &splits, 0xDEAD_BEEF)
@@ -211,7 +207,7 @@ proptest! {
 }
 
 /// Counter, span and job names reach the JSON exports verbatim through
-/// `Registry::counter`, `Registry::span` and `Cluster::with_job_name`.
+/// `Registry::counter`, `Registry::span` and `Cluster::named`.
 /// A control character or a combining accent must still come out as
 /// valid JSON that parses back to the same name.
 #[test]
@@ -226,7 +222,7 @@ fn exports_escape_hostile_names() {
         drop(registry.span(name));
         Cluster::new(2)
             .with_trace(sink.clone())
-            .with_job_name(name)
+            .named(name)
             .try_run_with_combiner(&WordLen, &make_splits(words(8), 2, 2), 1)
             .unwrap();
     }

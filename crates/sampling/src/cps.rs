@@ -28,12 +28,12 @@
 //!    excludes already-selected individuals per query (§5.2.5.2).
 //!
 //! The Figure 3 program couples no two distinct selections σ, so it is
-//! solved block-by-block (one small program per σ) by default; the joint
-//! single-program formulation is available for cross-checking
-//! (DESIGN.md, substitution 4).
+//! solved block-by-block, one small program per σ (DESIGN.md,
+//! substitution 4); a unit test solves the joint program and checks
+//! that the two agree.
 
 use crate::limits::limits_tallied;
-use crate::mqe::{mr_mqe_tallied, try_mr_mqe_on_splits};
+use crate::mqe;
 use crate::obs::StratumCounters;
 use crate::rows::{RowId, RowSampler, Strata};
 use crate::sqe::SqeJob;
@@ -48,7 +48,7 @@ use std::time::Instant;
 use stratmr_lp::{solve_ip, solve_lp, LpError, Problem, Relation, Solution};
 use stratmr_mapreduce::{mix_seed, Cluster, Emitter, InputSplit, JobError, JobStats};
 use stratmr_population::Individual;
-use stratmr_query::{MssdAnswer, MssdQuery, SelectionMatcher, SsdAnswer, SurveySet};
+use stratmr_query::{MssdAnswer, MssdQuery, SelectionMatcher, SsdAnswer, SsdQuery, SurveySet};
 use stratmr_telemetry::{json, Layout, Registry, Writer};
 
 /// Why a CPS run failed: the constraint program was unsolvable, or one
@@ -123,10 +123,6 @@ pub enum CpsSchedule {
 pub struct CpsConfig {
     /// LP relaxation (MR-CPS) or exact IP (CPS).
     pub solver: SolverKind,
-    /// Solve one joint program over all selections instead of one block
-    /// per σ. Mathematically identical; exists for verification and the
-    /// ablation bench.
-    pub joint_formulation: bool,
     /// Also capture a full [`PlanExplain`] — the strata universe, the
     /// solved programs, the sharing graph, cost attribution and the
     /// residual-round breakdown — into [`CpsRun::explain`]. Capturing
@@ -142,7 +138,6 @@ impl Default for CpsConfig {
     fn default() -> Self {
         Self {
             solver: SolverKind::Lp,
-            joint_formulation: false,
             explain: false,
             schedule: CpsSchedule::Fused,
         }
@@ -264,8 +259,7 @@ pub struct VariableExplain {
 /// were binding at the optimum, and the search effort spent.
 #[derive(Debug, Clone, PartialEq)]
 pub struct ProgramExplain {
-    /// The selection the block solves, or `"joint"` for the single-
-    /// program formulation.
+    /// The selection the block solves.
     pub selection: String,
     /// Optimal objective of this (sub)program.
     pub objective: f64,
@@ -332,12 +326,9 @@ pub struct ResidualRoundExplain {
 pub struct PlanExplain {
     /// `"lp"` (MR-CPS) or `"ip"` (exact CPS).
     pub solver: String,
-    /// Whether the joint single-program formulation was used.
-    pub joint: bool,
     /// The relevant selections with limits and frequencies.
     pub selections: Vec<SelectionExplain>,
-    /// The solved (sub)programs, in selection order (one entry named
-    /// `"joint"` under the joint formulation).
+    /// The solved (sub)programs, in selection order.
     pub programs: Vec<ProgramExplain>,
     /// Sharing graph over the realized answer (pairs with `shared > 0`).
     pub sharing: Vec<SharingEdge>,
@@ -382,7 +373,6 @@ impl PlanExplain {
     /// of `w`.
     pub fn write_fields(&self, w: &mut Writer) {
         w.field("constraints", self.constraints)
-            .field("joint", self.joint)
             .field("optimality_gap", self.optimality_gap());
         w.key("programs").array(Layout::Lines, |w| {
             for p in &self.programs {
@@ -462,12 +452,7 @@ impl PlanExplain {
     /// `Snapshot::render_text`.
     pub fn render_text(&self) -> String {
         let mut out = String::new();
-        let _ = writeln!(
-            out,
-            "plan explain ({} solver, {} formulation):",
-            self.solver,
-            if self.joint { "joint" } else { "blockwise" }
-        );
+        let _ = writeln!(out, "plan explain ({} solver):", self.solver);
         let _ = writeln!(out, "  solver objective  {:>12.4}", self.solver_objective);
         let _ = writeln!(out, "  realized cost     {:>12.4}", self.realized_cost);
         let _ = writeln!(
@@ -576,82 +561,26 @@ pub fn try_mr_cps_on_splits(
     if let Some(t) = tel {
         t.counter("cps.runs").inc();
     }
-
-    // ---- step 1: representative first-phase answer (Line 1) ------------
-    let (initial, fused_tallies) = {
-        let _s = tel.map(|t| t.span("initial_mqe"));
-        let cluster = cluster.named("cps/initial-mqe");
-        match config.schedule {
-            CpsSchedule::Fused => {
-                let (run, tallies) =
-                    mr_mqe_tallied(&cluster, splits, queries, seed.wrapping_add(1))?;
-                (run, Some(tallies))
-            }
-            CpsSchedule::Paper => (
-                try_mr_mqe_on_splits(&cluster, splits, queries, None, seed.wrapping_add(1))?,
-                None,
-            ),
-        }
-    };
-    phase_stats.push(("initial MR-MQE".to_string(), initial.stats.clone()));
-
-    // F(A_i, σ): each answer's tuples through the scan's σ interner
-    // (§5.2.5.1)
-    let matcher = SelectionMatcher::new(queries);
-    let sampled: Vec<SigmaTally> = (0..n)
-        .map(|i| SigmaTally::of_tuples(initial.answer.answer(i).iter(), &matcher))
-        .collect();
-
-    // [[Q]]* — the relevant selections, in `StratumSelection` order: the
-    // program's block order, Q′'s stratum order and the EXPLAIN's
-    let mut relevant: Vec<StratumSelection> = sampled
-        .iter()
-        .flat_map(SigmaTally::selections)
-        .cloned()
-        .collect();
-    relevant.sort();
-    relevant.dedup();
+    let FirstPhase {
+        relevant,
+        freq,
+        table,
+        ids,
+        limits,
+        row_ids,
+    } = first_phase(
+        cluster,
+        splits,
+        queries,
+        config.schedule,
+        seed,
+        &mut phase_stats,
+    )?;
     let position = |sel: &StratumSelection| {
         relevant
             .binary_search(sel)
             .expect("sampled and deficit selections are relevant")
     };
-    // freq[i][r] = F(A_i, relevant[r])
-    let freq: Vec<Vec<u64>> = sampled
-        .iter()
-        .map(|tally| relevant.iter().map(|sel| tally.count(sel)).collect())
-        .collect();
-
-    // ---- step 2: limits L(σ) and the rows' selection ids ---------------
-    // Both schedules' scans tally every row's σ(t), so L(σ) comes from
-    // the merged tallies; the Figure 4 job's keyed counts equal them on
-    // the relevant selections
-    let (mut table, row_ids) = {
-        let _s = tel.map(|t| t.span("limits"));
-        let tallies = match fused_tallies {
-            Some(tallies) => tallies,
-            None => {
-                let relevant_set: HashSet<StratumSelection> = relevant.iter().cloned().collect();
-                let out = limits_tallied(
-                    &cluster.named("cps/limits"),
-                    splits,
-                    queries,
-                    Some(&relevant_set),
-                    seed.wrapping_add(2),
-                )?;
-                phase_stats.push(("selection limits".to_string(), out.stats));
-                out.sides
-            }
-        };
-        SelectionTable::merge(tallies)
-    };
-    // the relevant selections' ids (a selection no row carries — which
-    // the data cannot produce — gets an id with L(σ) = 0)
-    let ids: Vec<u32> = relevant
-        .iter()
-        .map(|sel| table.intern(sel.clone()))
-        .collect();
-    let limits: Vec<u64> = ids.iter().map(|&id| table.count(id)).collect();
 
     // EXPLAIN: the strata universe — every relevant σ with its limit and
     // per-survey selection frequencies
@@ -680,7 +609,6 @@ pub fn try_mr_cps_on_splits(
     let mut programs: Vec<ProgramExplain> = Vec::new();
     let plans: Vec<SigmaPlan> = {
         let _s = tel.map(|t| t.span("solve"));
-        let explain = config.explain.then_some(&mut programs);
         let program = Program {
             relevant: &relevant,
             freq: &freq,
@@ -688,25 +616,14 @@ pub fn try_mr_cps_on_splits(
             mssd,
             config,
         };
-        if config.joint_formulation {
-            program.solve_joint(
-                tel,
-                &mut timings,
-                &mut variables,
-                &mut constraints,
-                &mut solver_objective,
-                explain,
-            )?
-        } else {
-            program.solve_blockwise(
-                tel,
-                &mut timings,
-                &mut variables,
-                &mut constraints,
-                &mut solver_objective,
-                explain,
-            )?
-        }
+        program.solve_blockwise(
+            tel,
+            &mut timings,
+            &mut variables,
+            &mut constraints,
+            &mut solver_objective,
+            config.explain.then_some(&mut programs),
+        )?
     };
     if let Some(t) = tel {
         t.counter("cps.relevant_selections")
@@ -907,7 +824,6 @@ pub fn try_mr_cps_on_splits(
                 SolverKind::Ip => "ip",
             }
             .to_string(),
-            joint: config.joint_formulation,
             selections: selections_explain,
             programs,
             sharing,
@@ -933,6 +849,114 @@ pub fn try_mr_cps_on_splits(
         timings,
         phase_stats,
         explain,
+    })
+}
+
+/// What steps 1 and 2 leave for the plan: the relevant selections with
+/// their frequencies and limits, and every row's selection id.
+struct FirstPhase {
+    /// `[[Q]]*` in `StratumSelection` order: the program's block order,
+    /// Q′'s stratum order and the EXPLAIN's.
+    relevant: Vec<StratumSelection>,
+    /// `freq[i][r] = F(A_i, relevant[r])`.
+    freq: Vec<Vec<u64>>,
+    /// The merged σ tallies of the scan that found every row's `σ(t)`.
+    table: SelectionTable,
+    /// `ids[r]`: `relevant[r]`'s id in `table`.
+    ids: Vec<u32>,
+    /// `limits[r] = L(relevant[r])`.
+    limits: Vec<u64>,
+    /// Selection id per split position and row.
+    row_ids: Vec<Vec<u32>>,
+}
+
+/// Steps 1 and 2 on `schedule`: the first-phase MR-MQE answer, its
+/// selection frequencies and the limits `L(σ)`. One matcher serves the
+/// scan(s) and the frequency tally. Each job's statistics are appended
+/// to `phase_stats`.
+fn first_phase(
+    cluster: &Cluster,
+    splits: &[InputSplit<Individual>],
+    queries: &[SsdQuery],
+    schedule: CpsSchedule,
+    seed: u64,
+    phase_stats: &mut Vec<(String, JobStats)>,
+) -> Result<FirstPhase, CpsError> {
+    let tel = cluster.telemetry();
+    let matcher = SelectionMatcher::new(queries);
+
+    // ---- step 1: representative first-phase answer (Line 1) ------------
+    let (initial, fused_tallies) = {
+        let _s = tel.map(|t| t.span("initial_mqe"));
+        let cluster = cluster.named("cps/initial-mqe");
+        let seed = seed.wrapping_add(1);
+        match schedule {
+            CpsSchedule::Fused => {
+                let (run, tallies) = mqe::run_job(&cluster, splits, queries, &matcher, None, seed)?;
+                (run, Some(tallies))
+            }
+            CpsSchedule::Paper => {
+                let (run, _) = mqe::run_job::<()>(&cluster, splits, queries, &matcher, None, seed)?;
+                (run, None)
+            }
+        }
+    };
+    phase_stats.push(("initial MR-MQE".to_string(), initial.stats));
+
+    // F(A_i, σ): each answer's tuples through the scan's σ interner
+    // (§5.2.5.1)
+    let sampled: Vec<SigmaTally> = (0..queries.len())
+        .map(|i| SigmaTally::of_tuples(initial.answer.answer(i).iter(), &matcher))
+        .collect();
+    let mut relevant: Vec<StratumSelection> = sampled
+        .iter()
+        .flat_map(SigmaTally::selections)
+        .cloned()
+        .collect();
+    relevant.sort();
+    relevant.dedup();
+    let freq: Vec<Vec<u64>> = sampled
+        .iter()
+        .map(|tally| relevant.iter().map(|sel| tally.count(sel)).collect())
+        .collect();
+
+    // ---- step 2: limits L(σ) and the rows' selection ids ---------------
+    // Both schedules' scans tally every row's σ(t), so L(σ) comes from
+    // the merged tallies; the Figure 4 job's keyed counts equal them on
+    // the relevant selections
+    let (mut table, row_ids) = {
+        let _s = tel.map(|t| t.span("limits"));
+        let tallies = match fused_tallies {
+            Some(tallies) => tallies,
+            None => {
+                let relevant_set: HashSet<StratumSelection> = relevant.iter().cloned().collect();
+                let out = limits_tallied(
+                    &cluster.named("cps/limits"),
+                    splits,
+                    &matcher,
+                    Some(&relevant_set),
+                    seed.wrapping_add(2),
+                )?;
+                phase_stats.push(("selection limits".to_string(), out.stats));
+                out.sides
+            }
+        };
+        SelectionTable::merge(tallies)
+    };
+    // the relevant selections' ids (a selection no row carries — which
+    // the data cannot produce — gets an id with L(σ) = 0)
+    let ids: Vec<u32> = relevant
+        .iter()
+        .map(|sel| table.intern(sel.clone()))
+        .collect();
+    let limits: Vec<u64> = ids.iter().map(|&id| table.count(id)).collect();
+    Ok(FirstPhase {
+        relevant,
+        freq,
+        table,
+        ids,
+        limits,
+        row_ids,
     })
 }
 
@@ -1153,99 +1177,30 @@ impl Program<'_> {
             *objective += solution.objective;
 
             if let Some(out) = explain.as_deref_mut() {
-                out.push(program_explain(
-                    self.relevant[r].to_string(),
-                    &problem,
-                    &solution,
-                    effort,
-                    &taus,
-                    &vars,
-                    self.mssd,
-                    self.config,
-                ));
+                let costs = self.mssd.costs();
+                out.push(ProgramExplain {
+                    selection: self.relevant[r].to_string(),
+                    objective: solution.objective,
+                    root_relaxation: effort.root_relaxation,
+                    pivots: effort.pivots,
+                    nodes: effort.nodes,
+                    lp_relaxations: effort.lp_relaxations,
+                    binding_constraints: problem.binding_constraints(&solution.values, 1e-6),
+                    variables: taus
+                        .iter()
+                        .zip(&vars)
+                        .map(|(&tau, &v)| VariableExplain {
+                            surveys: tau.iter().collect(),
+                            cost: costs.cost(tau),
+                            value: solution.values[v],
+                            allocation: round(self.config.solver, solution.values[v]),
+                        })
+                        .collect(),
+                });
             }
             plans.push(self.plan(r, &taus, &vars, &solution));
         }
         Ok(plans)
-    }
-
-    fn solve_joint(
-        &self,
-        telemetry: Option<&Registry>,
-        timings: &mut CpsTimings,
-        variables: &mut usize,
-        constraints: &mut usize,
-        objective: &mut f64,
-        explain: Option<&mut Vec<ProgramExplain>>,
-    ) -> Result<Vec<SigmaPlan>, CpsError> {
-        let t0 = Instant::now();
-        let mut problem = Problem::new();
-        // var layout: per selection, its τ list
-        let layout = (0..self.relevant.len())
-            .map(|r| self.add_block(&mut problem, r))
-            .collect::<Result<Vec<_>, _>>()?;
-        *variables = problem.n_vars();
-        *constraints = problem.n_constraints();
-        timings.formulate_secs += t0.elapsed().as_secs_f64();
-
-        let t1 = Instant::now();
-        let (solution, effort) = solve_dispatch(&problem, self.config.solver, telemetry)?;
-        timings.solve_secs += t1.elapsed().as_secs_f64();
-        *objective = solution.objective;
-
-        if let Some(out) = explain {
-            let all_taus: Vec<SurveySet> =
-                layout.iter().flat_map(|(t, _)| t.iter().copied()).collect();
-            let all_vars: Vec<usize> = layout.iter().flat_map(|(_, v)| v.iter().copied()).collect();
-            out.push(program_explain(
-                "joint".to_string(),
-                &problem,
-                &solution,
-                effort,
-                &all_taus,
-                &all_vars,
-                self.mssd,
-                self.config,
-            ));
-        }
-        Ok(layout
-            .iter()
-            .enumerate()
-            .map(|(r, (taus, vars))| self.plan(r, taus, vars, &solution))
-            .collect())
-    }
-}
-
-/// Assemble one [`ProgramExplain`] from a solved (sub)program.
-#[allow(clippy::too_many_arguments)]
-fn program_explain(
-    selection: String,
-    problem: &Problem,
-    solution: &Solution,
-    effort: SolveEffort,
-    taus: &[SurveySet],
-    vars: &[usize],
-    mssd: &MssdQuery,
-    config: CpsConfig,
-) -> ProgramExplain {
-    ProgramExplain {
-        selection,
-        objective: solution.objective,
-        root_relaxation: effort.root_relaxation,
-        pivots: effort.pivots,
-        nodes: effort.nodes,
-        lp_relaxations: effort.lp_relaxations,
-        binding_constraints: problem.binding_constraints(&solution.values, 1e-6),
-        variables: taus
-            .iter()
-            .zip(vars)
-            .map(|(&tau, &v)| VariableExplain {
-                surveys: tau.iter().collect(),
-                cost: mssd.costs().cost(tau),
-                value: solution.values[v],
-                allocation: round(config.solver, solution.values[v]),
-            })
-            .collect(),
     }
 }
 
@@ -1253,6 +1208,7 @@ fn program_explain(
 mod tests {
     use super::*;
     use crate::input::to_input_splits;
+    use crate::mqe::try_mr_mqe_on_splits;
     use stratmr_population::{AttrDef, AttrId, Dataset, Placement, Schema};
     use stratmr_query::{CostModel, Formula, SsdQuery, StratumConstraint};
 
@@ -1267,14 +1223,6 @@ mod tests {
             .map(|i| Individual::new(i, vec![(i % 100) as i64], 100))
             .collect();
         Dataset::new(schema, tuples)
-    }
-
-    /// `config` with the joint formulation switched on.
-    fn joint(config: CpsConfig) -> CpsConfig {
-        CpsConfig {
-            joint_formulation: true,
-            ..config
-        }
     }
 
     /// `config` with EXPLAIN capture switched on.
@@ -1397,41 +1345,48 @@ mod tests {
         assert!(run.answer.satisfies(&mssd));
     }
 
+    /// DESIGN.md substitution 4: no constraint couples two selections,
+    /// so the paper's joint Figure 3 program — every block in one
+    /// problem — has the blockwise run's optimum, variables and
+    /// constraints.
     #[test]
     fn joint_and_blockwise_agree() {
         let splits = to_input_splits(&dataset(1200).distribute(2, 4, Placement::RoundRobin));
         let cluster = Cluster::new(2);
         let mssd = overlapping_mssd();
-        let block = try_mr_cps_on_splits(
+        let config = CpsConfig::mr_cps();
+        let block = try_mr_cps_on_splits(&cluster, &splits, &mssd, config, 5).unwrap();
+
+        let first = first_phase(
             &cluster,
             &splits,
-            &mssd,
-            CpsConfig {
-                joint_formulation: false,
-                ..CpsConfig::mr_cps()
-            },
+            mssd.queries(),
+            config.schedule,
             5,
+            &mut Vec::new(),
         )
         .unwrap();
-        let joint = try_mr_cps_on_splits(
-            &cluster,
-            &splits,
-            &mssd,
-            CpsConfig {
-                joint_formulation: true,
-                ..CpsConfig::mr_cps()
-            },
-            5,
-        )
-        .unwrap();
+        assert!(first.relevant.len() > 1, "the joint program needs blocks");
+        let program = Program {
+            relevant: &first.relevant,
+            freq: &first.freq,
+            limits: &first.limits,
+            mssd: &mssd,
+            config,
+        };
+        let mut joint = Problem::new();
+        for r in 0..first.relevant.len() {
+            program.add_block(&mut joint, r).unwrap();
+        }
+        let (solution, _) = solve_dispatch(&joint, config.solver, None).unwrap();
         assert!(
-            (block.solver_objective - joint.solver_objective).abs() < 1e-6,
+            (block.solver_objective - solution.objective).abs() < 1e-6,
             "block {} vs joint {}",
             block.solver_objective,
-            joint.solver_objective
+            solution.objective
         );
-        assert_eq!(block.variables, joint.variables);
-        assert_eq!(block.constraints, joint.constraints);
+        assert_eq!(block.variables, joint.n_vars());
+        assert_eq!(block.constraints, joint.n_constraints());
     }
 
     #[test]
@@ -1763,15 +1718,6 @@ mod tests {
         let plain = run(CpsConfig::mr_cps());
         assert!(plain.explain.is_none());
         assert_eq!(plain.cost, a.realized_cost);
-        // joint formulation collapses the programs into one
-        let joint_cfg = CpsConfig {
-            joint_formulation: true,
-            ..CpsConfig::mr_cps()
-        };
-        let j = run(explained(joint_cfg)).explain.unwrap();
-        assert_eq!(j.programs.len(), 1);
-        assert_eq!(j.programs[0].selection, "joint");
-        assert_eq!(j.programs[0].variables.len(), j.variables);
     }
 
     #[test]
@@ -1821,11 +1767,7 @@ mod tests {
         let cluster = Cluster::new(2);
         let q = SsdQuery::new(vec![StratumConstraint::new(Formula::lt(x(), 100), 2)]);
         let mssd = MssdQuery::new(vec![q; 17], CostModel::paper_style(17, 1.0, &[], 0.0));
-        for config in [
-            CpsConfig::mr_cps(),
-            CpsConfig::exact(),
-            joint(CpsConfig::mr_cps()),
-        ] {
+        for config in [CpsConfig::mr_cps(), CpsConfig::exact()] {
             let err = try_mr_cps_on_splits(&cluster, &splits, &mssd, config, 1).unwrap_err();
             assert_eq!(
                 err,

@@ -22,26 +22,11 @@ use stratmr_query::{SelectionMatcher, SsdQuery};
 use crate::sst::StratumSelection;
 use crate::tally::SigmaTally;
 
-/// The Figure 4 counting job.
+/// The Figure 4 counting job: every selection occurring in the data, or
+/// only those in `filter` (the relevant ones).
 pub(crate) struct LimitsJob<'a> {
-    matcher: SelectionMatcher<'a>,
+    matcher: &'a SelectionMatcher<'a>,
     filter: Option<&'a HashSet<StratumSelection>>,
-}
-
-impl<'a> LimitsJob<'a> {
-    /// Count every selection occurring in the data.
-    pub fn new(queries: &'a [SsdQuery]) -> Self {
-        Self {
-            matcher: SelectionMatcher::new(queries),
-            filter: None,
-        }
-    }
-
-    /// Count only the given (relevant) selections.
-    pub(crate) fn with_filter(mut self, filter: &'a HashSet<StratumSelection>) -> Self {
-        self.filter = Some(filter);
-        self
-    }
 }
 
 impl CombineJob for LimitsJob<'_> {
@@ -59,7 +44,7 @@ impl CombineJob for LimitsJob<'_> {
         t: &Individual,
         out: &mut Emitter<StratumSelection, u64, SigmaTally>,
     ) {
-        let sel = StratumSelection::of(t, &self.matcher);
+        let sel = StratumSelection::of(t, self.matcher);
         out.side_mut().record(&sel);
         if let Some(filter) = self.filter {
             if !filter.contains(&sel) {
@@ -104,26 +89,23 @@ pub fn try_stratum_selection_limits(
     filter: Option<&HashSet<StratumSelection>>,
     seed: u64,
 ) -> Result<(HashMap<StratumSelection, u64>, JobStats), JobError> {
-    let out = limits_tallied(cluster, splits, queries, filter, seed)?;
+    let matcher = SelectionMatcher::new(queries);
+    let out = limits_tallied(cluster, splits, &matcher, filter, seed)?;
     Ok((out.results.into_iter().collect(), out.stats))
 }
 
-/// The Figure 4 job's output, including every map task's σ tally in
-/// split order.
+/// The Figure 4 job's output over the queries `matcher` was compiled
+/// for, including every map task's σ tally in split order.
 pub(crate) fn limits_tallied(
     cluster: &Cluster,
     splits: &[InputSplit<Individual>],
-    queries: &[SsdQuery],
+    matcher: &SelectionMatcher<'_>,
     filter: Option<&HashSet<StratumSelection>>,
     seed: u64,
 ) -> Result<JobOutput<StratumSelection, u64, SigmaTally>, JobError> {
-    let mut job = LimitsJob::new(queries);
-    if let Some(f) = filter {
-        job = job.with_filter(f);
-    }
     cluster
         .named_or("limits")
-        .try_run_with_combiner(&job, splits, seed)
+        .try_run_with_combiner(&LimitsJob { matcher, filter }, splits, seed)
 }
 
 #[cfg(test)]
@@ -192,7 +174,8 @@ mod tests {
         let want: HashSet<StratumSelection> =
             [StratumSelection::from_choices(&[Some(0), None])].into();
         for filter in [None, Some(&want)] {
-            let out = limits_tallied(&Cluster::new(3), &splits, &queries, filter, 4).unwrap();
+            let matcher = SelectionMatcher::new(&queries);
+            let out = limits_tallied(&Cluster::new(3), &splits, &matcher, filter, 4).unwrap();
             assert_eq!(out.sides.len(), splits.len());
             let (mut table, rows) = SelectionTable::merge(out.sides);
             // the tallies see every row, filtered or not

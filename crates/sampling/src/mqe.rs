@@ -11,7 +11,7 @@
 
 use crate::obs::StratumCounters;
 use crate::rows::{RowId, RowSampler, Strata};
-use crate::tally::{SelectionSink, SigmaTally};
+use crate::tally::SelectionSink;
 use std::collections::HashSet;
 use std::marker::PhantomData;
 use stratmr_mapreduce::{Cluster, Emitter, InputSplit, JobError, JobStats};
@@ -29,11 +29,11 @@ pub(crate) type QueryStratum = (usize, StratumId);
 ///
 /// `S` is the map task's [`SelectionSink`]: every tuple's per-query
 /// strata (its selection `σ(t)`) are handed to it as the scan finds
-/// them. The plain job (`S = ()`) drops them at compile time;
-/// [`mr_mqe_tallied`] interns them into a [`SigmaTally`] for MR-CPS.
+/// them. The plain job (`S = ()`) drops them at compile time; MR-CPS's
+/// first scan interns them into a [`crate::tally::SigmaTally`].
 struct MqeJob<'a, S> {
     queries: &'a [SsdQuery],
-    matcher: SelectionMatcher<'a>,
+    matcher: &'a SelectionMatcher<'a>,
     /// `offsets[i]`: the dense slot of query `i`'s first stratum; the
     /// last entry is the number of `(query, stratum)` keys.
     offsets: Vec<usize>,
@@ -116,26 +116,21 @@ pub fn try_mr_mqe_on_splits(
     if let Some(ex) = exclusions {
         assert_eq!(ex.len(), queries.len());
     }
-    run_job::<()>(cluster, splits, queries, exclusions, seed).map(|(run, _)| run)
+    let matcher = SelectionMatcher::new(queries);
+    run_job::<()>(cluster, splits, queries, &matcher, exclusions, seed).map(|(run, _)| run)
 }
 
-/// MR-MQE that also tallies every tuple's selection `σ(t)` (one
-/// [`SigmaTally`] per map task; its count table is charged as side
-/// bytes): the answer and statistics of [`try_mr_mqe_on_splits`] (same
-/// keys, seeds and shuffle bytes), plus the tallies in split order.
-pub(crate) fn mr_mqe_tallied(
+/// MR-MQE over `queries`, looked up through `matcher` (compiled for
+/// them), handing every map task's tuple selections `σ(t)` to a sink
+/// `S`. With `S = SigmaTally` (one per map task; its count table is
+/// charged as side bytes) this is MR-CPS's first scan: the answer and
+/// statistics of [`try_mr_mqe_on_splits`] (same keys, seeds and shuffle
+/// bytes), plus the tallies in split order.
+pub(crate) fn run_job<S: SelectionSink>(
     cluster: &Cluster,
     splits: &[InputSplit<Individual>],
     queries: &[SsdQuery],
-    seed: u64,
-) -> Result<(MqeRun, Vec<SigmaTally>), JobError> {
-    run_job(cluster, splits, queries, None, seed)
-}
-
-fn run_job<S: SelectionSink>(
-    cluster: &Cluster,
-    splits: &[InputSplit<Individual>],
-    queries: &[SsdQuery],
+    matcher: &SelectionMatcher<'_>,
     exclusions: Option<&[HashSet<u64>]>,
     seed: u64,
 ) -> Result<(MqeRun, Vec<S>), JobError> {
@@ -143,7 +138,7 @@ fn run_job<S: SelectionSink>(
     let _span = cluster.telemetry().map(|t| t.span("mqe.run"));
     let job = MqeJob {
         queries,
-        matcher: SelectionMatcher::new(queries),
+        matcher,
         offsets: std::iter::once(0)
             .chain(queries.iter().scan(0, |end, q| {
                 *end += q.len();
@@ -264,7 +259,7 @@ mod tests {
 
     #[test]
     fn joint_grid_and_fallback_tally_alike() {
-        use crate::tally::SelectionTable;
+        use crate::tally::{SelectionTable, SigmaTally};
         let splits = to_input_splits(&dataset(1500).distribute(3, 7, Placement::RoundRobin));
         let fast = queries();
         // stratum 1 of query 1 as an equivalent disjunction: no grid
@@ -283,11 +278,16 @@ mod tests {
             })
             .collect();
         slow[1] = SsdQuery::new(strata);
-        assert!(SelectionMatcher::new(&fast).is_joint());
-        assert!(!SelectionMatcher::new(&slow).is_joint());
+        let (fast_matcher, slow_matcher) =
+            (SelectionMatcher::new(&fast), SelectionMatcher::new(&slow));
+        assert!(fast_matcher.is_joint());
+        assert!(!slow_matcher.is_joint());
         let cluster = Cluster::new(3);
-        let (a, a_sides) = mr_mqe_tallied(&cluster, &splits, &fast, 9).unwrap();
-        let (b, b_sides) = mr_mqe_tallied(&cluster, &splits, &slow, 9).unwrap();
+        let tallied = |queries, matcher| {
+            run_job::<SigmaTally>(&cluster, &splits, queries, matcher, None, 9).unwrap()
+        };
+        let (a, a_sides) = tallied(&fast, &fast_matcher);
+        let (b, b_sides) = tallied(&slow, &slow_matcher);
         assert_eq!(a.answer, b.answer);
         assert_eq!(a.stats.side_bytes, b.stats.side_bytes);
         let (a_table, a_rows) = SelectionTable::merge(a_sides);

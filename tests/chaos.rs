@@ -353,8 +353,9 @@ fn impossible_plans_fail_with_typed_errors() {
 fn retry_budget_exhaustion_is_typed_and_bounded() {
     let machines = 2usize;
     let splits = splits_for(machines);
+    let always_failing = FaultPlan::new().flaky(0, 1.0).flaky(1, 1.0);
     let cluster = Cluster::new(machines)
-        .with_failures(1.0)
+        .with_fault_plan(always_failing)
         .with_retry_budget(3);
     let q = &queries()[0];
     match try_mr_sqe_on_splits(&cluster, &splits, q, 7) {

@@ -4,9 +4,9 @@
 //! drops the Figure 4 job; both then read every row's selection id in
 //! the combined and residual jobs. Over small random populations and
 //! overlapping MSSDs — strata the compiled matcher cannot take (∨, ¬,
-//! ≠), empty and single-tuple splits, skewed placement, the LP, IP and
-//! joint programs, one and four worker threads — both must return the
-//! same answer, cost, plan and EXPLAIN.
+//! ≠), empty and single-tuple splits, skewed placement, the LP and IP
+//! programs, one and four worker threads — both must return the same
+//! answer, cost, plan and EXPLAIN.
 
 use proptest::prelude::*;
 use stratmr::mapreduce::{Cluster, InputSplit};
@@ -119,12 +119,11 @@ proptest! {
         let splits =
             to_input_splits(&data.distribute(machines, machines * splits_per_machine, placement));
         let mssd = mssd(cut, v, a, b, [f0, f1, f2], penalty);
-        let joint = CpsConfig { joint_formulation: true, ..CpsConfig::mr_cps() };
         // the vendored rayon re-reads RAYON_NUM_THREADS on each call; the
         // other test in this binary is thread-count invariant too
         for threads in ["1", "4"] {
             std::env::set_var("RAYON_NUM_THREADS", threads);
-            for config in [CpsConfig::mr_cps(), CpsConfig::exact(), joint] {
+            for config in [CpsConfig::mr_cps(), CpsConfig::exact()] {
                 assert_schedules_agree(&splits, machines, &mssd, config, seed);
             }
         }
